@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import concurrent.futures
-import warnings
 
 import numpy as np
 
@@ -17,13 +16,13 @@ def logsumexp(a, axis=None):
     if scalar:
         a = a.ravel()
         axis = 0
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)
+    # errstate is per thread (context-local), unlike warnings filters, so
+    # map_ordered's worker threads may call this concurrently
+    with np.errstate(all="ignore"):
         amax = np.max(a, axis=axis, keepdims=True)
         amax_safe = np.where(np.isfinite(amax), amax, 0.0)
         s = np.sum(np.exp(a - amax_safe), axis=axis)
-        with np.errstate(divide="ignore"):
-            res = np.squeeze(amax_safe, axis=axis) + np.log(s)
+        res = np.squeeze(amax_safe, axis=axis) + np.log(s)
     return float(res) if scalar else res
 
 

@@ -2,8 +2,8 @@
 
 All structured output is JSON with full-precision floats (repr round-trips
 exactly, so reports are diff-stable); ladder traces and path batches go to
-CSV. Exit codes: 0 success or PASS, 1 FAIL verdicts or solver collapse,
-2 usage and ingestion errors.
+CSV. Exit codes: 0 success or PASS, 1 FAIL verdicts or solver failure
+(collapse or no convergence), 2 usage and ingestion errors.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import sys
 import numpy as np
 
 from . import birth_death as bd
-from .dirichlet import CollapseToZero
+from . import dirichlet, saddle
 from .model import (GameModel, SchemaError, StationaryStrategy, check_irreducibility,
                     check_lyapunov, check_reference_state, model_from_json,
                     model_to_json, validate_model)
@@ -195,8 +195,9 @@ def run(argv) -> int:
                 report = solve_ergodic_game(
                     model, ladder=ladder, tol_eig=args.tol, tol_local=args.tol,
                     tol_outer=args.tol_outer, threads=args.threads)
-            except CollapseToZero as exc:
-                print(f"error: CollapseToZero: {exc}", file=sys.stderr)
+            except (dirichlet.CollapseToZero, dirichlet.NoConvergence,
+                    saddle.NoConvergence) as exc:
+                print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
                 return FAIL
             _emit(report.to_dict(), args.out)
             if args.trace:

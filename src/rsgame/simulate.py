@@ -25,6 +25,17 @@ plug-in estimator is the case psi = 1. When (rho*, psi*) solves the
 equation for the simulated pair, Lambda_T = rho* at every T; for any
 positive psi, Lambda_T tends to the pair's criterion, so a wrong rho*
 is still caught.
+
+Each path step reads one uniform triple from the path's stream. Actions
+are drawn by inverse CDF: the action index is the number of cumulative
+weights at or below the uniform. The estimators draw the next state from
+alias tables (Walker 1977; Vose 1991), built for every (i, u, v) row in
+one lockstep pass, so a step costs O(1) whatever the window. Path batches
+and hitting-time paths take one inverse-CDF step, _step_block, for the
+next state too. Every sampler steps all live paths of a block together
+and reads each path's uniforms from its stream in chunks of at most
+T_CHUNK rows, transposed to one (3, paths) slice per step; the streams
+are continuous, so the chunking changes no value.
 """
 
 from __future__ import annotations
@@ -38,7 +49,7 @@ from .model import CLOSED_TOL, GameModel, StationaryStrategy
 from .solver import SolveReport
 
 BLOCK_PATHS = 4096
-T_CHUNK = 1024
+T_CHUNK = 128
 HITTING_CAP = 10**6
 # fixed part of every saddle-verification band: the residual tolerance each
 # solve is held to, which bounds how far rho* may sit from the exact value
@@ -121,25 +132,46 @@ def _padded_tables(model: GameModel):
     return cum_next, cost
 
 
-def _vose_alias(row):
-    """Walker/Vose alias table for one probability row (renormalized)."""
-    n = len(row)
-    scaled = (row / row.sum()) * n
-    alias = np.zeros(n, dtype=np.int64)
-    prob = np.ones(n)
-    small = [i for i in range(n) if scaled[i] < 1.0]
-    large = [i for i in range(n) if scaled[i] >= 1.0]
-    scaled = scaled.copy()
-    while small and large:
-        s = small.pop()
-        g = large.pop()
-        prob[s] = scaled[s]
-        alias[s] = g
-        scaled[g] -= 1.0 - scaled[s]
-        if scaled[g] < 1.0:
-            small.append(g)
-        else:
-            large.append(g)
+def _alias_rows(rows):
+    """Walker/Vose alias tables for every row of `rows`, each renormalized.
+
+    Vose's algorithm runs on all rows in lockstep. A row's small and large
+    stacks share one index array: small ones grow from the left, large ones
+    from the right, both seeded in ascending index order with the top at
+    the largest index. Each iteration pops both tops of every row that
+    still has both stacks, with the float operations of the one-row
+    algorithm, so each row's table is bit-identical to building it alone.
+    A row whose entries all sit on one side (a uniform row) keeps prob 1
+    and alias 0; at most n - 1 iterations run.
+    """
+    R, n = rows.shape
+    scaled = (rows / rows.sum(axis=1, keepdims=True)) * n
+    prob = np.ones((R, n))
+    alias = np.zeros((R, n), dtype=np.int64)
+    col = np.arange(n)
+    small = scaled < 1.0
+    stack = np.argsort(np.where(small, col, 2 * n - col), axis=1)
+    n_small = small.sum(axis=1)
+    n_large = n - n_small
+    live = np.flatnonzero((n_small > 0) & (n_large > 0))
+    while live.size:
+        s = stack[live, n_small[live] - 1]
+        g = stack[live, n - n_large[live]]
+        n_small[live] -= 1
+        n_large[live] -= 1
+        p_s = scaled[live, s]
+        prob[live, s] = p_s
+        alias[live, s] = g
+        p_g = scaled[live, g] - (1.0 - p_s)
+        scaled[live, g] = p_g
+        to_small = p_g < 1.0
+        rs = live[to_small]
+        stack[rs, n_small[rs]] = g[to_small]
+        n_small[rs] += 1
+        rl = live[~to_small]
+        n_large[rl] += 1
+        stack[rl, n - n_large[rl]] = g[~to_small]
+        live = live[(n_small[live] > 0) & (n_large[live] > 0)]
     return prob, alias
 
 
@@ -160,35 +192,32 @@ def _step_tables(model: GameModel, log_psi=None):
     mu_max = max(model.n_actions(i)[0] for i in range(n))
     mv_max = max(model.n_actions(i)[1] for i in range(n))
     cost = np.zeros((n, mu_max, mv_max))
-    prob = np.ones((n * mu_max * mv_max, n))
-    alias = np.zeros((n * mu_max * mv_max, n), dtype=np.int64)
+    # padded (u, v) slots get uniform rows, whose tables stay prob 1, alias 0
+    rows = np.ones((n, mu_max, mv_max, n))
     for i in range(n):
         mu, mv = model.n_actions(i)
-        rows = model.transition[i]
+        rows_i = model.transition[i]
         cost[i, :mu, :mv] = model.cost[i]
         if log_psi is not None and np.isfinite(log_psi[i]):
             tilted = model.log_transition(i) + log_psi
             log_mass = logsumexp(tilted, axis=2)
             ok = np.isfinite(log_mass)
             shift = np.where(ok, log_mass, 0.0)[..., None]
-            rows = np.where(ok[..., None], np.exp(tilted - shift), rows)
+            rows_i = np.where(ok[..., None], np.exp(tilted - shift), rows_i)
             cost[i, :mu, :mv] += np.where(ok, log_mass - log_psi[i], 0.0)
-        for u in range(mu):
-            for v in range(mv):
-                p, a = _vose_alias(rows[u, v])
-                flat = (i * mu_max + u) * mv_max + v
-                prob[flat] = p
-                alias[flat] = a
-    return cost, (prob, alias)
+        rows[i, :mu, :mv] = rows_i
+    return cost, _alias_rows(rows.reshape(-1, n))
 
 
 def _strategy_cum(model: GameModel, strategy: StationaryStrategy, player: int):
+    """Cumulative action weights as an (m_max, n) table, padded with ones:
+    row k holds every state's weight of actions 0..k."""
     n = model.n_states
     m_max = max(model.n_actions(i)[player - 1] for i in range(n))
-    cum = np.ones((n, m_max))
+    cum = np.ones((m_max, n))
     for i in range(n):
         w = strategy.weights[i]
-        cum[i, : len(w)] = np.cumsum(w)
+        cum[: len(w), i] = np.cumsum(w)
     return cum
 
 
@@ -197,12 +226,34 @@ def _path_stream(seed: int, path_index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
-def _step_block(states, draws, cum1, cum2, cum_next, cost_tab, closed):
-    """Advance one step for a block of live paths; returns (u, v, j, cost)."""
-    u = (cum1[states] <= draws[:, 0:1]).sum(axis=1)
-    v = (cum2[states] <= draws[:, 1:2]).sum(axis=1)
+def _draws(gens, rows):
+    """The next `rows` uniform triples of every stream, as a contiguous
+    (rows, 3, len(gens)) array: one (3, paths) slice per step."""
+    buf = np.empty((len(gens), rows, 3))
+    for k, g in enumerate(gens):
+        g.random(out=buf[k])
+    return np.ascontiguousarray(buf.transpose(1, 2, 0))
+
+
+def _pick(cum, states, r):
+    """Inverse-CDF action for every path: how many of its state's cumulative
+    weights lie at or below its uniform, counted one column at a time."""
+    k = (cum[0][states] <= r).astype(np.int64)
+    for column in cum[1:]:
+        k += column[states] <= r
+    return k
+
+
+def _step_block(states, r, cum1, cum2, cum_next, cost_tab, closed):
+    """One inverse-CDF step for a block of live paths; returns (u, v, j, cost).
+
+    r holds one uniform triple per path as rows (u draw, v draw, next-state
+    draw). An open model's j equals n when the draw falls in the exit mass.
+    """
+    u = _pick(cum1, states, r[0])
+    v = _pick(cum2, states, r[1])
     rows = cum_next[states, u, v]  # (B, n)
-    j = (rows <= draws[:, 2:3]).sum(axis=1)
+    j = (rows <= r[2][:, None]).sum(axis=1)
     c = cost_tab[states, u, v]
     if closed:
         j = np.minimum(j, rows.shape[1] - 1)
@@ -216,6 +267,18 @@ def _require_strategies(model, pi1, pi2):
         raise ValueError(f"invalid strategies: {p1 + p2}")
 
 
+def _simulated_pair(model, pi1, pi2, deviation):
+    """The validated strategy pair with the configured deviation applied."""
+    _require_strategies(model, pi1, pi2)
+    if deviation is not None:
+        if deviation.player == 1:
+            pi1 = deviation.apply(model, pi1)
+        else:
+            pi2 = deviation.apply(model, pi2)
+        _require_strategies(model, pi1, pi2)
+    return pi1, pi2
+
+
 def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy,
                    cfg: SimConfig) -> PathBatch:
     """Materialize N full trajectories (memory scales with N*T).
@@ -223,13 +286,7 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     Raises OpenModel on window exit unless cfg.allow_absorption, in which
     case the path parks at state -1 with zero cost afterwards.
     """
-    _require_strategies(model, pi1, pi2)
-    if cfg.deviation is not None:
-        if cfg.deviation.player == 1:
-            pi1 = cfg.deviation.apply(model, pi1)
-        else:
-            pi2 = cfg.deviation.apply(model, pi2)
-        _require_strategies(model, pi1, pi2)
+    pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
     closed = model.is_closed(CLOSED_TOL)
     if not closed and not cfg.allow_absorption:
         raise OpenModel(f"max exit mass {model.max_exit_mass():.3e}; "
@@ -238,74 +295,52 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     cum_next, cost_tab = _padded_tables(model)
     cum1 = _strategy_cum(model, pi1, 1)
     cum2 = _strategy_cum(model, pi2, 2)
-    start = int(cfg.start)
+    N, T = cfg.N, cfg.T
+    gens = [_path_stream(cfg.seed, p) for p in range(N)]
 
-    states = np.empty((cfg.N, cfg.T + 1), dtype=np.int32)
-    u_idx = np.empty((cfg.N, cfg.T), dtype=np.int32)
-    v_idx = np.empty((cfg.N, cfg.T), dtype=np.int32)
-    costs = np.zeros((cfg.N, cfg.T))
-    for p in range(cfg.N):
-        rng = _path_stream(cfg.seed, p)
-        draws = rng.random((cfg.T, 3))
-        s = start
-        states[p, 0] = s
-        for t in range(cfg.T):
-            if s < 0:
-                states[p, t + 1] = -1
-                u_idx[p, t] = -1
-                v_idx[p, t] = -1
-                continue
-            u, v, j, c = _step_block(
-                np.array([s]), draws[t:t + 1], cum1, cum2, cum_next, cost_tab, closed)
-            if j[0] >= n:
-                s = -1
-                states[p, t + 1] = -1
-                u_idx[p, t] = int(u[0])
-                v_idx[p, t] = int(v[0])
-                costs[p, t] = float(c[0])
-                continue
-            u_idx[p, t] = int(u[0])
-            v_idx[p, t] = int(v[0])
-            costs[p, t] = float(c[0])
-            s = int(j[0])
-            states[p, t + 1] = s
+    s = np.full(N, int(cfg.start), dtype=np.int64)
+    states = np.empty((N, T + 1), dtype=np.int32)
+    states[:, 0] = s
+    u_idx = np.full((N, T), -1, dtype=np.int32)
+    v_idx = np.full((N, T), -1, dtype=np.int32)
+    costs = np.zeros((N, T))
+    for done in range(0, T, T_CHUNK):
+        for t, r in enumerate(_draws(gens, min(T_CHUNK, T - done)), done):
+            live = np.flatnonzero(s >= 0)
+            u, v, j, c = _step_block(s[live], r[:, live], cum1, cum2, cum_next,
+                                     cost_tab, closed)
+            u_idx[live, t] = u
+            v_idx[live, t] = v
+            costs[live, t] = c
+            s[live] = np.where(j < n, j, -1)
+            states[:, t + 1] = s
     return PathBatch(states=states, u_idx=u_idx, v_idx=v_idx, costs=costs)
 
 
-def _block_exponents(model, cum1, cum2, tables, cost_tab, seed, start, T, lo, hi):
+def _block_exponents(cum1, cum2, tables, cost_tab, seed, start, T, lo, hi):
     """Cost exponents sum_t c for paths lo..hi-1, vectorized over the block.
 
-    Draws come in T_CHUNK slices per path stream (identical values to one
-    big draw: generator state is continuous). Next states come from alias
-    tables, so every step is O(block) regardless of the window size.
+    Next states come from alias tables, so every step is O(block)
+    regardless of the window size; prob and alias are read through one
+    flat offset per path.
     """
-    prob_tab, alias_tab = tables
-    B = hi - lo
-    n = prob_tab.shape[-1]
-    mu_max = cum1.shape[1] if cum1.ndim > 1 else 1
-    mv_max = cum2.shape[1] if cum2.ndim > 1 else 1
+    n = tables[0].shape[-1]
+    prob, alias = (tab.ravel() for tab in tables)
+    _, mu_max, mv_max = cost_tab.shape
     flat_cost = cost_tab.ravel()
     gens = [_path_stream(seed, p) for p in range(lo, hi)]
-    s = np.full(B, start, dtype=np.int64)
-    expo = np.zeros(B)
-    draws = np.empty((B, min(T_CHUNK, T), 3))
-    done = 0
-    while done < T:
-        chunk = min(T_CHUNK, T - done)
-        for k, g in enumerate(gens):
-            draws[k, :chunk] = g.random((chunk, 3))
-        for t in range(chunk):
-            r = draws[:, t, :]
-            u = (cum1[s] <= r[:, 0:1]).sum(axis=1)
-            v = (cum2[s] <= r[:, 1:2]).sum(axis=1)
+    s = np.full(hi - lo, start, dtype=np.int64)
+    expo = np.zeros(hi - lo)
+    for done in range(0, T, T_CHUNK):
+        for r in _draws(gens, min(T_CHUNK, T - done)):
+            u = _pick(cum1, s, r[0])
+            v = _pick(cum2, s, r[1])
             flat = (s * mu_max + u) * mv_max + v
             expo += flat_cost[flat]
-            scaled = r[:, 2] * n
+            scaled = r[2] * n
             k_col = np.minimum(scaled.astype(np.int64), n - 1)
-            frac = scaled - k_col
-            accept = frac < prob_tab[flat, k_col]
-            s = np.where(accept, k_col, alias_tab[flat, k_col])
-        done += chunk
+            at = flat * n + k_col
+            s = np.where(scaled - k_col < prob[at], k_col, alias[at])
     return expo
 
 
@@ -325,7 +360,7 @@ def _growth_estimate(model, pi1, pi2, cfg, tables, threads) -> EstimatorReport:
 
     blocks = [(lo, min(lo + BLOCK_PATHS, cfg.N)) for lo in range(0, cfg.N, BLOCK_PATHS)]
     parts = map_ordered(
-        lambda b: _block_exponents(model, cum1, cum2, alias, cost_tab,
+        lambda b: _block_exponents(cum1, cum2, alias, cost_tab,
                                    cfg.seed, start, cfg.T, b[0], b[1]),
         blocks, threads=threads)
     expo = np.concatenate(parts)
@@ -363,13 +398,7 @@ def estimate_ergodic_cost(model: GameModel, pi1: StationaryStrategy,
     path batches; heavy-tailed runs show up as a large spread together
     with a dominant max exponent.
     """
-    _require_strategies(model, pi1, pi2)
-    if cfg.deviation is not None:
-        if cfg.deviation.player == 1:
-            pi1 = cfg.deviation.apply(model, pi1)
-        else:
-            pi2 = cfg.deviation.apply(model, pi2)
-        _require_strategies(model, pi1, pi2)
+    pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
     _require_closed(model)
     return _growth_estimate(model, pi1, pi2, cfg, _step_tables(model), threads)
 
@@ -572,42 +601,41 @@ class RepresentationVerdict:
                 "per_start": self.per_start, "warnings": self.warnings}
 
 
-def _hitting_terms(model, cum1, cum2, cum_next, cost_tab, log_psi, rho, target_mask,
+def _hitting_terms(cum1, cum2, cum_next, cost_tab, log_psi, rho, target_mask,
                    seed, start, N, cap):
     """Per-path log of exp(sum_{t<tau} (c - rho)) * psi(X_tau); NaN when capped.
 
-    Draw chunks grow geometrically so the common fast-hitting paths cost a
-    handful of uniforms while long excursions stay cheap per step.
+    Paths run in blocks of BLOCK_PATHS; the live paths of a block step
+    together through _step_block and leave the live set on entering the
+    target. Draw chunks grow geometrically from 4 rows up to T_CHUNK, so
+    the common fast-hitting paths cost a handful of uniforms while the
+    buffer of a long-lived block stays bounded. Returns the terms and the
+    number of capped paths.
     """
-    out = np.empty(N)
+    out = np.full(N, np.nan)
     capped = 0
-    n = model.n_states
-    for p in range(N):
-        rng = _path_stream(seed, p)
-        s = start
-        acc = 0.0
-        steps = 0
-        done = False
-        chunk = 4
-        while steps < cap and not done:
-            draws = rng.random((chunk, 3))
-            for t in range(chunk):
-                u = int((cum1[s] <= draws[t, 0]).sum())
-                v = int((cum2[s] <= draws[t, 1]).sum())
-                j = int((cum_next[s, u, v] <= draws[t, 2]).sum())
-                acc += cost_tab[s, u, v] - rho
-                s = min(j, n - 1)
+    for lo in range(0, N, BLOCK_PATHS):
+        gens = [_path_stream(seed, p) for p in range(lo, min(lo + BLOCK_PATHS, N))]
+        live = np.arange(len(gens))
+        s = np.full(len(gens), start, dtype=np.int64)
+        acc = np.zeros(len(gens))
+        steps, chunk = 0, 4
+        while live.size and steps < cap:
+            draws = _draws([gens[k] for k in live], min(chunk, cap - steps))
+            cols = np.arange(live.size)
+            for r in draws:
+                _, _, s, c = _step_block(s, r[:, cols], cum1, cum2, cum_next, cost_tab, True)
+                acc += c - rho
                 steps += 1
-                if target_mask[s]:
-                    out[p] = acc + log_psi[s]
-                    done = True
-                    break
-                if steps >= cap:
-                    break
-            chunk = min(chunk * 8, 4096)
-        if not done:
-            out[p] = np.nan
-            capped += 1
+                hit = target_mask[s]
+                if hit.any():
+                    out[lo + live[hit]] = acc[hit] + log_psi[s[hit]]
+                    keep = ~hit
+                    live, cols, s, acc = live[keep], cols[keep], s[keep], acc[keep]
+                    if not live.size:
+                        break
+            chunk = min(chunk * 8, T_CHUNK)
+        capped += live.size
     return out, capped
 
 
@@ -650,7 +678,7 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
         if mask[s0]:
             raise ValueError(f"start state {s0} is inside the target set")
         terms, capped = _hitting_terms(
-            model, cum1, cum2, cum_next, cost_tab, log_psi, rho, mask,
+            cum1, cum2, cum_next, cost_tab, log_psi, rho, mask,
             cfg.seed + 104729 * idx, s0, cfg.N, cfg.hitting_cap)
         good = terms[~np.isnan(terms)]
         frac_capped = capped / cfg.N

@@ -3,6 +3,7 @@ import json
 import numpy as np
 import pytest
 
+from rsgame import dirichlet, saddle
 from rsgame.cli import run
 
 
@@ -112,6 +113,21 @@ def test_solve_reports_collapse(workdir, capsys):
     err = capsys.readouterr().err
     assert code == 1
     assert "CollapseToZero" in err
+
+
+@pytest.mark.parametrize("exc", [dirichlet.NoConvergence((0.1, 0.2), 5000),
+                                 saddle.NoConvergence(10000, 1e-3)])
+def test_solve_reports_no_convergence(workdir, capsys, monkeypatch, exc):
+    def fail(*args, **kwargs):
+        raise exc
+
+    run(["example", "birth-death", "--window", "12", "--out", "m.json"])
+    capsys.readouterr()
+    monkeypatch.setattr("rsgame.cli.solve_ergodic_game", fail)
+    code = run(["solve", "m.json"])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == f"error: NoConvergence: {exc}\n"
 
 
 def test_usage_and_ingestion_errors(workdir, capsys):

@@ -1,13 +1,14 @@
 import dataclasses
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
-from conftest import one_state_two_action, uncontrolled_two_state
+from conftest import one_state_two_action, pennies_layer_model, uncontrolled_two_state
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import StationaryStrategy, make_model
-from rsgame.simulate import (Deviation, OpenModel, SimConfig,
+from rsgame.simulate import (Deviation, OpenModel, SimConfig, _alias_rows,
                              estimate_ergodic_cost, simulate_paths,
                              verify_saddle, verify_stochastic_representation)
 from rsgame.solver import solve_ergodic_game
@@ -264,6 +265,7 @@ def test_representation_cap_inconclusive():
     assert verdict.inconclusive
     assert not verdict.passed
     assert verdict.per_start[0]["capped_fraction"] > 0.01
+    assert verdict.per_start[0]["capped_fraction"] == 0.912
 
 
 def test_value_state_independence(two_state):
@@ -316,3 +318,118 @@ def test_source_fixed_point_matches_exit_time_functional(rng):
         totals[k] = acc
     se = totals.std(ddof=1) / np.sqrt(n_paths)
     assert abs(totals.mean() - phi[0]) <= 3.0 * se
+
+
+# ---------------------------------------------------------------------------
+# samplers: reference alias build and outputs pinned bit for bit
+
+
+def scalar_vose(row):
+    """One-row Walker/Vose alias table, the reference for the lockstep build."""
+    n = len(row)
+    scaled = (row / row.sum()) * n
+    alias = np.zeros(n, dtype=np.int64)
+    prob = np.ones(n)
+    small = [i for i in range(n) if scaled[i] < 1.0]
+    large = [i for i in range(n) if scaled[i] >= 1.0]
+    while small and large:
+        s = small.pop()
+        g = large.pop()
+        prob[s] = scaled[s]
+        alias[s] = g
+        scaled[g] -= 1.0 - scaled[s]
+        if scaled[g] < 1.0:
+            small.append(g)
+        else:
+            large.append(g)
+    return prob, alias
+
+
+def test_lockstep_alias_matches_scalar_vose(rng):
+    n = 12
+    dense = rng.uniform(0.0, 1.0, (40, n))
+    sparse = np.where(rng.uniform(size=(40, n)) < 0.75, 0.0, rng.uniform(size=(40, n)))
+    sparse[:, 0] += 1e-3  # every row keeps some mass
+    ties = np.array([
+        np.full(n, 1.0),                          # uniform: every scaled entry is 1.0
+        [3.0, 1.0, 1.0, 1.0, 0.0, 0.0] * 2,       # scaled entries exactly 1.0 among others
+        [1.0] * 6 + [0.5, 1.5] * 3,
+        [0.0] * (n - 1) + [1.0],                  # a point mass
+    ])
+    rows = np.vstack([dense, sparse, ties])
+    prob, alias = _alias_rows(rows)
+    for r, row in enumerate(rows):
+        ref_prob, ref_alias = scalar_vose(row)
+        assert np.array_equal(prob[r], ref_prob), r
+        assert np.array_equal(alias[r], ref_alias), r
+
+
+@pytest.fixture(scope="module")
+def bd60():
+    model = build_birth_death(BirthDeathParams(window=60))
+    return model, solve_ergodic_game(model, ladder=[10, 20, 40, 60])
+
+
+def test_verify_saddle_output_pinned(bd60):
+    m, rep = bd60
+    verdict = verify_saddle(m, rep, SimConfig(T=40, N=300, seed=3), deviations=2)
+    assert verdict.to_dict() == {
+        "passed": True,
+        "rho_star": 0.007303781489469308,
+        "selector_estimate": {
+            "estimate": 0.007303781486674854,
+            "spread": 5.193724498366228e-17,
+            "diagnostics": {"max_exponent": 0.2921512594670249,
+                            "min_exponent": 0.2921512594669798, "batches": 17,
+                            "batch_mean": 0.007303781486674837, "shift_applied": True},
+        },
+        "equality_ok": True,
+        "deviations": [
+            {"player": 1, "estimate": 0.6583435112127383,
+             "spread": 0.015889566406708414, "ok": True},
+            {"player": 1, "estimate": 0.29699707196433794,
+             "spread": 0.019910852440832988, "ok": True},
+            {"player": 2, "estimate": -0.39241085517253305,
+             "spread": 0.0138445050738646, "ok": True},
+            {"player": 2, "estimate": -0.20078468144800024,
+             "spread": 0.018137427571921, "ok": True},
+        ],
+        "warnings": [],
+    }
+
+
+@pytest.mark.parametrize("target, N, rows", [
+    # nearly every path enters {0..4} on its first step
+    (range(5), 2000, [(5, 1.63724430949868, 1.637034321241558, 0.0034912994364401703),
+                      (6, 1.8088589253852752, 1.8090215202842623, 6.738350395781277e-16)]),
+    # paths leave through state 0 and climb back: long, refilled live sets
+    (range(1, 5), 300, [(5, 1.6464018281992634, 1.637034321241558, 0.048095424157382057),
+                        (6, 1.8227611765765581, 1.8090215202842623, 0.053469407711886484)]),
+])
+def test_representation_rows_pinned(bd60, target, N, rows):
+    m, rep = bd60
+    verdict = verify_stochastic_representation(
+        m, rep, list(target), SimConfig(T=1, N=N, seed=13, start=[5, 6]))
+    got = [(r["start"], r["estimate"], r["psi"], r["spread"]) for r in verdict.per_start]
+    assert got == rows
+    assert all(r["capped_fraction"] == 0.0 for r in verdict.per_start)
+
+
+def test_path_csv_pinned():
+    def digest(model, pi1, pi2, cfg):
+        return hashlib.sha256(simulate_paths(model, pi1, pi2, cfg).to_csv().encode()).hexdigest()
+
+    m = build_birth_death(BirthDeathParams(window=30))
+    pi1, pi2 = solve_ergodic_game(m, ladder=[10, 30]).selectors
+    assert digest(m, pi1, pi2, SimConfig(T=20, N=50, seed=5)) == (
+        "6f04b9b8b6d578a4da5d44fed642986289149a8b04b5ca63514ff14b0af1510c")
+    pennies = pennies_layer_model()
+    mixed = solve_ergodic_game(pennies, ladder=[2]).selectors
+    assert digest(pennies, *mixed, SimConfig(T=30, N=40, seed=2)) == (
+        "bda2955084b1a86130210c97548294dee1548b7547317acac4ba1658d9aceccf")
+    P = np.full((1, 1, 2), 0.4)  # open: a fifth of each row's mass leaves
+    leaky = make_model(2, [[0], [0]], [[0], [0]], [P.copy(), P.copy()],
+                       [np.zeros((1, 1))] * 2, i0=0)
+    assert digest(leaky, *pures(leaky),
+                  SimConfig(T=40, N=6, seed=0, allow_absorption=True)) == (
+        "29fdc1639505c8691ae5c5eefad4e7e0b537920193723b3016248502c5570e8a")
