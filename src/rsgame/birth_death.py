@@ -17,8 +17,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import logsumexp
-from .model import GameModel, LyapunovData, make_model
+from .model import GameModel, LyapunovData, _drift_slack, _norm_like_tail, make_model
 
 P_HAT_LIMIT = 1.0 / 6.0
 
@@ -250,41 +249,17 @@ def verify_stability_estimates(params: BirthDeathParams, i_max: int = 200) -> St
     build = BirthDeathParams(**{**params.__dict__, "window": window})
     model = build_birth_death(build)
     ly = model.lyapunov
-    logC = float(np.log(ly.C))
-    in_M = np.zeros(window, dtype=bool)
-    in_M[ly.K] = True
-
-    slack = np.empty(i_max + 1)
-    for i in range(i_max + 1):
-        lt = model.log_transition(i)
-        lhs = float(logsumexp(lt + ly.log_W[None, None, :], axis=2).max())
-        decay = -ly.ell[i] + ly.log_W[i]
-        rhs = float(np.logaddexp(logC, decay)) if in_M[i] else float(decay)
-        slack[i] = rhs - lhs
+    states = np.arange(i_max + 1)
+    slack, lhs = _drift_slack(model, states)
     drift_ok = bool(slack.min() > 0.0)
     worst = int(slack.argmin())
+    state0_vs_C = float(np.log(ly.C)) - lhs[0]
 
-    lt0 = model.log_transition(0)
-    lhs0 = float(logsumexp(lt0 + ly.log_W[None, None, :], axis=2).max())
-    state0_vs_C = logC - lhs0
-
-    d = np.array([float(ly.ell[i] - model.cost[i].max()) for i in range(i_max + 1)])
-    tail_start = i_max
-    for m in range(i_max - 1, -1, -1):
-        if d[m + 1] >= d[m] - 1e-12:
-            tail_start = m
-        else:
-            break
-    tail_ok = tail_start <= i_max - 1
-    norm_like = {
-        "surrogate": "nondecreasing tail (finite window)",
-        "tail_start": int(tail_start),
-        "net_growth": float(d[i_max] - d[tail_start]),
-        "passed": bool(tail_ok),
-    }
+    d = np.array([float(ly.ell[i] - model.cost[i].max()) for i in states])
+    norm_like = _norm_like_tail(d)
 
     return StabilityReport(
-        passed=bool(drift_ok and tail_ok and state0_vs_C > 0.0),
+        passed=bool(drift_ok and norm_like["passed"] and state0_vs_C > 0.0),
         drift_passed=drift_ok,
         worst_slack=float(slack.min()),
         worst_state=worst,

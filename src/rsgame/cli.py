@@ -20,7 +20,7 @@ from .model import (GameModel, SchemaError, StationaryStrategy, check_irreducibi
                     check_lyapunov, check_reference_state, model_from_json,
                     model_to_json, validate_model)
 from .simulate import (OpenModel, SimConfig, estimate_ergodic_cost,
-                       simulate_paths, verify_saddle,
+                       estimate_with_deviations, simulate_paths, verify_saddle,
                        verify_stochastic_representation)
 from .solver import SolveReport, solve_ergodic_game
 
@@ -133,7 +133,8 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--N", type=int, default=50000)
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--deviations", type=int, default=2)
-    w.add_argument("--threads", type=int, default=1)
+    w.add_argument("--threads", type=int, default=1,
+                   help="threads for --saddle's path blocks; --representation runs in one")
 
     e = sub.add_parser("example", help="emit a bundled example model")
     e.add_argument("family", choices=["birth-death"])
@@ -210,25 +211,17 @@ def run(argv) -> int:
             report = _load_report(args.strategies, model)
             pi1, pi2 = report.selectors
             cfg = SimConfig(T=args.T, N=args.N, seed=args.seed, start=args.start)
-            out = {"base": estimate_ergodic_cost(model, pi1, pi2, cfg,
-                                                 threads=args.threads).to_dict()}
             if args.deviate:
                 player_s, count_s = args.deviate.split(":", 1)
                 player, count = int(player_s), int(count_s)
-                if player not in (1, 2):
-                    raise SchemaError(f"--deviate player must equal 1 or 2, got {player}")
-                from .simulate import _deviation_strategies
-                devs = _deviation_strategies(model, player, count, args.seed)
-                rows = []
-                for k, dev in enumerate(devs):
-                    sub = SimConfig(T=args.T, N=args.N, seed=args.seed + k + 1,
-                                    start=args.start)
-                    if player == 1:
-                        est = estimate_ergodic_cost(model, dev, pi2, sub, threads=args.threads)
-                    else:
-                        est = estimate_ergodic_cost(model, pi1, dev, sub, threads=args.threads)
-                    rows.append(est.to_dict())
-                out["deviations"] = {"player": player, "estimates": rows}
+                base, rows = estimate_with_deviations(model, pi1, pi2, cfg, player, count,
+                                                      threads=args.threads)
+                out = {"base": base.to_dict(),
+                       "deviations": {"player": player,
+                                      "estimates": [r.to_dict() for r in rows]}}
+            else:
+                out = {"base": estimate_ergodic_cost(model, pi1, pi2, cfg,
+                                                     threads=args.threads).to_dict()}
             if args.paths_csv:
                 batch = simulate_paths(model, pi1, pi2, cfg)
                 with open(args.paths_csv, "w") as fh:
@@ -254,8 +247,7 @@ def run(argv) -> int:
                 else:
                     starts = [min(i for i in range(model.n_states) if i not in set(target))]
                 rcfg = SimConfig(T=1, N=args.N, seed=args.seed, start=starts)
-                verdict = verify_stochastic_representation(model, report, target, rcfg,
-                                                           threads=args.threads)
+                verdict = verify_stochastic_representation(model, report, target, rcfg)
                 doc["representation"] = verdict.to_dict()
                 ok = ok and verdict.passed
             if not doc:

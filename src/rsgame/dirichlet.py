@@ -5,6 +5,14 @@ psi = 0 outside; one-step mass leaving D (including mass leaving the
 window) contributes nothing. Provides the discounted-type source fixed
 point and the principal eigenpair by nonlinear power iteration with a
 Collatz-Wielandt bracket.
+
+Every sweep reads the inner sums L[i,u,v] = log sum_j psi(j) P(j|i,u,v)
+of all its states from one call of GameModel.inner_log_sums, a segment
+log-sum-exp over the model's CSR layout of nonzero transition entries,
+so a sweep costs O(nnz) for the sums instead of O(rows x window), and
+then maps the local saddle solves over the states. The viability scan
+reads "mass inside the surviving set" from the same kernel, with log psi
+the set's log indicator.
 """
 
 from __future__ import annotations
@@ -13,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import NEG_INF, logsumexp, map_ordered
+from ._util import NEG_INF, map_ordered
 from .model import GameModel
 from .saddle import solve_saddle_core
 
@@ -97,18 +105,15 @@ def viable_states(domain: DirichletDomain) -> np.ndarray:
     monotone, so iterating the shrinkage converges.
     """
     model = domain.model
-    alive = set(domain.states.tolist())
-    changed = True
-    while changed:
-        changed = False
-        idx = np.asarray(sorted(alive), dtype=int)
-        for i in list(alive):
-            P = model.transition[i][:, :, idx]  # (mU, mV, |alive|)
-            mass = P.sum(axis=2)  # (mU, mV)
-            if not np.all(mass.max(axis=1) > 0.0):
-                alive.remove(i)
-                changed = True
-    return np.asarray(sorted(alive), dtype=int)
+    alive = domain.states
+    while True:
+        inside = np.full(model.n_states, NEG_INF)
+        inside[alive] = 0.0
+        log_mass = model.inner_log_sums(alive, inside)  # per state, (mU, mV)
+        keep = np.array([bool(np.all(L.max(axis=1) > NEG_INF)) for L in log_mass], dtype=bool)
+        if keep.all():
+            return alive
+        alive = alive[keep]
 
 
 def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL,
@@ -117,14 +122,11 @@ def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL,
 
     Returns (log_G over the full window with -inf off `states`, saddles).
     """
-    log_psi = np.asarray(log_psi, dtype=float)
-
-    def one(i):
-        lt = model.log_transition(i)
-        L = logsumexp(lt + log_psi[None, None, :], axis=2)
-        return solve_saddle_core(model.cost[i], np.asarray(L, dtype=float), tol=tol_local)
-
-    saddles = map_ordered(one, states, threads=threads)
+    states = [int(i) for i in states]
+    Ls = model.inner_log_sums(states, log_psi)
+    saddles = map_ordered(
+        lambda k: solve_saddle_core(model.cost[states[k]], Ls[k], tol=tol_local),
+        range(len(states)), threads=threads)
     log_G = np.full(model.n_states, NEG_INF)
     for i, s in zip(states, saddles):
         log_G[i] = s.log_value
@@ -227,11 +229,8 @@ def solve_source_problem(domain: DirichletDomain, cbar, g, tol: float = 1e-10,
         with np.errstate(divide="ignore"):
             log_phi = np.log(phi)
         new = np.zeros(model.n_states)
-        for i in states:
-            lt = model.log_transition(i)
-            L = logsumexp(lt + log_phi[None, None, :], axis=2)
-            s = solve_saddle_core(np.asarray(cbar[i], dtype=float), np.asarray(L, dtype=float),
-                                  tol=min(tol, 1e-10))
+        for i, L in zip(states, model.inner_log_sums(states, log_phi)):
+            s = solve_saddle_core(np.asarray(cbar[i], dtype=float), L, tol=min(tol, 1e-10))
             new[i] = float(np.exp(s.log_value)) + g[i]
         step = float(np.max(np.abs(new - phi)))
         phi = new

@@ -18,7 +18,7 @@ import numpy as np
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import connected_components
 
-from ._util import logsumexp
+from ._util import NEG_INF
 
 ROW_SUM_TOL = 1e-12
 CLOSED_TOL = 1e-12
@@ -68,6 +68,47 @@ class LyapunovData:
         return "bounded" if self.gamma is not None else "unbounded"
 
 
+def _concat_ranges(lo, hi):
+    """arange(lo[k], hi[k]) for every k, concatenated, and where each starts."""
+    size = hi - lo
+    start = np.cumsum(size) - size
+    return np.repeat(lo - start, size) + np.arange(int(size.sum())), start
+
+
+@dataclass
+class KernelCSR:
+    """Nonzero transition entries of every (i, u, v) row, in CSR form.
+
+    Rows are numbered state by state and u-major inside a state: row
+    row_start[i] + u * mV_i + v holds P(.|i, u, v), and its entries lie at
+    indptr[row]:indptr[row + 1] of `indices` (next state j, ascending) and
+    `log_prob`. A row without mass (exit everywhere) is empty.
+    """
+
+    row_start: np.ndarray  # (n_states + 1,)
+    indptr: np.ndarray     # (rows + 1,)
+    indices: np.ndarray    # (nnz,)
+    log_prob: np.ndarray   # (nnz,)
+
+    @staticmethod
+    def from_transition(transition) -> "KernelCSR":
+        """Built state by state, so no temporary outgrows one state's tensor."""
+        counts, indices, log_prob = [], [], []
+        for P in transition:
+            rows = P.reshape(-1, P.shape[-1])
+            r, j = np.nonzero(rows)
+            counts.append(np.bincount(r, minlength=len(rows)))
+            indices.append(j)
+            log_prob.append(np.log(rows[r, j]))
+        row_start = np.zeros(len(transition) + 1, dtype=np.int64)
+        np.cumsum([len(c) for c in counts], out=row_start[1:])
+        indptr = np.zeros(int(row_start[-1]) + 1, dtype=np.int64)
+        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        return KernelCSR(row_start=row_start, indptr=indptr,
+                         indices=np.concatenate(indices).astype(np.int64),
+                         log_prob=np.concatenate(log_prob))
+
+
 @dataclass
 class GameModel:
     """Truncation-window game: states, per-state actions, kernel, costs.
@@ -75,6 +116,14 @@ class GameModel:
     transition[i] has shape (mU_i, mV_i, n_states); cost[i] has shape
     (mU_i, mV_i) and is already scaled by theta. Arrays are frozen after
     construction; checkers are read-only.
+
+    Dynamic programming reads the kernel through its sparse layout: `csr`
+    is a KernelCSR of the nonzero entries of every (i, u, v) row, built on
+    first use and kept on the instance (construction and ingestion never
+    pay for it). `inner_log_sums(states, log_psi)` returns the matrices
+    L[u, v] = log sum_j psi(j) P(j|i,u,v) of the requested states from one
+    segment log-sum-exp over those rows, with -inf for empty mass; every
+    operator sweep, drift check and local saddle reads L through it.
     """
 
     n_states: int
@@ -85,7 +134,7 @@ class GameModel:
     theta: float
     i0: int
     lyapunov: LyapunovData | None = None
-    _log_transition: list = field(default=None, repr=False)
+    _csr: KernelCSR | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i in range(self.n_states):
@@ -112,15 +161,44 @@ class GameModel:
         )
 
     def log_transition(self, i: int) -> np.ndarray:
-        if self._log_transition is None:
-            logs = []
-            for k in range(self.n_states):
-                with np.errstate(divide="ignore"):
-                    lt = np.log(self.transition[k])
-                lt.flags.writeable = False
-                logs.append(lt)
-            self._log_transition = logs
-        return self._log_transition[i]
+        """Dense log P(.|i, u, v), shape (mU, mV, n); computed on each call."""
+        with np.errstate(divide="ignore"):
+            lt = np.log(self.transition[i])
+        lt.flags.writeable = False
+        return lt
+
+    @property
+    def csr(self) -> KernelCSR:
+        if self._csr is None:
+            self._csr = KernelCSR.from_transition(self.transition)
+        return self._csr
+
+    def inner_log_sums(self, states, log_psi) -> list:
+        """Per state of `states`, the (mU, mV) matrix log sum_j psi(j) P(j|i,u,v).
+
+        One segment log-sum-exp over the CSR entries of all the states'
+        rows, shifted by each row's max as _util.logsumexp does. A row with
+        no entries, or whose entries all meet log psi = -inf, gives -inf:
+        empty mass.
+        """
+        csr = self.csr
+        states = np.asarray(states, dtype=np.int64)
+        rows, _ = _concat_ranges(csr.row_start[states], csr.row_start[states + 1])
+        lo, hi = csr.indptr[rows], csr.indptr[rows + 1]
+        at, start = _concat_ranges(lo, hi)
+        flat = np.full(len(rows), NEG_INF)
+        full = hi > lo
+        if at.size:
+            vals = csr.log_prob[at] + np.asarray(log_psi, dtype=float)[csr.indices[at]]
+            start = start[full]
+            with np.errstate(all="ignore"):
+                amax = np.maximum.reduceat(vals, start)
+                shift = np.where(np.isfinite(amax), amax, 0.0)
+                total = np.add.reduceat(np.exp(vals - np.repeat(shift, (hi - lo)[full])), start)
+                flat[full] = shift + np.log(total)
+        shapes = [self.n_actions(int(i)) for i in states]
+        cuts = np.cumsum([mu * mv for mu, mv in shapes])[:-1]
+        return [L.reshape(shape) for L, shape in zip(np.split(flat, cuts), shapes)]
 
 
 def make_model(
@@ -332,12 +410,39 @@ class LyapunovReport:
         }
 
 
-def _drift_lhs_log(model: GameModel, i: int) -> float:
-    """max over (u,v) of log sum_j W(j) P(j|i,u,v), in log domain."""
+def _drift_slack(model: GameModel, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Log-domain drift slack and left-hand side on the index array `states`.
+
+    lhs(i) = max over (u,v) of log sum_j W(j) P(j|i,u,v); the right-hand
+    side is log(C 1_K(i) + e^{-rate} W(i)) with rate gamma or ell(i).
+    Returns (rhs - lhs, lhs).
+    """
     ly = model.lyapunov
-    lt = model.log_transition(i)  # (mU, mV, N)
-    vals = logsumexp(lt + ly.log_W[None, None, :], axis=2)
-    return float(vals.max())
+    lhs = np.array([float(L.max()) for L in model.inner_log_sums(states, ly.log_W)])
+    rate = ly.gamma if ly.gamma is not None else ly.ell[states]
+    decay = -rate + ly.log_W[states]
+    rhs = np.where(np.isin(states, ly.K), np.logaddexp(float(np.log(ly.C)), decay), decay)
+    return rhs - lhs, lhs
+
+
+def _norm_like_tail(d) -> dict:
+    """Finite-window surrogate of a norm-like sequence d: the start of its
+    nondecreasing tail and the net growth along it. `passed` asks for a
+    tail of length >= 2; a constant tail is indistinguishable from slow
+    growth on a finite window, so only a decreasing tail fails."""
+    last = len(d) - 1
+    tail_start = last
+    for m in range(last - 1, -1, -1):
+        if d[m + 1] >= d[m] - 1e-12:
+            tail_start = m
+        else:
+            break
+    return {
+        "surrogate": "nondecreasing tail (finite window)",
+        "tail_start": int(tail_start),
+        "net_growth": float(d[last] - d[tail_start]),
+        "passed": bool(tail_start <= last - 1),
+    }
 
 
 def check_lyapunov(model: GameModel) -> LyapunovReport:
@@ -358,16 +463,7 @@ def check_lyapunov(model: GameModel) -> LyapunovReport:
     if ly is None:
         raise MissingLyapunovData("model has no Lyapunov data")
     n = model.n_states
-    in_K = np.zeros(n, dtype=bool)
-    in_K[ly.K] = True
-    log_C = float(np.log(ly.C))
-    slack = np.empty(n)
-    for i in range(n):
-        lhs = _drift_lhs_log(model, i)
-        rate = ly.gamma if ly.gamma is not None else float(ly.ell[i])
-        decay = -rate + ly.log_W[i]
-        rhs = np.logaddexp(log_C, decay) if in_K[i] else decay
-        slack[i] = rhs - lhs
+    slack, _ = _drift_slack(model, np.arange(n))
     worst = int(slack.argmin())
     passed = bool(slack[worst] > LYAPUNOV_SLACK_PASS)
 
@@ -375,22 +471,9 @@ def check_lyapunov(model: GameModel) -> LyapunovReport:
     gamma_check = None
     if ly.case == "unbounded":
         d = np.array([float(ly.ell[i] - model.cost[i].max()) for i in range(n)])
-        tail_start = n - 1
-        for m in range(n - 2, -1, -1):
-            if d[m + 1] >= d[m] - 1e-12:
-                tail_start = m
-            else:
-                break
-        # weak monotonicity: a constant tail is indistinguishable from slow
-        # growth on a finite window, so only a decreasing tail fails
-        tail_ok = n == 1 or tail_start <= n - 2
-        norm_like = {
-            "surrogate": "nondecreasing tail (finite window)",
-            "tail_start": int(tail_start),
-            "net_growth": float(d[n - 1] - d[tail_start]),
-            "passed": bool(tail_ok),
-        }
-        passed = passed and tail_ok
+        norm_like = _norm_like_tail(d)
+        norm_like["passed"] = norm_like["passed"] or n == 1
+        passed = passed and norm_like["passed"]
     else:
         cmax = max(float(model.cost[i].max()) for i in range(n))
         ok = ly.gamma > cmax

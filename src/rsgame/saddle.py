@@ -46,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from ._util import NEG_INF, logsumexp
+from ._util import NEG_INF
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -82,9 +82,7 @@ class LocalSaddle:
 
 def local_matrices(model, i: int, log_psi: np.ndarray):
     """(C, L) for state i: C costs, L[u,v] = log sum_j psi(j) P(j|i,u,v)."""
-    lt = model.log_transition(i)
-    L = logsumexp(lt + np.asarray(log_psi, dtype=float)[None, None, :], axis=2)
-    return model.cost[i], np.asarray(L, dtype=float)
+    return model.cost[i], model.inner_log_sums([i], log_psi)[0]
 
 
 def local_payoff_core(C: np.ndarray, L: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:

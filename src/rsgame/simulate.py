@@ -403,6 +403,32 @@ def estimate_ergodic_cost(model: GameModel, pi1: StationaryStrategy,
     return _growth_estimate(model, pi1, pi2, cfg, _step_tables(model), threads)
 
 
+def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
+                             pi2: StationaryStrategy, cfg: SimConfig, player: int,
+                             count: int, threads: int = 1):
+    """Plug-in estimates for the pair and for `count` deviations of one player.
+
+    Returns (base, deviation estimates). Deviation k replaces `player`'s
+    rule by the k-th of _deviation_strategies(model, player, count,
+    cfg.seed) and runs on seed cfg.seed + k + 1; each estimate equals the
+    one estimate_ergodic_cost gives for that pair and seed, but the step
+    tables are built once for all runs.
+    """
+    if player not in (1, 2):
+        raise ValueError(f"deviating player must equal 1 or 2, got {player}")
+    pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
+    _require_closed(model)
+    tables = _step_tables(model)
+    base = _growth_estimate(model, pi1, pi2, cfg, tables, threads)
+    rows = []
+    for k, dev in enumerate(_deviation_strategies(model, player, count, cfg.seed)):
+        a, b = (dev, pi2) if player == 1 else (pi1, dev)
+        _require_strategies(model, a, b)
+        sub = SimConfig(T=cfg.T, N=cfg.N, seed=cfg.seed + k + 1, start=cfg.start)
+        rows.append(_growth_estimate(model, a, b, sub, tables, threads))
+    return base, rows
+
+
 # ---------------------------------------------------------------------------
 # saddle verification
 
@@ -640,14 +666,14 @@ def _hitting_terms(cum1, cum2, cum_next, cost_tab, log_psi, rho, target_mask,
 
 
 def verify_stochastic_representation(model: GameModel, report: SolveReport,
-                                     target_set, cfg: SimConfig,
-                                     threads: int = 1) -> RepresentationVerdict:
+                                     target_set, cfg: SimConfig) -> RepresentationVerdict:
     """Check psi(i) = E[exp(sum_{t<tau} (c - rho)) psi(X_tau)] by simulation.
 
     tau is the first entry time into the target set, paths run under the
     selector pair from each requested start state outside the set. Paths
     that exceed cfg.hitting_cap are dropped and counted; more than 1% of
-    them makes the verdict INCONCLUSIVE rather than a pass or fail.
+    them makes the verdict INCONCLUSIVE rather than a pass or fail. The
+    hitting blocks run in one thread.
     """
     pi1, pi2 = report.selectors
     rho = report.rho_star

@@ -17,9 +17,8 @@ import numpy as np
 
 from ._util import NEG_INF
 from .dirichlet import (DEFAULT_MAX_ITER, DEFAULT_TOL, DirichletDomain,
-                        EigenPair, apply_operator, dirichlet_eigenpair)
+                        EigenPair, NoConvergence, apply_operator, dirichlet_eigenpair)
 from .model import GameModel, StationaryStrategy
-from .saddle import NoConvergence
 
 DEFAULT_TOL_OUTER = 1e-6
 BOUNDARY_MASS_WARN = 1e-6
@@ -161,21 +160,23 @@ def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL,
 
 def _boundary_warnings(model: GameModel, domain) -> list:
     out = []
+    domain = np.asarray(domain, dtype=int)
     inside = np.zeros(model.n_states, dtype=bool)
     inside[domain] = True
-    leak = 0.0
-    for i in domain:
-        mass_in = model.transition[i][:, :, inside].sum(axis=2)
-        leak = max(leak, float((1.0 - mass_in).max()))
+
+    def mass_into(states, target) -> list:
+        """Per state of `states`, the (mU, mV) one-step mass into `target`."""
+        log_indicator = np.where(target, 0.0, NEG_INF)
+        return [np.exp(L) for L in model.inner_log_sums(states, log_indicator)]
+
+    leak = max([0.0] + [float((1.0 - m).max()) for m in mass_into(domain, inside)])
     if not inside.all():
         if leak >= BOUNDARY_MASS_WARN:
             out.append(f"one-step mass {leak:.3e} leaves the final domain; truncation suspect")
     else:
         top = model.n_states - 1
-        into_top = max(
-            (float(model.transition[i][:, :, top].max()) for i in domain if i != top),
-            default=0.0,
-        )
+        at_top = np.arange(model.n_states) == top
+        into_top = max([0.0] + [float(m.max()) for m in mass_into(domain[domain != top], at_top)])
         if max(leak, into_top) >= BOUNDARY_MASS_WARN:
             out.append(
                 f"window boundary receives one-step mass {max(leak, into_top):.3e}; "
@@ -269,7 +270,9 @@ def uncontrolled_eigen_oracle(model: GameModel, tol: float = 1e-12,
 
     Dense power iteration with max normalization and a ratio bracket;
     half-step damping guards periodic chains. Independent of the saddle
-    machinery on purpose: it exists to cross-check the solver.
+    machinery on purpose: it exists to cross-check the solver. Raises
+    dirichlet.NoConvergence with the last ratio bracket (linear scale)
+    when max_iter sweeps do not close it.
     """
     n = model.n_states
     for i in range(n):
@@ -280,6 +283,7 @@ def uncontrolled_eigen_oracle(model: GameModel, tol: float = 1e-12,
     for i in range(n):
         M[i] = np.exp(model.cost[i][0, 0]) * model.transition[i][0, 0]
     v = np.ones(n)
+    lo, hi = NEG_INF, np.inf
     for sweep in range(1, max_iter + 1):
         w = M @ v
         pos = (v > 0) & (w > 0)
@@ -297,4 +301,4 @@ def uncontrolled_eigen_oracle(model: GameModel, tol: float = 1e-12,
             w = 0.5 * (w + v)
             w = w / w.max()
         v = w
-    raise NoConvergence(max_iter, hi - lo)
+    raise NoConvergence((lo, hi), max(max_iter, 0))

@@ -98,6 +98,37 @@ def test_simulate_subcommand(workdir, capsys):
     assert len(doc["deviations"]["estimates"]) == 2
 
 
+def test_simulate_deviations_build_tables_once(workdir, capsys, monkeypatch):
+    from rsgame import simulate
+    from rsgame.cli import _load_model, _load_report
+
+    run(["example", "birth-death", "--window", "20", "--out", "m.json"])
+    run(["solve", "m.json", "--ladder", "10,20", "--out", "r.json"])
+    capsys.readouterr()
+    model = _load_model("m.json")
+    pi1, pi2 = _load_report("r.json", model).selectors
+    T, N, seed = 60, 150, 9
+    base = simulate.estimate_ergodic_cost(model, pi1, pi2,
+                                          simulate.SimConfig(T=T, N=N, seed=seed)).to_dict()
+    rows = [simulate.estimate_ergodic_cost(model, dev, pi2,
+                                           simulate.SimConfig(T=T, N=N, seed=seed + k + 1)
+                                           ).to_dict()
+            for k, dev in enumerate(simulate._deviation_strategies(model, 1, 3, seed))]
+    builds = []
+    step_tables = simulate._step_tables
+
+    def counted(model, log_psi=None):
+        builds.append(log_psi)
+        return step_tables(model, log_psi)
+
+    monkeypatch.setattr(simulate, "_step_tables", counted)
+    assert run(["simulate", "m.json", "--strategies", "r.json", "--T", str(T),
+                "--N", str(N), "--seed", str(seed), "--deviate", "1:3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"base": base, "deviations": {"player": 1, "estimates": rows}}
+    assert builds == [None]  # one untilted build serves the pair and every deviation
+
+
 def test_solve_reports_collapse(workdir, capsys):
     doc = {
         "states": 2,

@@ -5,7 +5,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_closed_model, uncontrolled_two_state
+from conftest import (one_state_two_action, random_closed_model, scalar_self_loop,
+                      uncontrolled_two_state)
+from rsgame._util import logsumexp
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import (LyapunovData, MissingLyapunovData, SchemaError,
                           StationaryStrategy, check_irreducibility,
@@ -276,3 +278,80 @@ def test_round_trip_preserves_tensors(seed, n, mu, mv):
 def test_random_closed_models_validate_clean(seed):
     m = random_closed_model(np.random.default_rng(seed))
     assert validate_model(m).ok
+
+
+# ---------------------------------------------------------------------------
+# inner-sum kernel against the dense reference
+
+
+def dense_inner_sums(P, log_psi):
+    """The dense form every caller used before the CSR kernel."""
+    with np.errstate(divide="ignore"):
+        return logsumexp(np.log(P) + log_psi, axis=2)
+
+
+def assert_matches_dense(model, states, log_psi):
+    """Equal -inf pattern; finite entries within the summation-order bound.
+
+    Both forms add the same terms exp(log p + log psi - max), only in
+    another order, so their sums of k terms differ by at most (k - 1) eps
+    relative, which is (k - 1) eps after the log, plus the rounding of the
+    result: 4 spacings of the value. (The value alone does not bound it:
+    when the row max and log of the sum nearly cancel, the value is much
+    smaller than the terms that were rounded.)
+    """
+    got = model.inner_log_sums(states, log_psi)
+    assert len(got) == len(states)
+    eps = np.finfo(float).eps
+    for i, L in zip(states, got):
+        ref = dense_inner_sums(model.transition[i], log_psi)
+        assert L.shape == ref.shape == model.n_actions(i)
+        assert np.array_equal(L == -np.inf, ref == -np.inf), i
+        terms = ((model.transition[i] > 0) & np.isfinite(log_psi)).sum(axis=2)
+        bound = 4 * np.spacing(np.abs(ref)) + np.maximum(terms - 1, 0) * eps
+        finite = np.isfinite(ref)
+        assert np.all(np.abs(L[finite] - ref[finite]) <= bound[finite]), i
+
+
+def ragged_open_model(rng):
+    """Six states with different action sets: state 3 has an all-zero
+    (u=1, v=0) row, and state 4 moves only to state 5."""
+    shapes = [(2, 3), (1, 1), (3, 2), (2, 2), (2, 1), (1, 2)]
+    n = len(shapes)
+    transition, cost = [], []
+    for i, (mu, mv) in enumerate(shapes):
+        P = np.where(rng.uniform(size=(mu, mv, n)) < 0.5, rng.uniform(size=(mu, mv, n)), 0.0)
+        P[..., 0] += 0.05
+        P /= P.sum(axis=2, keepdims=True)
+        transition.append(P)
+        cost.append(rng.uniform(size=(mu, mv)))
+    transition[3][1, 0] = 0.0
+    transition[4][...] = 0.0
+    transition[4][..., 5] = 1.0
+    return make_model(n, [list(range(mu)) for mu, _ in shapes],
+                      [list(range(mv)) for _, mv in shapes], transition, cost, i0=0)
+
+
+def test_inner_sums_match_dense_reference(rng):
+    m = ragged_open_model(rng)
+    assert not m.is_closed()
+    every = list(range(m.n_states))
+    assert_matches_dense(m, every, rng.normal(size=m.n_states))
+    # log psi = -inf off the domain {0..4}: state 4's whole support is off it
+    on_domain = np.where(np.arange(m.n_states) < 5, rng.normal(size=m.n_states), -np.inf)
+    assert_matches_dense(m, every, on_domain)
+    assert np.all(m.inner_log_sums([4], on_domain)[0] == -np.inf)
+    assert m.inner_log_sums([3], on_domain)[0][1, 0] == -np.inf  # all-zero row
+    # any subset, in any order, reads the same per-state matrices
+    assert_matches_dense(m, [5, 2, 0], on_domain)
+    assert m.inner_log_sums([], on_domain) == []
+
+
+def test_inner_sums_one_state_and_birth_death(rng):
+    for m in (scalar_self_loop(), one_state_two_action()):
+        assert_matches_dense(m, [0], np.zeros(1))
+        assert_matches_dense(m, [0], np.full(1, -np.inf))
+    m = build_birth_death(BirthDeathParams(window=60))
+    log_psi = np.where(np.arange(60) < 40, rng.normal(scale=3.0, size=60), -np.inf)
+    assert_matches_dense(m, list(range(60)), log_psi)
+    assert_matches_dense(m, list(range(60)), m.lyapunov.log_W)

@@ -375,13 +375,13 @@ def test_verify_saddle_output_pinned(bd60):
     verdict = verify_saddle(m, rep, SimConfig(T=40, N=300, seed=3), deviations=2)
     assert verdict.to_dict() == {
         "passed": True,
-        "rho_star": 0.007303781489469308,
+        "rho_star": 0.007303781489469197,
         "selector_estimate": {
-            "estimate": 0.007303781486674854,
-            "spread": 5.193724498366228e-17,
-            "diagnostics": {"max_exponent": 0.2921512594670249,
+            "estimate": 0.007303781486674832,
+            "spread": 5.3426860493713686e-17,
+            "diagnostics": {"max_exponent": 0.2921512594670247,
                             "min_exponent": 0.2921512594669798, "batches": 17,
-                            "batch_mean": 0.007303781486674837, "shift_applied": True},
+                            "batch_mean": 0.007303781486674838, "shift_applied": True},
         },
         "equality_ok": True,
         "deviations": [
@@ -400,11 +400,11 @@ def test_verify_saddle_output_pinned(bd60):
 
 @pytest.mark.parametrize("target, N, rows", [
     # nearly every path enters {0..4} on its first step
-    (range(5), 2000, [(5, 1.63724430949868, 1.637034321241558, 0.0034912994364401703),
+    (range(5), 2000, [(5, 1.63724430949868, 1.637034321241558, 0.003491299436440371),
                       (6, 1.8088589253852752, 1.8090215202842623, 6.738350395781277e-16)]),
     # paths leave through state 0 and climb back: long, refilled live sets
-    (range(1, 5), 300, [(5, 1.6464018281992634, 1.637034321241558, 0.048095424157382057),
-                        (6, 1.8227611765765581, 1.8090215202842623, 0.053469407711886484)]),
+    (range(1, 5), 300, [(5, 1.6464018281992663, 1.637034321241558, 0.048095424157381536),
+                        (6, 1.822761176576563, 1.8090215202842623, 0.05346940771188591)]),
 ])
 def test_representation_rows_pinned(bd60, target, N, rows):
     m, rep = bd60

@@ -5,6 +5,7 @@ from conftest import (one_state_two_action, pennies_layer_model,
                       random_uncontrolled_chain, scalar_self_loop,
                       uncontrolled_two_state)
 from oracles import perron_log_radius
+from rsgame import dirichlet
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import make_model
 from rsgame.solver import (NotUncontrolled, default_ladder,
@@ -193,3 +194,14 @@ def test_upper_bound_bounded_case():
                    [np.full((1, 1), 0.3)] * 2, i0=0, lyapunov=ly)
     bounds = eigenvalue_upper_bound(m)
     assert bounds["upper"] == 2.0
+
+
+def test_uncontrolled_oracle_reports_its_ratio_bracket(two_state):
+    # one sweep from v = 1 gives the ratios (1, 2), which tol = 0 cannot close
+    with pytest.raises(dirichlet.NoConvergence) as exc:
+        uncontrolled_eigen_oracle(two_state, tol=0.0, max_iter=1)
+    assert exc.value.bracket == (1.0, 2.0)
+    assert "bracket (1.0, 2.0)" in str(exc.value)
+    with pytest.raises(dirichlet.NoConvergence) as exc:
+        uncontrolled_eigen_oracle(two_state, max_iter=0)
+    assert exc.value.iterations == 0
