@@ -8,7 +8,8 @@ weight function exp(i^2/6 + 1) certifies stability with rate (i+3)/6.
 
 Out-of-window probability mass (the tail of the state-0 row and the
 upward move of the top state) is folded back into state 0 so rows stay
-exactly stochastic; the folded mass is recorded on the build report.
+exactly stochastic; build_info reports the folded mass and the cost-sign
+findings of a parameter set.
 """
 
 from __future__ import annotations
@@ -80,9 +81,6 @@ class BuildInfo:
     min_cost: float
 
 
-_LAST_BUILD_INFO: dict = {}
-
-
 def action_grids(params: BirthDeathParams):
     U = np.linspace(params.delta, params.L1, params.grid_u)
     V = np.linspace(params.delta, params.L2, params.grid_v)
@@ -114,12 +112,43 @@ def drift_constant() -> float:
     return max(peak, series)
 
 
+def _costs(params: BirthDeathParams) -> list:
+    """Per-state (mU, mV) costs p_hat * i + c1(i, u) - c2(i, v)."""
+    U, V = action_grids(params)
+    cost = []
+    for i in range(params.window):
+        C = np.empty((len(U), len(V)))
+        for a, u in enumerate(U):
+            for b, v in enumerate(V):
+                C[a, b] = params.p_hat * i + params.cost_c1(i, u) - params.cost_c2(i, v)
+        cost.append(C)
+    return cost
+
+
+def build_info(params: BirthDeathParams) -> BuildInfo:
+    """Fold masses and cost-sign findings of the model these parameters build.
+
+    fold_mass_state0 is the state-0 tail beyond the window, fold_mass_top
+    the largest upward move of the top state; both are folded into state 0.
+    """
+    n = params.window
+    _, V = action_grids(params)
+    jj = np.arange(n, n + 4000)
+    denom = 2.0 * (params.L1 + params.L2)
+    cost = _costs(params)
+    return BuildInfo(
+        fold_mass_state0=float(np.sum(np.exp(-jj * jj / 3.0 - 3.0))),
+        fold_mass_top=float(max(0.0, *(v * np.exp(-2.0 * float(n - 1)) / denom for v in V))),
+        negative_cost_entries=sum(int((C < 0).sum()) for C in cost),
+        min_cost=min(float(C.min()) for C in cost),
+    )
+
+
 def build_birth_death(params: BirthDeathParams) -> GameModel:
     """Window-truncated model with exactly stochastic rows.
 
-    Post-build, every row sums to one within 1e-12 (asserted). Build
-    details (fold masses, cost-sign findings) are kept on the module-level
-    last-build record and surfaced by the CLI.
+    Post-build, every row sums to one within 1e-12 (asserted). The folded
+    masses and cost-sign findings are reported by build_info(params).
     """
     n = params.window
     U, V = action_grids(params)
@@ -127,13 +156,10 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
     denom = 2.0 * (params.L1 + params.L2)
 
     transition = []
-    cost = []
 
     # state 0: action-independent row with super-gaussian tail
     j = np.arange(1, n)
     tail_in = np.exp(-j * j / 3.0 - 3.0)
-    jj = np.arange(n, n + 4000)
-    fold0 = float(np.sum(np.exp(-jj * jj / 3.0 - 3.0)))
     row0 = np.zeros(n)
     row0[1:] = tail_in
     row0[0] = 1.0 - tail_in.sum()  # includes the folded tail by construction
@@ -151,7 +177,6 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
     transition.append(P1)
 
     # states i >= 2: death pressure down, birth pressure up, bulk resets to 0
-    fold_top = 0.0
     for i in range(2, n):
         P = np.zeros((mu, mv, n))
         for a, u in enumerate(U):
@@ -165,20 +190,8 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
                     P[a, b, i + 1] = up
                 else:
                     reset += up  # top row: upward move folded into the reset
-                    fold_top = max(fold_top, up)
                 P[a, b, 0] += reset
         transition.append(P)
-
-    neg = 0
-    cmin = np.inf
-    for i in range(n):
-        C = np.empty((mu, mv))
-        for a, u in enumerate(U):
-            for b, v in enumerate(V):
-                C[a, b] = params.p_hat * i + params.cost_c1(i, u) - params.cost_c2(i, v)
-        neg += int((C < 0).sum())
-        cmin = min(cmin, float(C.min()))
-        cost.append(C)
 
     lyap = LyapunovData(
         log_W=log_weight(np.arange(n)),
@@ -191,7 +204,7 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
         actions_p1=[U.tolist()] * n,
         actions_p2=[V.tolist()] * n,
         transition=transition,
-        cost=cost,
+        cost=_costs(params),
         theta=1.0,
         i0=0,
         lyapunov=lyap,
@@ -199,17 +212,7 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
     for i in range(n):
         sums = model.row_sums(i)
         assert np.all(np.abs(sums - 1.0) <= 1e-12), f"row {i} not stochastic: {sums}"
-    _LAST_BUILD_INFO["info"] = BuildInfo(
-        fold_mass_state0=fold0,
-        fold_mass_top=fold_top,
-        negative_cost_entries=neg,
-        min_cost=cmin,
-    )
     return model
-
-
-def last_build_info() -> BuildInfo | None:
-    return _LAST_BUILD_INFO.get("info")
 
 
 @dataclass

@@ -109,7 +109,9 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--tol-outer", type=float, default=1e-6)
     s.add_argument("--out", type=str, default=None)
     s.add_argument("--trace", type=str, default=None)
-    s.add_argument("--threads", type=int, default=1)
+    s.add_argument("--threads", type=int, default=1,
+                   help="threads for the local games the batched pure-saddle path "
+                        "cannot certify; results never depend on it")
 
     m = sub.add_parser("simulate", help="estimate the ergodic cost under stored strategies")
     m.add_argument("model")
@@ -261,8 +263,8 @@ def run(argv) -> int:
                 grid_u=args.grid, grid_v=args.grid, window=args.window)
             model = bd.build_birth_death(params)
             _emit(model_to_json(model), args.out)
-            info = bd.last_build_info()
-            if info and info.negative_cost_entries:
+            info = bd.build_info(params)
+            if info.negative_cost_entries:
                 print(f"warning: {info.negative_cost_entries} cost entries are negative "
                       f"(min {info.min_cost!r}); the running-cost term dominates only for "
                       "larger populations", file=sys.stderr)

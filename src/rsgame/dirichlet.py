@@ -9,10 +9,14 @@ Collatz-Wielandt bracket.
 Every sweep reads the inner sums L[i,u,v] = log sum_j psi(j) P(j|i,u,v)
 of all its states from one call of GameModel.inner_log_sums, a segment
 log-sum-exp over the model's CSR layout of nonzero transition entries,
-so a sweep costs O(nnz) for the sums instead of O(rows x window), and
-then maps the local saddle solves over the states. The viability scan
-reads "mass inside the surviving set" from the same kernel, with log psi
-the set's log indicator.
+so a sweep costs O(nnz) for the sums instead of O(rows x window). The
+local saddles of the sweep are then solved as one batch by
+saddle.solve_saddles: the pure-saddle fast path runs as array operations
+over all states of one action shape, and only the states it cannot
+certify go to the scalar solve_saddle_core, mapped over `threads`.
+Both the eigen sweep and the source problem solve their local games
+this way. The viability scan reads "mass inside the surviving set" from
+the same kernel, with log psi the set's log indicator.
 """
 
 from __future__ import annotations
@@ -21,9 +25,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import NEG_INF, map_ordered
+from ._util import NEG_INF
 from .model import GameModel
-from .saddle import solve_saddle_core
+from .saddle import solve_saddles
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
@@ -121,12 +125,13 @@ def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL,
     """One sweep of the dynamic-programming operator on the given states.
 
     Returns (log_G over the full window with -inf off `states`, saddles).
+    `threads` maps only the local games the batched pure path leaves to the
+    scalar solver; results never depend on it.
     """
     states = [int(i) for i in states]
-    Ls = model.inner_log_sums(states, log_psi)
-    saddles = map_ordered(
-        lambda k: solve_saddle_core(model.cost[states[k]], Ls[k], tol=tol_local),
-        range(len(states)), threads=threads)
+    saddles = solve_saddles([model.cost[i] for i in states],
+                            model.inner_log_sums(states, log_psi),
+                            tol=tol_local, threads=threads)
     log_G = np.full(model.n_states, NEG_INF)
     for i, s in zip(states, saddles):
         log_G[i] = s.log_value
@@ -225,15 +230,17 @@ def solve_source_problem(domain: DirichletDomain, cbar, g, tol: float = 1e-10,
     threshold = tol * (1.0 - alpha) / alpha
 
     phi = np.zeros(model.n_states)
+    step = np.inf  # the bracket (0, step) reported when no sweep runs
     for _ in range(max_iter):
         with np.errstate(divide="ignore"):
             log_phi = np.log(phi)
+        saddles = solve_saddles([cbar[i] for i in states],
+                                model.inner_log_sums(states, log_phi), tol=min(tol, 1e-10))
         new = np.zeros(model.n_states)
-        for i, L in zip(states, model.inner_log_sums(states, log_phi)):
-            s = solve_saddle_core(np.asarray(cbar[i], dtype=float), L, tol=min(tol, 1e-10))
+        for i, s in zip(states, saddles):
             new[i] = float(np.exp(s.log_value)) + g[i]
         step = float(np.max(np.abs(new - phi)))
         phi = new
         if step <= threshold:
             return phi
-    raise NoConvergence((0.0, step), max_iter)
+    raise NoConvergence((0.0, step), max(max_iter, 0))

@@ -585,6 +585,36 @@ _TOP_KEYS = {"states", "actions_p1", "actions_p2", "transition", "cost", "theta"
 _LYAP_KEYS = {"W", "logW", "gamma", "ell", "K", "C"}
 
 
+def _number(val, kind, what: str):
+    """kind(val) for kind int or float; any other value is a SchemaError."""
+    try:
+        return kind(val)
+    except (TypeError, ValueError, OverflowError):
+        raise SchemaError(f"{what} must be a number, got {val!r}") from None
+
+
+def _numbers(val, kind, what: str) -> np.ndarray:
+    if not isinstance(val, list):
+        raise SchemaError(f"{what} must be a list of numbers, got {val!r}")
+    return np.array([_number(x, kind, what) for x in val], dtype=kind)
+
+
+def _records(doc: dict, key: str, fields: set) -> list:
+    """The record list doc[key]; each record carries exactly `fields`."""
+    recs = doc[key]
+    if not isinstance(recs, list):
+        raise SchemaError(f"{key} must be a list of records, got {recs!r}")
+    for rec in recs:
+        if not isinstance(rec, dict):
+            raise SchemaError(f"{key} record must be an object, got {rec!r}")
+        if rec.keys() != fields:
+            extra = set(rec) - fields
+            if extra:
+                raise SchemaError(f"unknown keys in {key} record: {sorted(extra)}")
+            raise SchemaError(f"{key} record misses keys {sorted(fields - set(rec))}: {rec}")
+    return recs
+
+
 def model_from_json(doc) -> GameModel:
     """Build a model from the interchange document (dict or JSON text).
 
@@ -592,65 +622,92 @@ def model_from_json(doc) -> GameModel:
     state's action lists; missing records mean zero mass / zero cost. The
     Lyapunov block accepts exactly one of `W` (linear) or `logW`; the log
     form exists because realistic weight functions overflow float64.
-    Unknown keys anywhere are rejected.
+    Unknown keys anywhere are rejected, and so is every document whose
+    values do not fit its own window: non-numeric fields, records or a
+    reference state outside it, a state without actions, Lyapunov arrays
+    without one entry per state, K outside the window. Numeric invariants
+    (signs, row sums) are left to validate_model.
     """
     if isinstance(doc, (str, bytes)):
         doc = json.loads(doc)
+    if not isinstance(doc, dict):
+        raise SchemaError(f"a model document is a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _TOP_KEYS
     if unknown:
         raise SchemaError(f"unknown keys: {sorted(unknown)}")
     for req in ("states", "actions_p1", "actions_p2", "transition", "cost", "i0"):
         if req not in doc:
             raise SchemaError(f"missing key: {req}")
-    n = int(doc["states"])
+    n = _number(doc["states"], int, "states")
+    if n < 1:
+        raise SchemaError(f"states must be positive, got {n}")
     a1 = doc["actions_p1"]
     a2 = doc["actions_p2"]
-    if len(a1) != n or len(a2) != n:
+    if not all(isinstance(a, list) and len(a) == n and all(isinstance(s, list) for s in a)
+               for a in (a1, a2)):
         raise SchemaError("actions_p1/actions_p2 must list actions for every state")
+    for i in range(n):
+        if not (a1[i] and a2[i]):
+            raise SchemaError(f"state {i} needs at least one action for each player")
+    i0 = _number(doc["i0"], int, "i0")
+    if not (0 <= i0 < n):
+        raise SchemaError(f"i0={i0} outside 0..{n - 1}")
     transition = []
     cost = []
     for i in range(n):
         mu, mv = len(a1[i]), len(a2[i])
         transition.append(np.zeros((mu, mv, n)))
         cost.append(np.zeros((mu, mv)))
-    for rec in doc["transition"]:
-        extra = set(rec) - {"i", "u", "v", "j", "p"}
-        if extra:
-            raise SchemaError(f"unknown keys in transition record: {sorted(extra)}")
-        i, u, v, j = int(rec["i"]), int(rec["u"]), int(rec["v"]), int(rec["j"])
+    for rec in _records(doc, "transition", {"i", "u", "v", "j", "p"}):
+        try:
+            i, u, v, j, p = int(rec["i"]), int(rec["u"]), int(rec["v"]), int(rec["j"]), float(rec["p"])
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"transition record needs numbers: {rec}") from None
         if not (0 <= i < n and 0 <= j < n):
             raise SchemaError(f"transition record references state outside window: {rec}")
         if not (0 <= u < len(a1[i]) and 0 <= v < len(a2[i])):
             raise SchemaError(f"transition record references missing action: {rec}")
-        transition[i][u, v, j] = float(rec["p"])
-    for rec in doc["cost"]:
-        extra = set(rec) - {"i", "u", "v", "c"}
-        if extra:
-            raise SchemaError(f"unknown keys in cost record: {sorted(extra)}")
-        i, u, v = int(rec["i"]), int(rec["u"]), int(rec["v"])
+        transition[i][u, v, j] = p
+    for rec in _records(doc, "cost", {"i", "u", "v", "c"}):
+        try:
+            i, u, v, c = int(rec["i"]), int(rec["u"]), int(rec["v"]), float(rec["c"])
+        except (TypeError, ValueError, OverflowError):
+            raise SchemaError(f"cost record needs numbers: {rec}") from None
         if not (0 <= i < n):
             raise SchemaError(f"cost record references state outside window: {rec}")
         if not (0 <= u < len(a1[i]) and 0 <= v < len(a2[i])):
             raise SchemaError(f"cost record references missing action: {rec}")
-        cost[i][u, v] = float(rec["c"])
+        cost[i][u, v] = c
     lyap = None
     if doc.get("lyapunov") is not None:
         lb = doc["lyapunov"]
+        if not isinstance(lb, dict):
+            raise SchemaError(f"lyapunov must be an object, got {lb!r}")
         unknown = set(lb) - _LYAP_KEYS
         if unknown:
             raise SchemaError(f"unknown keys in lyapunov: {sorted(unknown)}")
         if ("W" in lb) == ("logW" in lb):
             raise SchemaError("lyapunov needs exactly one of W or logW")
-        log_W = (np.log(np.asarray(lb["W"], dtype=float))
-                 if "W" in lb else np.asarray(lb["logW"], dtype=float))
         if ("gamma" in lb) == ("ell" in lb):
             raise SchemaError("lyapunov needs exactly one of gamma or ell")
+        for req in ("C", "K"):
+            if req not in lb:
+                raise SchemaError(f"lyapunov needs {req}")
+        with np.errstate(divide="ignore", invalid="ignore"):
+            log_W = (np.log(_numbers(lb["W"], float, "lyapunov W"))
+                     if "W" in lb else _numbers(lb["logW"], float, "lyapunov logW"))
+        ell = _numbers(lb["ell"], float, "lyapunov ell") if "ell" in lb else None
+        K = _numbers(lb["K"], int, "lyapunov K")
+        if len(log_W) != n or (ell is not None and len(ell) != n):
+            raise SchemaError("lyapunov W and ell need one entry per state")
+        if ((K < 0) | (K >= n)).any():
+            raise SchemaError(f"lyapunov K contains states outside 0..{n - 1}")
         lyap = LyapunovData(
             log_W=log_W,
-            C=float(lb["C"]),
-            K=np.asarray(lb["K"], dtype=int),
-            gamma=float(lb["gamma"]) if "gamma" in lb else None,
-            ell=np.asarray(lb["ell"], dtype=float) if "ell" in lb else None,
+            C=_number(lb["C"], float, "lyapunov C"),
+            K=K,
+            gamma=_number(lb["gamma"], float, "lyapunov gamma") if "gamma" in lb else None,
+            ell=ell,
         )
     return make_model(
         n_states=n,
@@ -658,8 +715,8 @@ def model_from_json(doc) -> GameModel:
         actions_p2=a2,
         transition=transition,
         cost=cost,
-        theta=float(doc.get("theta", 1.0)),
-        i0=int(doc["i0"]),
+        theta=_number(doc.get("theta", 1.0), float, "theta"),
+        i0=i0,
         lyapunov=lyap,
     )
 

@@ -36,17 +36,32 @@ best minimizing mixture found is reported separately as `order_gap`; it
 vanishes whenever a genuine saddle point exists (pure saddles, constant
 psi, singleton actions) and is diagnostic otherwise.
 
+Batched pure path. An operator sweep solves one local game per state;
+solve_saddles groups them by action shape, stacks their C and L into
+(k, mU, mV) arrays and runs the pure fast path as array operations over
+the batch (_pure_saddles): the row shift and the empty-support and dead
+row tests, the pure candidate v* = argmax_v min_u (C + log Q)[u, v], the
+single-action supergradient certificate at e_v*, and the best pure
+minimizer by the exact planar sup with its order gap. A state is settled
+there only when the scalar solver would return at that same point, so
+every field of its LocalSaddle is bit for bit the scalar result; every
+other state (a certificate that needs the pair or LP tier, an order gap
+above max(tol, 1e-9), a mixed saddle) goes to solve_saddle_core, whose
+own fast path is the batched one on a batch of one. Only those fallback
+states are mapped over threads.
+
 All tie-breaks pick the lowest action index.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from ._util import NEG_INF
+from ._util import NEG_INF, map_ordered
 
 DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 10_000
@@ -129,54 +144,66 @@ def best_response_pure_min(model, i: int, log_psi, nu):
 # exact inner maximization over nu for a fixed mu
 
 
-def _max_x_plus_log_y(x: np.ndarray, y: np.ndarray):
-    """Maximize x.w + log(y.w) over the simplex, exactly.
+@functools.lru_cache(maxsize=None)
+def _pairs(k: int):
+    """Index pairs p < q of k columns in the order (0, 1), (0, 2), ..., (1, 2), ..."""
+    p, q = np.triu_indices(k, 1)
+    p.flags.writeable = q.flags.writeable = False
+    return p, q
 
-    The objective depends on w only through the planar point
-    (x.w, y.w) in conv{(x_v, y_v)}; it is increasing in both coordinates
-    and concave, so the maximum lies on a vertex or on a two-vertex
-    segment, where stationarity x_q - x_p + (y_q - y_p)/y(t) = 0 solves in
-    closed form. Enumerating all pairs is exact for these sizes.
 
-    Returns (value, weights). Columns with y = 0 contribute only through
-    mixtures; if every y is 0 the value is -inf at the lowest index vertex.
+def _max_x_plus_log_y_rows(x: np.ndarray, y: np.ndarray):
+    """Maximize x.w + log(y.w) over the simplex, exactly, row by row.
+
+    x and y have shape (rows, k). The objective depends on w only through
+    the planar point (x.w, y.w) in conv{(x_v, y_v)}; it is increasing in
+    both coordinates and concave, so the maximum lies on a vertex or on a
+    two-vertex segment, where stationarity x_q - x_p + (y_q - y_p)/y(t) = 0
+    solves in closed form. Enumerating all pairs is exact for these sizes;
+    the pairs are scanned in order and a segment replaces the incumbent
+    only when it beats it by a relative 1e-15.
+
+    Returns (values, weights) of shapes (rows,) and (rows, k). Columns with
+    y = 0 contribute only through mixtures; a row whose y is 0 everywhere
+    has value -inf at the lowest index vertex.
     """
-    k = len(x)
-    if k == 1:
-        val = x[0] + (np.log(y[0]) if y[0] > 0 else NEG_INF)
-        return float(val), np.ones(1)
-    if np.all(y <= 0.0):
-        w = np.zeros(k)
-        w[0] = 1.0
-        return NEG_INF, w
-    with np.errstate(divide="ignore"):
+    r, k = x.shape
+    p, q = _pairs(k)
+    with np.errstate(all="ignore"):
         vertex_vals = x + np.log(np.maximum(y, 0.0))
-    best_v = int(np.argmax(vertex_vals))
-    best_val = float(vertex_vals[best_v])
-    best_w = np.zeros(k)
-    best_w[best_v] = 1.0
-    for p in range(k):
-        for q in range(p + 1, k):
-            dx = x[q] - x[p]
-            dy = y[q] - y[p]
-            if dx == 0.0 or dy == 0.0:
-                continue  # segment optimum degenerates to an endpoint
-            ystar = -dy / dx
-            if ystar <= 0.0:
-                continue
-            t = (ystar - y[p]) / dy
-            if not (0.0 < t < 1.0):
-                continue
-            yv = y[p] + t * dy
-            if yv <= 0.0:
-                continue
-            val = x[p] + t * dx + np.log(yv)
-            if val > best_val + 1e-15 * max(1.0, abs(best_val)):
-                best_val = float(val)
-                best_w = np.zeros(k)
-                best_w[p] = 1.0 - t
-                best_w[q] = t
+        best_v = vertex_vals.argmax(axis=1)
+        best_val = vertex_vals[np.arange(r), best_v]
+        best_w = (np.arange(k) == best_v[:, None]).astype(float)
+        dead = (y <= 0.0).all(axis=1)
+        if dead.any():
+            best_val[dead] = NEG_INF
+            best_w[dead] = _unit(k, 0)
+        # every segment's stationary point at once; the incumbent rule is
+        # sequential, so only the columns with a feasible segment are scanned
+        xp, yp = x[:, p], y[:, p]
+        dx = x[:, q] - xp
+        dy = y[:, q] - yp
+        ystar = -dy / dx
+        t = (ystar - yp) / dy
+        yv = yp + t * dy
+        val = xp + t * dx + np.log(yv)
+        # a zero dx or dy degenerates the segment optimum to an endpoint
+        feasible = ((dx != 0.0) & (dy != 0.0) & (ystar > 0.0) & (t > 0.0) & (t < 1.0)
+                    & (yv > 0.0))
+        for c in np.nonzero(feasible.any(axis=0))[0]:
+            better = feasible[:, c] & (
+                val[:, c] > best_val + 1e-15 * np.maximum(1.0, np.abs(best_val)))
+            best_val[better] = val[better, c]
+            best_w[better] = 0.0
+            best_w[better, p[c]] = 1.0 - t[better, c]
+            best_w[better, q[c]] = t[better, c]
     return best_val, best_w
+
+
+def _max_x_plus_log_y(x: np.ndarray, y: np.ndarray):
+    """_max_x_plus_log_y_rows on one row: (value, weights)."""
+    val, w = _max_x_plus_log_y_rows(x[None], y[None])
+    return float(val[0]), w[0]
 
 
 def _sup_over_nu(C: np.ndarray, Qs: np.ndarray, mu: np.ndarray):
@@ -544,49 +571,137 @@ def _cert_gap(C, Qs, nu, cheap_target=None):
     return best, h
 
 
+def _unit(m: int, k: int) -> np.ndarray:
+    e = np.zeros(m)
+    e[k] = 1.0
+    return e
+
+
+def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
+    """Batched prologue and pure fast path of solve_saddle_core.
+
+    C and L have shape (k, mU, mV): k states with the same action shape.
+    Per state it applies, in the scalar solver's order, the empty-support
+    test, the dead player-1 row test, the 1 x 1 closed form, and the pure
+    candidate v* = argmax_v min_u pure[u, v] with pure = C + log Qs, which
+    it accepts when the single-action supergradient bound of _cert_gap is
+    within tol and the lowest-index best pure minimizer, measured by the
+    exact planar sup over nu, has order gap within max(tol, 1e-9). Every
+    step is an array operation over the batch whose per-state float
+    operations are the scalar solver's, so an accepted state's LocalSaddle
+    is bit for bit what the scalar stages would return.
+
+    Returns (saddles, m0, Qs, v_star): saddles[j] is None for a state left
+    to the scalar stages, which continue from its row shift m0, shifted
+    masses Qs = exp(L - m0) and candidate column v_star.
+    """
+    k, mU, mV = C.shape
+    saddles = [None] * k
+    with np.errstate(all="ignore"):
+        finite = np.isfinite(L)
+        empty = ~finite.any(axis=(1, 2))
+        m0 = np.where(empty, 0.0, np.where(finite, L, NEG_INF).max(axis=(1, 2)))
+        Qs = np.exp(L - m0[:, None, None])
+        dead = ~(Qs > 0.0).any(axis=2)  # (k, mU)
+        v_star = (C + np.log(np.maximum(Qs, 0.0))).min(axis=1).argmax(axis=1)
+    collapsed = dead.any(axis=1) & ~empty
+    for j in np.nonzero(empty | collapsed)[0]:
+        # no mass at all, or player 1 owns an action that sends all mass
+        # outside the domain: the multiplicative payoff collapses to zero
+        u = int(dead[j].argmax()) if collapsed[j] else 0
+        saddles[j] = LocalSaddle(NEG_INF, _unit(mU, u), _unit(mV, 0), 0.0, empty_support=True)
+    settled = empty | collapsed
+    if mU == 1 and mV == 1:
+        for j in np.nonzero(~settled)[0]:
+            saddles[j] = LocalSaddle(float(C[j, 0, 0] + L[j, 0, 0]), np.ones(1), np.ones(1), 0.0)
+        return saddles, m0, Qs, v_star
+
+    # non-finite costs or masses take the scalar path, whose matrix-vector
+    # products (not the gathers below) define the result for them
+    ks = np.nonzero(~settled & np.isfinite(C).all(axis=(1, 2)) & (L < np.inf).all(axis=(1, 2)))[0]
+    vs = v_star[ks]
+    with np.errstate(all="ignore"):
+        # f_u(e_v*) and the single-action bound of _cert_gap at the vertex
+        # e_v*; a product with a unit vector is exactly a column gather
+        y = Qs[ks, :, vs]  # (r, mU)
+        f = C[ks, :, vs] + np.log(np.maximum(y, 0.0))
+        h = f.min(axis=1)
+        G = C[ks] + Qs[ks] / np.maximum(y, _Y_FLOOR)[:, :, None]
+        rows = G - G[np.arange(len(ks)), :, vs][:, :, None]
+        per_u = np.where(y > 0.0, (f - h[:, None]) + rows.max(axis=2), np.inf)
+        cert = np.maximum(per_u.min(axis=1), 0.0)
+        keep = np.isfinite(h) & (cert <= tol)
+    if not keep.any():
+        return saddles, m0, Qs, v_star
+    ks, vs, f, h, cert = ks[keep], vs[keep], f[keep], h[keep], cert[keep]
+
+    # pick_mu without groups: over the active pure actions, the lowest
+    # index with the smallest exact planar sup over nu
+    active = f <= (h + _ACTIVE_TOL * np.maximum(1.0, np.abs(h)))[:, None]
+    ri, ui = np.nonzero(active)
+    phi = np.full(active.shape, np.inf)
+    phi[ri, ui], _ = _max_x_plus_log_y_rows(C[ks[ri], ui], Qs[ks[ri], ui])
+    u_best = phi.argmin(axis=1)
+    order_tol = max(tol, 1e-9)
+    for r, j in enumerate(ks):
+        h_r = float(h[r])
+        order1 = max(float(phi[r, u_best[r]]) - h_r, 0.0)
+        if order1 > order_tol:
+            continue  # mixing may be required: the scalar group LPs decide
+        saddles[j] = LocalSaddle(h_r + float(m0[j]), _unit(mU, int(u_best[r])),
+                                 _unit(mV, int(vs[r])), float(cert[r]), order_gap=order1)
+    return saddles, m0, Qs, v_star
+
+
+def solve_saddles(costs, Ls, tol: float = DEFAULT_TOL, threads: int = 1) -> list:
+    """Local saddles of many states at once, in input order.
+
+    States are grouped by action shape and settled by the batched pure
+    path (_pure_saddles); only the states it leaves go to
+    solve_saddle_core, mapped over `threads`, which never changes a result.
+    """
+    costs = [np.asarray(C, dtype=float) for C in costs]
+    Ls = [np.asarray(L, dtype=float) for L in Ls]
+    out = [None] * len(Ls)
+    groups = {}
+    for j, L in enumerate(Ls):
+        groups.setdefault(L.shape, []).append(j)
+    for js in groups.values():
+        batch, _, _, _ = _pure_saddles(np.stack([costs[j] for j in js]),
+                                       np.stack([Ls[j] for j in js]), tol)
+        for j, s in zip(js, batch):
+            out[j] = s
+    rest = [j for j, s in enumerate(out) if s is None]
+    solved = map_ordered(lambda j: solve_saddle_core(costs[j], Ls[j], tol=tol),
+                         rest, threads=threads)
+    for j, s in zip(rest, solved):
+        out[j] = s
+    return out
+
+
 def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL,
                       max_iter: int = DEFAULT_MAX_ITER) -> LocalSaddle:
     C = np.asarray(C, dtype=float)
     L = np.asarray(L, dtype=float)
     mU, mV = C.shape
 
-    finite = np.isfinite(L)
-    if not finite.any():
-        mu = np.zeros(mU)
-        mu[0] = 1.0
-        nu = np.zeros(mV)
-        nu[0] = 1.0
-        return LocalSaddle(NEG_INF, mu, nu, 0.0, empty_support=True)
-    m0 = float(L[finite].max())
-    Qs = np.exp(L - m0)
-
-    dead_rows = ~np.any(Qs > 0.0, axis=1)
-    if dead_rows.any():
-        # player 1 owns an action that sends all mass outside the domain:
-        # the multiplicative payoff collapses to zero
-        u = int(np.nonzero(dead_rows)[0][0])
-        mu = np.zeros(mU)
-        mu[u] = 1.0
-        nu = np.zeros(mV)
-        nu[0] = 1.0
-        return LocalSaddle(NEG_INF, mu, nu, 0.0, empty_support=True)
-
-    if mU == 1 and mV == 1:
-        val = C[0, 0] + L[0, 0]
-        return LocalSaddle(float(val), np.ones(1), np.ones(1), 0.0)
+    (settled,), m0, Qs, v_star = _pure_saddles(C[None], L[None], tol)
+    if settled is not None:
+        return settled
+    m0, Qs = float(m0[0]), Qs[0]
 
     def pick_mu(nu, h, lam_mu, groups):
         """Best minimizing mixture by the exact planar sup; order_gap with it."""
         _, _, active = _h_and_active(C, Qs, nu)
         cands = _mu_candidates(C, Qs, nu, active, lam_mu, groups=groups)
+        phis, _ = _max_x_plus_log_y_rows(np.array([C.T @ mu for mu in cands]),
+                                         np.array([Qs.T @ mu for mu in cands]))
         best_mu, best_phi = None, np.inf
-        for mu in cands:
-            phi, _ = _sup_over_nu(C, Qs, mu)
+        for mu, phi in zip(cands, phis):
             if phi < best_phi:
-                best_phi, best_mu = phi, mu
+                best_phi, best_mu = float(phi), mu
         if best_mu is None:
-            best_mu = np.zeros(mU)
-            best_mu[0] = 1.0
+            best_mu = _unit(mU, 0)
             best_phi, _ = _sup_over_nu(C, Qs, best_mu)
         return best_mu, max(best_phi - h, 0.0)
 
@@ -601,12 +716,9 @@ def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL,
         return LocalSaddle(h + m0, mu1, nu, cert, order_gap=order1,
                            iterations=iterations)
 
-    # fast path: pure-pure saddle candidate from the pure payoff matrix
-    with np.errstate(divide="ignore"):
-        pure = C + np.log(np.maximum(Qs, 0.0))
-    v_star = int(np.argmax(pure.min(axis=0)))
-    nu0 = np.zeros(mV)
-    nu0[v_star] = 1.0
+    # the pure candidate again, with the pair and LP certificate tiers and
+    # the group mixtures the batched path leaves out
+    nu0 = _unit(mV, int(v_star[0]))
     cert0, h0 = _cert_gap(C, Qs, nu0, cheap_target=tol)
     if cert0 <= tol:
         return finish(nu0, h0, cert0, None, 0)

@@ -130,6 +130,32 @@ def residual(model: GameModel, rho: float, log_psi, domain, tol_local=DEFAULT_TO
     return float(max(abs(log_G[i] - rho - log_psi[i]) for i in states))
 
 
+def _selector_saddles(model: GameModel, log_psi, domain, tol=DEFAULT_TOL,
+                      threads: int = 1) -> dict:
+    """The selector sweep: {state: LocalSaddle} over the domain states with finite log psi."""
+    log_psi = np.asarray(log_psi, dtype=float)
+    member = sorted(set(int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])))
+    _, saddles = apply_operator(model, member, log_psi, tol_local=tol, threads=threads)
+    return dict(zip(member, saddles))
+
+
+def _selectors(model: GameModel, by_state: dict):
+    w1, w2 = [], []
+    for i in range(model.n_states):
+        if i in by_state:
+            w1.append(np.asarray(by_state[i].mu, dtype=float))
+            w2.append(np.asarray(by_state[i].nu, dtype=float))
+        else:
+            mu_len, nu_len = model.n_actions(i)
+            a = np.zeros(mu_len)
+            a[0] = 1.0
+            b = np.zeros(nu_len)
+            b[0] = 1.0
+            w1.append(a)
+            w2.append(b)
+    return StationaryStrategy(w1), StationaryStrategy(w2)
+
+
 def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL,
                       threads: int = 1):
     """Per-state saddle strategies for the given eigenfunction.
@@ -138,24 +164,7 @@ def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL,
     pure action: play there never returns to the supported region under the
     zero-boundary reading, and simulation still needs a defined action.
     """
-    log_psi = np.asarray(log_psi, dtype=float)
-    member = set(int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)]))
-    _, saddles = apply_operator(model, sorted(member), log_psi, tol_local=tol, threads=threads)
-    by_state = dict(zip(sorted(member), saddles))
-    w1, w2 = [], []
-    for i in range(model.n_states):
-        mu_len, nu_len = model.n_actions(i)
-        if i in by_state:
-            w1.append(np.asarray(by_state[i].mu, dtype=float))
-            w2.append(np.asarray(by_state[i].nu, dtype=float))
-        else:
-            a = np.zeros(mu_len)
-            a[0] = 1.0
-            b = np.zeros(nu_len)
-            b[0] = 1.0
-            w1.append(a)
-            w2.append(b)
-    return StationaryStrategy(w1), StationaryStrategy(w2)
+    return _selectors(model, _selector_saddles(model, log_psi, domain, tol, threads))
 
 
 def _boundary_warnings(model: GameModel, domain) -> list:
@@ -194,7 +203,9 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     Stops once consecutive rungs agree in eigenvalue (tol_outer) and in
     eigenfunction (log domain, on the smaller domain). The report carries
     the full rung trace, selectors, residual and, when drift data exists,
-    the eigenvalue bound check.
+    the eigenvalue bound check. Its diagnostics say how the selector sweep
+    over the final domain was solved: the worst certified gap, the worst
+    order gap and the number of states where both selectors are pure.
     """
     sizes = list(ladder) if ladder is not None else default_ladder(model)
     if not sizes or any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
@@ -234,8 +245,9 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     final = prev
     res = residual(model, final.rho, final.log_psi, final.domain,
                    tol_local=tol_local, threads=threads)
-    selectors = extract_selectors(model, final.log_psi, final.domain,
-                                  tol=tol_local, threads=threads)
+    by_state = _selector_saddles(model, final.log_psi, final.domain,
+                                 tol=tol_local, threads=threads)
+    selectors = _selectors(model, by_state)
     warnings.extend(_boundary_warnings(model, final.domain))
 
     bounds = eigenvalue_upper_bound(model)
@@ -259,6 +271,11 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
             "rungs": len(rungs),
             "damping_events": total_damping,
             "final_bracket": [float(final.bracket[0]), float(final.bracket[1])],
+            # how the selector sweep over the final domain was solved
+            "max_gap": max(float(s.gap) for s in by_state.values()),
+            "max_order_gap": max(float(s.order_gap) for s in by_state.values()),
+            "pure_states": sum(1 for s in by_state.values()
+                               if s.mu.max() == 1.0 and s.nu.max() == 1.0),
         },
         warnings=warnings,
     )

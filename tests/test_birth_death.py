@@ -4,7 +4,7 @@ import pytest
 from rsgame._util import logsumexp
 from rsgame.birth_death import (BirthDeathParams, ParamError, WindowTooSmall,
                                 affine_state_cost, build_birth_death,
-                                exception_set, last_build_info, linear_cost,
+                                build_info, exception_set, linear_cost,
                                 verify_stability_estimates)
 from rsgame.model import (check_irreducibility, check_lyapunov,
                           check_reference_state, validate_model)
@@ -58,7 +58,7 @@ def test_rows_exactly_stochastic(model40):
 
 
 def test_cost_combination_and_sign_surfacing(model40):
-    info = last_build_info()
+    info = build_info(BirthDeathParams(window=40))
     # u - v < 0 wherever the per-capita term is too small: surfaced, not hidden
     assert model40.cost[0][0, 4] == pytest.approx(0.1 - 1.0)
     assert info.min_cost == pytest.approx(-0.9)
@@ -69,7 +69,7 @@ def test_cost_combination_and_sign_surfacing(model40):
 
 
 def test_fold_masses_logged(model40):
-    info = last_build_info()
+    info = build_info(BirthDeathParams(window=40))
     assert 0.0 <= info.fold_mass_state0 < 1e-200
     assert 0.0 <= info.fold_mass_top < 1e-30
 

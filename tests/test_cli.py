@@ -1,7 +1,12 @@
+import contextlib
+import copy
+import io
 import json
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from rsgame import dirichlet, saddle
 from rsgame.cli import run
@@ -210,3 +215,137 @@ def test_validate_flags_structural_break(workdir, capsys):
     assert run(["validate", "broken.json"]) == 1
     out = json.loads(capsys.readouterr().out)
     assert not out["structurally_sound"]
+
+
+# ---------------------------------------------------------------------------
+# malformed model documents: typed errors and documented exit codes only
+
+JUNK = st.one_of(st.none(), st.booleans(), st.text(max_size=3),
+                 st.lists(st.integers(-1, 2), max_size=2),
+                 st.dictionaries(st.text(max_size=2), st.integers(0, 2), max_size=1),
+                 st.floats(allow_nan=True, allow_infinity=True), st.integers(-3, 5))
+MUTATIONS = ["drop_key", "extra_key", "junk_top", "junk_field", "drop_field", "extra_field",
+             "out_of_window", "negative_p", "bad_p", "actions_shape", "junk_record",
+             "lyapunov_junk", "lyapunov_drop", "lyapunov_extra", "lyapunov_length", "i0", "states"]
+
+
+@st.composite
+def model_docs(draw):
+    """A small valid document, then up to two mutations of it."""
+    n = draw(st.integers(1, 3))
+    a1 = [list(range(draw(st.integers(1, 2)))) for _ in range(n)]
+    a2 = [list(range(draw(st.integers(1, 2)))) for _ in range(n)]
+    transition, cost = [], []
+    for i in range(n):
+        for u in a1[i]:
+            for v in a2[i]:
+                w = [draw(st.integers(0, 3)) for _ in range(n)]
+                w[0] += sum(w) == 0
+                transition += [{"i": i, "u": u, "v": v, "j": j, "p": w[j] / sum(w)}
+                               for j in range(n) if w[j]]
+                cost.append({"i": i, "u": u, "v": v, "c": draw(st.floats(-1.0, 1.0))})
+    doc = {"states": n, "actions_p1": a1, "actions_p2": a2, "transition": transition,
+           "cost": cost, "theta": 1.0, "i0": 0}
+    if draw(st.booleans()):
+        doc["lyapunov"] = {"logW": [float(i) for i in range(n)], "K": [0], "C": 2.0, "gamma": 0.5}
+    for kind in draw(st.lists(st.sampled_from(MUTATIONS), max_size=2)):
+        doc = mutate(draw, copy.deepcopy(doc), n, kind)
+    return doc
+
+
+def mutate(draw, doc, n, kind):
+    recs = doc.get(draw(st.sampled_from(["transition", "cost"])))
+    recs = [r for r in recs if isinstance(r, dict) and r] if isinstance(recs, list) else []
+    rec = draw(st.sampled_from(recs)) if recs else None
+    if kind == "drop_key" and doc:
+        doc.pop(draw(st.sampled_from(sorted(doc))))
+    elif kind == "extra_key":
+        doc["bogus"] = 1
+    elif kind == "junk_top" and doc:
+        doc[draw(st.sampled_from(sorted(doc)))] = draw(JUNK)
+    elif kind == "junk_field" and rec:
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(JUNK)
+    elif kind == "drop_field" and rec:
+        rec.pop(draw(st.sampled_from(sorted(rec))))
+    elif kind == "extra_field" and rec:
+        rec["w"] = 0
+    elif kind == "out_of_window" and rec and set(rec) & set("iuvj"):
+        rec[draw(st.sampled_from(sorted(set(rec) & set("iuvj"))))] = draw(st.sampled_from([-1, 3, 7]))
+    elif kind in ("negative_p", "bad_p") and rec:
+        rec["p"] = -0.5 if kind == "negative_p" else draw(
+            st.sampled_from([1.5, 1e308, "0.5", "x", "nan", "inf"]))
+    elif kind == "actions_shape":
+        doc[draw(st.sampled_from(["actions_p1", "actions_p2"]))] = draw(
+            st.sampled_from([[[0]] * (n - 1), [[0]] * (n + 1), [[]] * n, [0] * n]))
+    elif kind == "junk_record" and isinstance(doc.get("transition"), list):
+        doc["transition"].append(draw(JUNK))
+    elif kind.startswith("lyapunov"):
+        lb = doc.setdefault("lyapunov", {"logW": [0.0] * n, "K": [0], "C": 2.0, "ell": [0.5] * n})
+        keys = ["W", "logW", "gamma", "ell", "K", "C"]
+        if not isinstance(lb, dict):
+            pass
+        elif kind == "lyapunov_junk":
+            lb[draw(st.sampled_from(keys))] = draw(JUNK)
+        elif kind == "lyapunov_drop" and lb:
+            lb.pop(draw(st.sampled_from(sorted(lb))))
+        elif kind == "lyapunov_extra":
+            lb["bogus"] = 1
+        elif kind == "lyapunov_length":
+            lb[draw(st.sampled_from(["logW", "ell", "K"]))] = draw(
+                st.lists(st.integers(-2, 4), max_size=5))
+    elif kind == "i0":
+        doc["i0"] = draw(st.sampled_from([-1, 5, 0.5, "0", None]))
+    elif kind == "states":
+        doc["states"] = draw(st.sampled_from([0, -1, 2, 4, 1.5, "2", None]))
+    return doc
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@given(doc=model_docs())
+def test_fuzzed_documents_exit_with_documented_codes(tmp_path_factory, doc):
+    path = str(tmp_path_factory.mktemp("fuzz") / "m.json")
+    with open(path, "w") as fh:
+        json.dump(doc, fh)
+    n = doc.get("states")
+    ladder = str(n) if isinstance(n, int) and not isinstance(n, bool) and n > 0 else "1"
+    for argv in (["validate", path], ["check", path, "--samples", "3"],
+                 ["solve", path, "--ladder", ladder]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = run(argv)  # an exception escaping here fails the test
+        assert code in (0, 1, 2), (argv[0], code)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ([1, 2], "a model document is a JSON object"),
+    ({"states": None, "actions_p1": [], "actions_p2": [], "transition": [], "cost": [],
+      "i0": 0}, "states must be a number"),
+    ({"states": 1, "actions_p1": [[0]], "actions_p2": [[0]],
+      "transition": [{"i": 0, "u": 0, "v": 0, "j": 0}], "cost": [], "i0": 0},
+     "transition record misses keys ['p']"),
+    ({"states": 1, "actions_p1": [[0]], "actions_p2": [[0]],
+      "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": None}], "cost": [], "i0": 0},
+     "transition record needs numbers"),
+    ({"states": 1, "actions_p1": [[0]], "actions_p2": [[0]], "transition": [], "cost": 5,
+      "i0": 0}, "cost must be a list of records"),
+    ({"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]], "transition": [],
+      "cost": [], "i0": 5}, "i0=5 outside 0..1"),
+    ({"states": 2, "actions_p1": [[0], []], "actions_p2": [[0], [0]], "transition": [],
+      "cost": [], "i0": 0}, "state 1 needs at least one action"),
+    ({"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]], "transition": [],
+      "cost": [], "i0": 0, "lyapunov": {"logW": [0.0, 1.0], "K": [4], "C": 2.0, "gamma": 1.0}},
+     "lyapunov K contains states outside 0..1"),
+    ({"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]], "transition": [],
+      "cost": [], "i0": 0, "lyapunov": {"logW": [0.0], "K": [0], "C": 2.0, "gamma": 1.0}},
+     "lyapunov W and ell need one entry per state"),
+    ({"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]], "transition": [],
+      "cost": [], "i0": 0, "lyapunov": {"logW": [0.0, 1.0], "K": [0], "gamma": 1.0}},
+     "lyapunov needs C"),
+], ids=["not-object", "states", "missing-p", "p-none", "cost-not-list", "i0", "no-actions",
+        "K-range", "W-length", "no-C"])
+def test_malformed_documents_are_schema_errors(workdir, capsys, doc, message):
+    with open("m.json", "w") as fh:
+        json.dump(doc, fh)
+    for command in ("validate", "check", "solve"):
+        assert run([command, "m.json"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err

@@ -1,13 +1,20 @@
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
-from conftest import scalar_self_loop, uncontrolled_two_state
+from conftest import (pennies_layer_model, random_closed_model, scalar_self_loop,
+                      uncontrolled_two_state)
 from oracles import perron_log_radius
-from rsgame.dirichlet import (CollapseToZero, DirichletDomain,
+from rsgame.birth_death import BirthDeathParams, build_birth_death
+from rsgame.dirichlet import (CollapseToZero, DirichletDomain, NoConvergence,
                               NonnegativeSourceRequired, NotStrictlyNegative,
                               apply_operator, dirichlet_eigenpair,
                               solve_source_problem, viable_states)
 from rsgame.model import make_model
+from rsgame.saddle import solve_saddle_core
+from rsgame.solver import solve_ergodic_game
 
 LOG_1P5 = 0.4054651081081644  # Perron root of [[.5,.5],[1,1]], by char poly
 
@@ -43,6 +50,17 @@ def test_source_matches_dense_linear_solve(rng):
     phi = solve_source_problem(dom, [np.full((1, 1), -0.5)] * 2, g, tol=1e-12)
     exact = np.linalg.solve(np.eye(2) - np.exp(-0.5) * P, g)
     assert phi[:2] == pytest.approx(exact, abs=1e-10)
+
+
+def test_source_without_sweeps_reports_its_bracket(two_state):
+    dom = DirichletDomain.prefix(two_state, 2)
+    cbar = [np.full((1, 1), -0.3)] * 2
+    for max_iter in (0, -3):
+        with pytest.raises(NoConvergence) as exc:
+            solve_source_problem(dom, cbar, np.ones(2), max_iter=max_iter)
+        assert exc.value.bracket == (0.0, np.inf)
+        assert exc.value.iterations == 0
+        assert "after 0 sweeps" in str(exc.value)
 
 
 def test_source_requires_strictly_negative_exponent(two_state):
@@ -169,3 +187,59 @@ def test_no_convergence_reports_bracket(two_state):
     assert exc.value.iterations == 1
     lo, hi = exc.value.bracket
     assert lo <= LOG_1P5 <= hi
+
+
+# ---------------------------------------------------------------------------
+# batched local solves: outputs pinned to the scalar solver's
+
+
+def saddle_fields(s):
+    return (s.log_value, s.mu.tolist(), s.nu.tolist(), s.gap, s.order_gap,
+            s.empty_support, s.iterations)
+
+
+def random_game(seed=1):
+    return random_closed_model(np.random.default_rng(seed), n=8, mu=3, mv=3)
+
+
+def digest(value) -> str:
+    return hashlib.sha256(json.dumps(value).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("build, ladder, rho, res, psi_sha, sel_sha", [
+    (lambda: build_birth_death(BirthDeathParams(window=60)), [10, 20, 40, 60],
+     0.007303781489469197, 2.7949031977669847e-12,
+     "15347f5fcc370cf52ef161f550dfd44ae6ed97c6c112b1f2371372b8655554ac",
+     "2ec1f7854d261c779c60b7051d50699588c2128f84a5ac044d5515a748544b9c"),
+    (random_game, None, 0.42145093050856375, 5.528667523790887e-10,
+     "cb1dba74835276a71e9bc00d5ae375e7b94df24931f5d301c185d1acddff6f12",
+     "d129b63d0853656535e7ad27ac974e96f8513a2e6d7ad4a6be65f880495c734a"),
+], ids=["bd60", "random-3x3"])
+def test_solve_outputs_pinned(build, ladder, rho, res, psi_sha, sel_sha):
+    """Values of the one-state-at-a-time solver, before the batched path."""
+    doc = solve_ergodic_game(build(), ladder=ladder).to_dict()
+    assert doc["rho_star"] == rho
+    assert doc["residual"] == res
+    assert digest(doc["log_psi_star"]) == psi_sha
+    assert digest(doc["selectors"]) == sel_sha
+
+
+def test_apply_operator_matches_scalar_solves_on_ragged_actions():
+    model = pennies_layer_model()  # state 0 is 2 x 2, state 1 is 1 x 1
+    for log_psi in (np.zeros(2), np.array([0.0, 0.7]), np.array([0.0, -np.inf])):
+        log_G, saddles = apply_operator(model, [0, 1], log_psi)
+        for i, s in zip([0, 1], saddles):
+            C, L = model.cost[i], model.inner_log_sums([i], log_psi)[0]
+            assert saddle_fields(s) == saddle_fields(solve_saddle_core(C, L))
+            assert log_G[i] == s.log_value
+
+
+def test_apply_operator_threads_do_not_change_results():
+    model = random_game()
+    log_psi = np.random.default_rng(3).normal(0.0, 0.5, model.n_states)
+    states = list(range(model.n_states))
+    g1, s1 = apply_operator(model, states, log_psi, threads=1)
+    g3, s3 = apply_operator(model, states, log_psi, threads=3)
+    assert g1.tolist() == g3.tolist()
+    assert [saddle_fields(s) for s in s1] == [saddle_fields(s) for s in s3]
+    assert any(s.order_gap > 0 for s in s1)  # mixed states took the scalar stages

@@ -218,3 +218,209 @@ def test_model_level_wrappers(two_state):
     assert (u, bv) == (0, pytest.approx(np.log(2.0), abs=1e-12))
     s = solve_saddle(two_state, 0, log_psi)
     assert s.log_value == pytest.approx(0.0, abs=1e-12)
+
+
+# ---------------------------------------------------------------------------
+# batched pure path
+
+
+def saddle_fields(s):
+    return (s.log_value, s.mu.tolist(), s.nu.tolist(), s.gap, s.order_gap,
+            s.empty_support, s.iterations)
+
+
+def batch_cases():
+    """(C, L) states of mixed shapes: settled, degenerate and fallback ones."""
+    rng = np.random.default_rng(7)
+    bd_like = np.add.outer(np.linspace(0.1, 1.0, 5), -np.linspace(0.1, 1.0, 5))
+    cases = [
+        (np.array([[0.3]]), np.array([[np.log(0.8)]])),                     # 1 x 1
+        (np.array([[0.3]]), np.array([[NEG_INF]])),                          # 1 x 1, empty
+        (rng.uniform(0, 1, (1, 3)), rng.normal(0, 1, (1, 3))),              # 1 x k
+        (rng.uniform(0, 1, (3, 1)), rng.normal(0, 1, (3, 1))),              # k x 1
+        (np.zeros((2, 2)), np.full((2, 2), NEG_INF)),                        # all -inf
+        (np.array([[0.5, 0.5], [1.0, 1.0]]),
+         np.array([[0.0, 0.0], [NEG_INF, NEG_INF]])),                        # dead row
+        (np.ones((2, 2)), np.zeros((2, 2))),                                 # tie for v*
+        (np.array([[1.0, 0.0], [0.0, 1.0]]), np.zeros((2, 2))),              # mixed: pennies
+        (np.array([[0.3909730191640082, 1.3590540184179156],
+                   [0.4281845786734404, 0.19831394119762868]]),
+         np.array([[-1.9838116999375184, -0.7292911960485703],
+                   [0.6303400642118786, -0.15359505991664457]])),            # mixed, order gap
+    ]
+    for k in range(6):
+        cases.append((bd_like + 0.1 * k, -np.abs(rng.normal(0, 1e-3, (5, 5)))))  # pure 5 x 5
+    for _ in range(6):
+        cases.append(rand_instance(rng, 3, 3))
+        cases.append(rand_instance(rng, 2, 2))
+    return cases
+
+
+def test_batched_pure_path_is_batch_independent():
+    from rsgame.saddle import _pure_saddles
+    cases = batch_cases()
+    by_shape = {}
+    for C, L in cases:
+        by_shape.setdefault(C.shape, []).append((C, L))
+    settled = fallback = 0
+    for group in by_shape.values():
+        alone = [_pure_saddles(C[None], L[None], 1e-8)[0][0] for C, L in group]
+        for order in (range(len(group)), reversed(range(len(group)))):
+            order = list(order)
+            stacked, _, _, _ = _pure_saddles(np.stack([group[k][0] for k in order]),
+                                             np.stack([group[k][1] for k in order]), 1e-8)
+            for k, s in zip(order, stacked):
+                assert (s is None) == (alone[k] is None)
+                if s is not None:
+                    assert saddle_fields(s) == saddle_fields(alone[k])
+        settled += sum(s is not None for s in alone)
+        fallback += sum(s is None for s in alone)
+    assert settled >= 10 and fallback >= 2
+
+
+def test_batched_solves_equal_scalar_solves_in_any_order():
+    from rsgame.saddle import solve_saddles
+    cases = batch_cases()
+    scalar = [saddle_fields(solve_saddle_core(C, L)) for C, L in cases]
+    assert [saddle_fields(s) for s in solve_saddles(*zip(*cases))] == scalar
+    order = np.random.default_rng(1).permutation(len(cases))
+    shuffled = solve_saddles([cases[k][0] for k in order], [cases[k][1] for k in order])
+    assert [saddle_fields(s) for s in shuffled] == [scalar[k] for k in order]
+    assert [saddle_fields(s) for s in solve_saddles(*zip(*cases), threads=3)] == scalar
+
+
+def test_batched_path_settles_pure_states_and_leaves_mixed_ones():
+    from rsgame.saddle import _pure_saddles
+    cases = batch_cases()
+    tie = _pure_saddles(*(a[None] for a in cases[6]), 1e-8)[0][0]
+    assert tie.mu.tolist() == [1.0, 0.0] and tie.nu.tolist() == [1.0, 0.0]  # lowest index
+    dead = _pure_saddles(*(a[None] for a in cases[5]), 1e-8)[0][0]
+    assert dead.empty_support and dead.mu.tolist() == [0.0, 1.0]
+    for C, L in cases[7:9]:  # mixed saddles go to the scalar stages
+        assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
+    bd = [case for case in cases if case[0].shape == (5, 5)]
+    for s in _pure_saddles(np.stack([C for C, _ in bd]), np.stack([L for _, L in bd]), 1e-8)[0]:
+        assert s is not None and s.order_gap == 0.0 and s.gap <= 1e-8
+
+
+def reference_planar_sup(x, y):
+    """The one-row loop that _max_x_plus_log_y_rows replaced, kept as the reference."""
+    k = len(x)
+    if k == 1:
+        val = x[0] + (np.log(y[0]) if y[0] > 0 else NEG_INF)
+        return float(val), np.ones(1)
+    if np.all(y <= 0.0):
+        w = np.zeros(k)
+        w[0] = 1.0
+        return NEG_INF, w
+    with np.errstate(divide="ignore"):
+        vertex_vals = x + np.log(np.maximum(y, 0.0))
+    best_v = int(np.argmax(vertex_vals))
+    best_val = float(vertex_vals[best_v])
+    best_w = np.zeros(k)
+    best_w[best_v] = 1.0
+    for p in range(k):
+        for q in range(p + 1, k):
+            dx = x[q] - x[p]
+            dy = y[q] - y[p]
+            if dx == 0.0 or dy == 0.0:
+                continue
+            ystar = -dy / dx
+            if ystar <= 0.0:
+                continue
+            t = (ystar - y[p]) / dy
+            if not (0.0 < t < 1.0):
+                continue
+            yv = y[p] + t * dy
+            if yv <= 0.0:
+                continue
+            val = x[p] + t * dx + np.log(yv)
+            if val > best_val + 1e-15 * max(1.0, abs(best_val)):
+                best_val = float(val)
+                best_w = np.zeros(k)
+                best_w[p] = 1.0 - t
+                best_w[q] = t
+    return best_val, best_w
+
+
+def test_planar_sup_rows_equal_the_reference_loop():
+    from rsgame.saddle import _max_x_plus_log_y, _max_x_plus_log_y_rows
+    rng = np.random.default_rng(11)
+    for k in range(1, 6):
+        x = rng.normal(0, 1, (300, k))
+        y = rng.uniform(0, 1, (300, k))
+        y[rng.random((300, k)) < 0.3] = 0.0
+        y[5] = 0.0  # no mass at all: -inf at the lowest index
+        x[7:20] = rng.integers(0, 3, (13, k))  # ties among vertices and segments
+        y[7:20] = rng.integers(0, 3, (13, k)) / 2.0
+        if k == 2:
+            # near-flat vertices: the segment gains eps^2 / 2 over vertex 0,
+            # below the 1e-15 relative improvement rule for eps = 1e-8
+            for r, eps in enumerate((1e-9, 1e-8, 1e-7), start=20):
+                x[r], y[r] = (0.0, -1.0 + eps), (1.0, 2.0)
+        vals, ws = _max_x_plus_log_y_rows(x, y)
+        for r in range(300):
+            val, w = reference_planar_sup(x[r], y[r])
+            assert vals[r] == val and ws[r].tolist() == w.tolist()
+            val, w = _max_x_plus_log_y(x[r], y[r])
+            assert vals[r] == val and ws[r].tolist() == w.tolist()
+
+
+def pinned_local_games():
+    """Seeded local games of every kind the solver meets: mixed, integer
+    ties, -inf masses, pure saddles, near-pure ones, dead rows."""
+    rng = np.random.default_rng(2024)
+    for trial in range(280):
+        mu, mv = int(rng.integers(1, 5)), int(rng.integers(1, 5))
+        kind = trial % 7
+        C = rng.uniform(0.0, 2.0, (mu, mv))
+        L = rng.normal(0.0, 1.5, (mu, mv))
+        if kind == 1:
+            C, L = rng.integers(0, 3, (mu, mv)).astype(float), np.zeros((mu, mv))
+        elif kind == 2:
+            L[rng.random((mu, mv)) < 0.3] = -np.inf
+        elif kind == 3:
+            C = 3.0 * np.add.outer(rng.uniform(0, 1, mu), -rng.uniform(0, 1, mv))
+            L = rng.normal(0.0, 0.01, (mu, mv))
+        elif kind == 4:
+            C = np.add.outer(np.linspace(0.1, 1, mu), -np.linspace(0.1, 1, mv)) + 0.1 * (trial % 5)
+            L = -np.abs(rng.normal(0.0, 1e-3, (mu, mv)))
+        elif kind == 5 and mu > 1:
+            L[int(rng.integers(mu))] = -np.inf
+        elif kind == 6:
+            C = (np.add.outer(rng.uniform(0, 1, mu), -rng.uniform(0, 1, mv))
+                 + rng.normal(0, 0.05, (mu, mv)))
+            L = rng.normal(0.0, 0.05, (mu, mv))
+        yield C, L
+
+
+def test_local_solves_pinned():
+    """Every field of 280 local solves, as the one-state-at-a-time solver
+    returned them before the batched pure path (225 of them pure)."""
+    import hashlib
+    digest = hashlib.sha256()
+    for C, L in pinned_local_games():
+        digest.update(repr(saddle_fields(solve_saddle_core(C, L, tol=1e-8))).encode())
+    assert digest.hexdigest() == "e447550cc770ad30199afbc92a0ccfd5ce5b8b81a7ff2a3d08ae444d235942a1"
+
+
+def test_pure_vertex_certificates_that_need_the_scalar_stages():
+    """Two vertices the batched path must not settle. (a) 1 x 2 with slope
+    1e-6 into a curved segment: the single-action bound is 1e-6 > tol, the
+    exact planar solve moves nu by ~1e-6 and certifies gap ~0. (b) The
+    vertex e_0 is optimal (an inactive action certifies it) but each
+    active pure minimizer has order gap 1e-4; the group LP mixes them to
+    a saddle point (any mu_0 / mu_1 between 1e-4 and 1e4 is one)."""
+    from rsgame.saddle import _pure_saddles
+    C = np.array([[0.0, -1.0 + 1e-6]])
+    L = np.array([[0.0, np.log(2.0)]])
+    assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
+    s = solve_saddle_core(C, L)
+    assert s.gap <= 1e-8 and 0.0 < s.nu[1] < 1e-5
+    C = np.array([[0.0, 1e-4, -1.0], [0.0, -1.0, 1e-4], [5e-9, -1.0, -1.0]])
+    L = np.zeros((3, 3))
+    assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
+    s = solve_saddle_core(C, L)
+    assert s.nu.tolist() == [1.0, 0.0, 0.0] and s.log_value == 0.0
+    assert s.mu[0] > 0.0 and s.mu[1] > 0.0 and s.mu[2] == 0.0  # a mixed minimizer
+    assert s.order_gap <= 1e-9

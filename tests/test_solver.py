@@ -2,8 +2,8 @@ import numpy as np
 import pytest
 
 from conftest import (one_state_two_action, pennies_layer_model,
-                      random_uncontrolled_chain, scalar_self_loop,
-                      uncontrolled_two_state)
+                      random_closed_model, random_uncontrolled_chain,
+                      scalar_self_loop, uncontrolled_two_state)
 from oracles import perron_log_radius
 from rsgame import dirichlet
 from rsgame.birth_death import BirthDeathParams, build_birth_death
@@ -205,3 +205,29 @@ def test_uncontrolled_oracle_reports_its_ratio_bracket(two_state):
     with pytest.raises(dirichlet.NoConvergence) as exc:
         uncontrolled_eigen_oracle(two_state, max_iter=0)
     assert exc.value.iterations == 0
+
+
+def test_report_diagnostics_pure_birth_death():
+    rep = solve_ergodic_game(build_birth_death(BirthDeathParams(window=60)),
+                             ladder=[10, 20, 40, 60])
+    diag = rep.to_dict()["diagnostics"]
+    assert diag["max_order_gap"] == 0
+    assert diag["pure_states"] == len(rep.domain)
+    assert 0.0 <= diag["max_gap"] <= 1e-8
+
+
+def test_report_diagnostics_mixed_random_game():
+    model = random_closed_model(np.random.default_rng(1), n=8, mu=3, mv=3)
+    rep = solve_ergodic_game(model)
+    states = [int(s) for s in rep.domain if np.isfinite(rep.log_psi_star[s])]
+    _, saddles = dirichlet.apply_operator(model, states, rep.log_psi_star)
+    diag = rep.diagnostics
+    assert diag["max_order_gap"] > 0
+    assert diag["max_order_gap"] == max(s.order_gap for s in saddles)
+    assert diag["max_gap"] == max(s.gap for s in saddles)
+    assert diag["pure_states"] == sum(s.mu.max() == 1.0 and s.nu.max() == 1.0 for s in saddles)
+    assert diag["pure_states"] < len(states)
+    # the selectors are the sweep's own strategies
+    pi1, pi2 = rep.selectors
+    assert all(np.array_equal(pi1.weights[i], s.mu) and np.array_equal(pi2.weights[i], s.nu)
+               for i, s in zip(states, saddles))
