@@ -26,10 +26,6 @@ def logsumexp(a, axis=None):
     return float(res) if scalar else res
 
 
-def logaddexp(a, b):
-    return np.logaddexp(a, b)
-
-
 def map_ordered(fn, items, threads: int = 1):
     """Apply fn to items, returning results in input order.
 

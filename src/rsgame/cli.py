@@ -110,8 +110,8 @@ def build_parser() -> argparse.ArgumentParser:
     s.add_argument("--out", type=str, default=None)
     s.add_argument("--trace", type=str, default=None)
     s.add_argument("--threads", type=int, default=1,
-                   help="threads for the local games the batched pure-saddle path "
-                        "cannot certify; results never depend on it")
+                   help="accepted for compatibility; has no effect (the local solves "
+                        "run in one thread)")
 
     m = sub.add_parser("simulate", help="estimate the ergodic cost under stored strategies")
     m.add_argument("model")
@@ -170,6 +170,7 @@ def run(argv) -> int:
 
         if args.command == "check":
             model = _load_model(args.model)
+            model.csr  # its build refuses an unsound kernel (ModelError, exit 2)
             doc = {}
             ok = True
             if model.lyapunov is not None:
@@ -197,7 +198,7 @@ def run(argv) -> int:
             try:
                 report = solve_ergodic_game(
                     model, ladder=ladder, tol_eig=args.tol, tol_local=args.tol,
-                    tol_outer=args.tol_outer, threads=args.threads)
+                    tol_outer=args.tol_outer)
             except (dirichlet.CollapseToZero, dirichlet.NoConvergence,
                     saddle.NoConvergence) as exc:
                 print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -13,7 +13,7 @@ so a sweep costs O(nnz) for the sums instead of O(rows x window). The
 local saddles of the sweep are then solved as one batch by
 saddle.solve_saddles: the pure-saddle fast path runs as array operations
 over all states of one action shape, and only the states it cannot
-certify go to the scalar solve_saddle_core, mapped over `threads`.
+certify go to the scalar solve_saddle_core, one after another.
 Both the eigen sweep and the source problem solve their local games
 this way. The viability scan reads "mass inside the surviving set" from
 the same kernel, with log psi the set's log indicator.
@@ -120,18 +120,14 @@ def viable_states(domain: DirichletDomain) -> np.ndarray:
         alive = alive[keep]
 
 
-def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL,
-                   threads: int = 1):
+def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL):
     """One sweep of the dynamic-programming operator on the given states.
 
     Returns (log_G over the full window with -inf off `states`, saddles).
-    `threads` maps only the local games the batched pure path leaves to the
-    scalar solver; results never depend on it.
     """
     states = [int(i) for i in states]
     saddles = solve_saddles([model.cost[i] for i in states],
-                            model.inner_log_sums(states, log_psi),
-                            tol=tol_local, threads=threads)
+                            model.inner_log_sums(states, log_psi), tol=tol_local)
     log_G = np.full(model.n_states, NEG_INF)
     for i, s in zip(states, saddles):
         log_G[i] = s.log_value
@@ -141,8 +137,7 @@ def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL,
 def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER,
                         tol_local: float = DEFAULT_TOL,
-                        warm_start_log_psi=None,
-                        threads: int = 1) -> EigenPair:
+                        warm_start_log_psi=None) -> EigenPair:
     """Principal eigenpair on the domain by nonlinear power iteration.
 
     Each sweep applies the saddle operator and renormalizes at i0. The
@@ -170,7 +165,7 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
     damping = 0
     bracket = (NEG_INF, np.inf)
     for sweep in range(1, max_iter + 1):
-        log_G, _ = apply_operator(model, alive, log_psi, tol_local=tol_local, threads=threads)
+        log_G, _ = apply_operator(model, alive, log_psi, tol_local=tol_local)
         if not np.isfinite(log_G[i0]):
             raise CollapseToZero(f"operator value vanished at the reference state {i0}")
         finite = np.isfinite(log_G[alive]) & np.isfinite(log_psi[alive])

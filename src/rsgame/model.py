@@ -75,6 +75,19 @@ def _concat_ranges(lo, hi):
     return np.repeat(lo - start, size) + np.arange(int(size.sum())), start
 
 
+def _unsound_row(i: int, mV: int, rows: np.ndarray, sums: np.ndarray) -> ModelError:
+    """The error for the first row of state i that KernelCSR refuses."""
+    ok = np.isfinite(rows) & (rows >= 0.0)
+    bad = ~ok.all(axis=1) | ~(sums <= 1.0 + ROW_SUM_TOL)
+    r = int(bad.argmax())
+    u, v = divmod(r, mV)
+    if ok[r].all():
+        return ModelError(f"unsound kernel: sum_j P(j|{i},{u},{v}) = {float(sums[r])!r} > 1")
+    j = int((~ok[r]).argmax())
+    return ModelError(f"unsound kernel: P({j}|{i},{u},{v}) = {float(rows[r, j])!r} is negative "
+                      "or not finite")
+
+
 @dataclass
 class KernelCSR:
     """Nonzero transition entries of every (i, u, v) row, in CSR form.
@@ -92,10 +105,20 @@ class KernelCSR:
 
     @staticmethod
     def from_transition(transition) -> "KernelCSR":
-        """Built state by state, so no temporary outgrows one state's tensor."""
+        """Built state by state, so no temporary outgrows one state's tensor.
+
+        Raises ModelError, naming the first bad (i, u, v) row, for a
+        negative or non-finite entry or a row sum above 1 + ROW_SUM_TOL:
+        validate_model's thresholds, under which the log kernel is defined.
+        """
         counts, indices, log_prob = [], [], []
-        for P in transition:
+        for i, P in enumerate(transition):
             rows = P.reshape(-1, P.shape[-1])
+            with np.errstate(all="ignore"):
+                sums = rows.sum(axis=1)
+            # NaN fails both comparisons; an infinite entry fails the sum test
+            if not (rows.min(initial=0.0) >= 0.0 and sums.max(initial=0.0) <= 1.0 + ROW_SUM_TOL):
+                raise _unsound_row(i, P.shape[1], rows, sums)
             r, j = np.nonzero(rows)
             counts.append(np.bincount(r, minlength=len(rows)))
             indices.append(j)

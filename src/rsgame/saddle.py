@@ -22,8 +22,15 @@ bilinear inside the exponent and inside the inner sum. Structure used here:
 
 The value solved here is sup_nu min_u L(delta_u, nu), the leading form of
 the dynamic-programming display: a concave maximization over the simplex.
-The outer maximizer is found by exact scalar search (|V| <= 2), the exact
-planar method (|U| = 1), or an epigraph solve with Newton polishing.
+solve_saddle_core takes the first of these stages that certifies:
+
+1. the batched pure path below, on a batch of one;
+2. the pure candidate again, with the pair and LP certificate tiers;
+3. the exact planar method when |U| = 1;
+4. one lower solve (the single point when |V| = 1, exact scalar search
+   when |V| = 2, a single-start epigraph SLSQP solve when |V| >= 3), then
+   Newton polishing; if its certificate misses the tolerance, the solve
+   raises NoConvergence.
 
 Certification. L is concave in BOTH variables, so the two optimization
 orders need not coincide: instances exist (see tests) where
@@ -47,8 +54,7 @@ there only when the scalar solver would return at that same point, so
 every field of its LocalSaddle is bit for bit the scalar result; every
 other state (a certificate that needs the pair or LP tier, an order gap
 above max(tol, 1e-9), a mixed saddle) goes to solve_saddle_core, whose
-own fast path is the batched one on a batch of one. Only those fallback
-states are mapped over threads.
+own fast path is the batched one on a batch of one.
 
 All tie-breaks pick the lowest action index.
 """
@@ -61,10 +67,9 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linprog, minimize
 
-from ._util import NEG_INF, map_ordered
+from ._util import NEG_INF
 
 DEFAULT_TOL = 1e-8
-DEFAULT_MAX_ITER = 10_000
 _ACTIVE_TOL = 1e-9
 _Y_FLOOR = 1e-300
 
@@ -261,8 +266,8 @@ def _maximize_h_1d(C, Qs):
     return nu
 
 
-def _maximize_h_epigraph(C, Qs, starts):
-    """|V| >= 3: SLSQP on max s subject to s <= f_u(nu), nu on the simplex."""
+def _maximize_h_epigraph(C, Qs, nu0):
+    """|V| >= 3: SLSQP on max s subject to s <= f_u(nu), nu on the simplex, from nu0."""
     mU, mV = C.shape
 
     def neg_obj(z):
@@ -300,26 +305,18 @@ def _maximize_h_epigraph(C, Qs, starts):
     })
     bounds = [(0.0, 1.0)] * mV + [(None, None)]
 
-    best_nu, best_h = None, NEG_INF
-    for nu0 in starts:
-        h0 = _pure_values(C, Qs, nu0).min()
-        if not np.isfinite(h0):
-            continue
-        z0 = np.concatenate([nu0, [h0]])
-        res = minimize(neg_obj, z0, jac=neg_obj_grad, method="SLSQP",
-                       bounds=bounds, constraints=cons,
-                       options={"maxiter": 300, "ftol": 1e-14})
-        nu = np.clip(res.x[:mV], 0.0, None)
-        s = nu.sum()
-        if s <= 0:
-            continue
-        nu /= s
-        h = _pure_values(C, Qs, nu).min()
-        if h > best_h:
-            best_h, best_nu = float(h), nu
-    if best_nu is None:
-        best_nu = starts[0]
-    return best_nu
+    h0 = _pure_values(C, Qs, nu0).min()
+    if not np.isfinite(h0):
+        return nu0
+    res = minimize(neg_obj, np.concatenate([nu0, [h0]]), jac=neg_obj_grad, method="SLSQP",
+                   bounds=bounds, constraints=cons, options={"maxiter": 300, "ftol": 1e-14})
+    nu = np.clip(res.x[:mV], 0.0, None)
+    s = nu.sum()
+    if s <= 0:
+        return nu0
+    nu /= s
+    # an unusable SLSQP point (no finite lower value) falls back to the start
+    return nu if _pure_values(C, Qs, nu).min() > NEG_INF else nu0
 
 
 def _newton_polish(C, Qs, nu):
@@ -467,23 +464,6 @@ def _mu_candidates(C, Qs, nu, active, lam_mu, groups=True):
                 if w.sum() > 0:
                     cands.append(w / w.sum())
     return cands
-
-
-def _fictitious_play(C, Qs, iters=2000):
-    """Averaged play with exact best responses on both sides."""
-    mU, mV = C.shape
-    mu_sum = np.zeros(mU)
-    nu_sum = np.zeros(mV)
-    nu_avg = np.full(mV, 1.0 / mV)
-    for k in range(1, iters + 1):
-        f = _pure_values(C, Qs, nu_avg)
-        u = int(np.argmin(f))
-        mu_sum[u] += 1.0
-        mu_avg = mu_sum / mu_sum.sum()
-        _, w = _sup_over_nu(C, Qs, mu_avg)
-        nu_sum += w
-        nu_avg = nu_sum / nu_sum.sum()
-    return mu_sum / mu_sum.sum(), nu_avg
 
 
 def _value_and_grads(C, Qs, nu):
@@ -653,12 +633,12 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
     return saddles, m0, Qs, v_star
 
 
-def solve_saddles(costs, Ls, tol: float = DEFAULT_TOL, threads: int = 1) -> list:
+def solve_saddles(costs, Ls, tol: float = DEFAULT_TOL) -> list:
     """Local saddles of many states at once, in input order.
 
     States are grouped by action shape and settled by the batched pure
     path (_pure_saddles); only the states it leaves go to
-    solve_saddle_core, mapped over `threads`, which never changes a result.
+    solve_saddle_core.
     """
     costs = [np.asarray(C, dtype=float) for C in costs]
     Ls = [np.asarray(L, dtype=float) for L in Ls]
@@ -671,16 +651,13 @@ def solve_saddles(costs, Ls, tol: float = DEFAULT_TOL, threads: int = 1) -> list
                                        np.stack([Ls[j] for j in js]), tol)
         for j, s in zip(js, batch):
             out[j] = s
-    rest = [j for j, s in enumerate(out) if s is None]
-    solved = map_ordered(lambda j: solve_saddle_core(costs[j], Ls[j], tol=tol),
-                         rest, threads=threads)
-    for j, s in zip(rest, solved):
-        out[j] = s
+    for j, s in enumerate(out):
+        if s is None:
+            out[j] = solve_saddle_core(costs[j], Ls[j], tol=tol)
     return out
 
 
-def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL,
-                      max_iter: int = DEFAULT_MAX_ITER) -> LocalSaddle:
+def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) -> LocalSaddle:
     C = np.asarray(C, dtype=float)
     L = np.asarray(L, dtype=float)
     mU, mV = C.shape
@@ -705,7 +682,7 @@ def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL,
             best_phi, _ = _sup_over_nu(C, Qs, best_mu)
         return best_mu, max(best_phi - h, 0.0)
 
-    def finish(nu, h, cert, lam_mu, iterations):
+    def finish(nu, h, cert, lam_mu):
         mu1, order1 = pick_mu(nu, h, lam_mu, groups=False)
         if order1 > max(tol, 1e-9):
             # mixing may be required; the group LP covers every case in
@@ -713,62 +690,35 @@ def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL,
             mu2, order2 = pick_mu(nu, h, lam_mu, groups=True)
             if order2 < order1:
                 mu1, order1 = mu2, order2
-        return LocalSaddle(h + m0, mu1, nu, cert, order_gap=order1,
-                           iterations=iterations)
+        return LocalSaddle(h + m0, mu1, nu, cert, order_gap=order1)
 
     # the pure candidate again, with the pair and LP certificate tiers and
     # the group mixtures the batched path leaves out
     nu0 = _unit(mV, int(v_star[0]))
     cert0, h0 = _cert_gap(C, Qs, nu0, cheap_target=tol)
     if cert0 <= tol:
-        return finish(nu0, h0, cert0, None, 0)
+        return finish(nu0, h0, cert0, None)
 
     # exact planar solve when player 1 has a single action
     if mU == 1:
         _, nu = _sup_over_nu(C, Qs, np.ones(1))
         cert, h = _cert_gap(C, Qs, nu)
-        return finish(nu, h, cert, None, 0)
+        return finish(nu, h, cert, None)
 
-    # full lower solve, cheapest viable stage first
+    # full lower solve by the cheapest viable stage, then Newton polishing
     if mV == 1:
         nu = np.ones(1)
     elif mV == 2:
         nu = _maximize_h_1d(C, Qs)
     else:
-        nu = _maximize_h_epigraph(C, Qs, [np.full(mV, 1.0 / mV)])
+        nu = _maximize_h_epigraph(C, Qs, np.full(mV, 1.0 / mV))
     nu, lam = _newton_polish(C, Qs, nu)
     cert, h = _cert_gap(C, Qs, nu)
-    if cert <= tol:
-        return finish(nu, h, cert, lam, 0)
-
-    if mV >= 3:
-        starts = []
-        for v in range(mV):
-            e = np.full(mV, 1e-6)
-            e[v] = 1.0
-            starts.append(e / e.sum())
-        nu2 = _maximize_h_epigraph(C, Qs, starts)
-        nu2, lam2 = _newton_polish(C, Qs, nu2)
-        cert2, h2 = _cert_gap(C, Qs, nu2)
-        if h2 > h or (h2 == h and cert2 < cert):
-            nu, h, cert, lam = nu2, h2, cert2, lam2
-        if cert <= tol:
-            return finish(nu, h, cert, lam, 0)
-
-    # escalation: averaged fictitious play sometimes lands nearer the
-    # maximizer on stubborn nonsmooth instances; re-polish from there
-    iters = min(max_iter, 2000)
-    _, nu_fp = _fictitious_play(C, Qs, iters=iters)
-    nu_fp, lam_fp = _newton_polish(C, Qs, nu_fp)
-    cert_fp, h_fp = _cert_gap(C, Qs, nu_fp)
-    if h_fp > h or (h_fp == h and cert_fp < cert):
-        nu, h, cert, lam = nu_fp, h_fp, cert_fp, lam_fp
-    if cert <= tol:
-        return finish(nu, h, cert, lam, iters)
-    raise NoConvergence(iters, cert)
+    if cert > tol:
+        raise NoConvergence(0, cert)
+    return finish(nu, h, cert, lam)
 
 
-def solve_saddle(model, i: int, log_psi, tol: float = DEFAULT_TOL,
-                 max_iter: int = DEFAULT_MAX_ITER) -> LocalSaddle:
+def solve_saddle(model, i: int, log_psi, tol: float = DEFAULT_TOL) -> LocalSaddle:
     C, L = local_matrices(model, i, log_psi)
-    return solve_saddle_core(C, L, tol=tol, max_iter=max_iter)
+    return solve_saddle_core(C, L, tol=tol)

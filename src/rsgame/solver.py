@@ -117,26 +117,23 @@ def eigenvalue_upper_bound(model: GameModel) -> dict | None:
     return {"case": "unbounded", "k1": k1, "k2": k2, "upper": k1 + k2}
 
 
-def residual(model: GameModel, rho: float, log_psi, domain, tol_local=DEFAULT_TOL,
-             threads: int = 1) -> float:
+def _domain_sweep(model: GameModel, log_psi: np.ndarray, domain, tol_local):
+    """apply_operator over the domain states with finite log psi: (states, log_G, saddles)."""
+    states = [int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])]
+    return (states, *apply_operator(model, states, log_psi, tol_local=tol_local))
+
+
+def residual(model: GameModel, rho: float, log_psi, domain, tol_local=DEFAULT_TOL) -> float:
     """max over the domain of |log G psi(i) - rho - log psi(i)|.
 
     Zero exactly when (rho, psi) solves the equation on the domain under
-    the zero-outside convention.
+    the zero-outside convention. Each call runs one operator sweep;
+    solve_ergodic_game does not call it, because its final sweep gives the
+    residual and the selectors together.
     """
     log_psi = np.asarray(log_psi, dtype=float)
-    states = [int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])]
-    log_G, _ = apply_operator(model, states, log_psi, tol_local=tol_local, threads=threads)
+    states, log_G, _ = _domain_sweep(model, log_psi, domain, tol_local)
     return float(max(abs(log_G[i] - rho - log_psi[i]) for i in states))
-
-
-def _selector_saddles(model: GameModel, log_psi, domain, tol=DEFAULT_TOL,
-                      threads: int = 1) -> dict:
-    """The selector sweep: {state: LocalSaddle} over the domain states with finite log psi."""
-    log_psi = np.asarray(log_psi, dtype=float)
-    member = sorted(set(int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])))
-    _, saddles = apply_operator(model, member, log_psi, tol_local=tol, threads=threads)
-    return dict(zip(member, saddles))
 
 
 def _selectors(model: GameModel, by_state: dict):
@@ -156,15 +153,15 @@ def _selectors(model: GameModel, by_state: dict):
     return StationaryStrategy(w1), StationaryStrategy(w2)
 
 
-def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL,
-                      threads: int = 1):
+def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL):
     """Per-state saddle strategies for the given eigenfunction.
 
     States outside the domain (or killed by the game) get the lowest-index
     pure action: play there never returns to the supported region under the
     zero-boundary reading, and simulation still needs a defined action.
     """
-    return _selectors(model, _selector_saddles(model, log_psi, domain, tol, threads))
+    states, _, saddles = _domain_sweep(model, np.asarray(log_psi, dtype=float), domain, tol)
+    return _selectors(model, dict(zip(states, saddles)))
 
 
 def _boundary_warnings(model: GameModel, domain) -> list:
@@ -201,11 +198,17 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     """Ladder solve: Dirichlet eigenpairs on growing domains until stable.
 
     Stops once consecutive rungs agree in eigenvalue (tol_outer) and in
-    eigenfunction (log domain, on the smaller domain). The report carries
-    the full rung trace, selectors, residual and, when drift data exists,
-    the eigenvalue bound check. Its diagnostics say how the selector sweep
-    over the final domain was solved: the worst certified gap, the worst
-    order gap and the number of states where both selectors are pure.
+    eigenfunction (log domain, on the smaller domain). One more operator
+    sweep over the final domain, at the final eigenfunction, gives the
+    residual, the selectors and the diagnostics, so a solve runs
+    sum(rung.iterations) + 1 sweeps. The report carries the full rung
+    trace, selectors, residual and, when drift data exists, the eigenvalue
+    bound check. Its diagnostics say how the final sweep was solved: the
+    worst certified gap, the worst order gap and the number of states where
+    both selectors are pure.
+
+    `threads` is accepted for compatibility and has no effect: the local
+    solves hold the interpreter lock, so threads cannot speed them up.
     """
     sizes = list(ladder) if ladder is not None else default_ladder(model)
     if not sizes or any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
@@ -224,8 +227,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
         dom = DirichletDomain.prefix(model, size)
         eig = dirichlet_eigenpair(
             dom, tol=tol_eig, max_iter=max_iter, tol_local=tol_local,
-            warm_start_log_psi=None if prev is None else prev.log_psi,
-            threads=threads)
+            warm_start_log_psi=None if prev is None else prev.log_psi)
         rungs.append(LadderRung(k, size, eig.rho, eig.bracket[1] - eig.bracket[0],
                                 eig.iterations))
         total_damping += eig.damping_events
@@ -243,11 +245,9 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
             "ladder exhausted before the outer criterion was met; result is window-limited")
 
     final = prev
-    res = residual(model, final.rho, final.log_psi, final.domain,
-                   tol_local=tol_local, threads=threads)
-    by_state = _selector_saddles(model, final.log_psi, final.domain,
-                                 tol=tol_local, threads=threads)
-    selectors = _selectors(model, by_state)
+    states, log_G, saddles = _domain_sweep(model, final.log_psi, final.domain, tol_local)
+    res = float(max(abs(log_G[i] - final.rho - final.log_psi[i]) for i in states))
+    selectors = _selectors(model, dict(zip(states, saddles)))
     warnings.extend(_boundary_warnings(model, final.domain))
 
     bounds = eigenvalue_upper_bound(model)
@@ -271,11 +271,10 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
             "rungs": len(rungs),
             "damping_events": total_damping,
             "final_bracket": [float(final.bracket[0]), float(final.bracket[1])],
-            # how the selector sweep over the final domain was solved
-            "max_gap": max(float(s.gap) for s in by_state.values()),
-            "max_order_gap": max(float(s.order_gap) for s in by_state.values()),
-            "pure_states": sum(1 for s in by_state.values()
-                               if s.mu.max() == 1.0 and s.nu.max() == 1.0),
+            # how the final sweep over the final domain was solved
+            "max_gap": max(float(s.gap) for s in saddles),
+            "max_order_gap": max(float(s.order_gap) for s in saddles),
+            "pure_states": sum(1 for s in saddles if s.mu.max() == 1.0 and s.nu.max() == 1.0),
         },
         warnings=warnings,
     )

@@ -2,6 +2,7 @@ import contextlib
 import copy
 import io
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -202,7 +203,8 @@ def test_example_stability_report(workdir, capsys):
 
 
 def test_validate_flags_structural_break(workdir, capsys):
-    doc = {
+    """validate reports an unsound kernel; check and solve refuse it by name."""
+    one_state = {
         "states": 1,
         "actions_p1": [[0]],
         "actions_p2": [[0]],
@@ -210,11 +212,29 @@ def test_validate_flags_structural_break(workdir, capsys):
         "cost": [],
         "i0": 0,
     }
-    with open("broken.json", "w") as fh:
-        json.dump(doc, fh)
-    assert run(["validate", "broken.json"]) == 1
-    out = json.loads(capsys.readouterr().out)
-    assert not out["structurally_sound"]
+    two_state = {
+        "states": 2,
+        "actions_p1": [[0], [0]],
+        "actions_p2": [[0], [0]],
+        "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 1.5},
+                       {"i": 0, "u": 0, "v": 0, "j": 1, "p": -0.5},
+                       {"i": 1, "u": 0, "v": 0, "j": 0, "p": 1.0}],
+        "cost": [],
+        "i0": 0,
+    }
+    for doc, message in [(one_state, "sum_j P(j|0,0,0) = 1.5 > 1"),
+                         (two_state, "P(1|0,0,0) = -0.5 is negative")]:
+        with open("broken.json", "w") as fh:
+            json.dump(doc, fh)
+        assert run(["validate", "broken.json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert not out["structurally_sound"]
+        for command in ("check", "solve"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+                assert run([command, "broken.json"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: unsound kernel: ") and message in err
 
 
 # ---------------------------------------------------------------------------

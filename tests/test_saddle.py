@@ -286,7 +286,6 @@ def test_batched_solves_equal_scalar_solves_in_any_order():
     order = np.random.default_rng(1).permutation(len(cases))
     shuffled = solve_saddles([cases[k][0] for k in order], [cases[k][1] for k in order])
     assert [saddle_fields(s) for s in shuffled] == [scalar[k] for k in order]
-    assert [saddle_fields(s) for s in solve_saddles(*zip(*cases), threads=3)] == scalar
 
 
 def test_batched_path_settles_pure_states_and_leaves_mixed_ones():

@@ -44,6 +44,25 @@ def test_solve_birth_death_cross_ladder_consistency():
     assert a.residual <= 1e-6 and b.residual <= 1e-6
 
 
+def test_ladder_solve_runs_one_sweep_after_the_ladder(monkeypatch):
+    """The final sweep gives the residual, the selectors and the diagnostics."""
+    from rsgame import solver
+    sweeps = []
+    real = dirichlet.apply_operator
+
+    def counted(*args, **kwargs):
+        sweeps.append(len(args[1]))
+        return real(*args, **kwargs)
+
+    for module in (dirichlet, solver):  # every module that binds the name
+        monkeypatch.setattr(module, "apply_operator", counted)
+    rep = solve_ergodic_game(build_birth_death(BirthDeathParams(window=60)),
+                             ladder=[10, 20, 40, 60])
+    assert len(rep.ladder) >= 2
+    assert len(sweeps) == sum(r.iterations for r in rep.ladder) + 1
+    assert sweeps[-1] == len(rep.domain)
+
+
 def test_residual_exact_scalar_pair():
     p, c = 0.9, 0.2
     m = scalar_self_loop(p, c)
