@@ -714,7 +714,7 @@ def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) ->
         nu = _maximize_h_epigraph(C, Qs, np.full(mV, 1.0 / mV))
     nu, lam = _newton_polish(C, Qs, nu)
     cert, h = _cert_gap(C, Qs, nu)
-    if cert > tol:
+    if not cert <= tol:  # a NaN certificate fails too
         raise NoConvergence(0, cert)
     return finish(nu, h, cert, lam)
 
