@@ -18,7 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameModel, LyapunovData, _drift_slack, _norm_like_tail, make_model
+from .model import (GameModel, KernelCSR, LyapunovData, _drift_slack, _norm_like_tail,
+                    make_model)
 
 P_HAT_LIMIT = 1.0 / 6.0
 
@@ -117,11 +118,9 @@ def _costs(params: BirthDeathParams) -> list:
     U, V = action_grids(params)
     cost = []
     for i in range(params.window):
-        C = np.empty((len(U), len(V)))
-        for a, u in enumerate(U):
-            for b, v in enumerate(V):
-                C[a, b] = params.p_hat * i + params.cost_c1(i, u) - params.cost_c2(i, v)
-        cost.append(C)
+        c1 = np.array([params.cost_c1(i, u) for u in U], dtype=float)
+        c2 = np.array([params.cost_c2(i, v) for v in V], dtype=float)
+        cost.append(params.p_hat * i + c1[:, None] - c2)
     return cost
 
 
@@ -144,6 +143,55 @@ def build_info(params: BirthDeathParams) -> BuildInfo:
     )
 
 
+def _kernel(params: BirthDeathParams) -> KernelCSR:
+    """The window's kernel, written as CSR entries state by state.
+
+    Every entry is computed with the float operations of the dense
+    per-state formulas (state 0's tail, state 1's birth spread, the
+    down/stay/up/reset moves of i >= 2) and exact zeros, such as moves
+    that underflow on wide windows, are dropped.
+    """
+    n = params.window
+    U, V = action_grids(params)
+    mu, mv = len(U), len(V)
+    denom = 2.0 * (params.L1 + params.L2)
+
+    # state 0: action-independent row with super-gaussian tail
+    j = np.arange(1, n)
+    tail_in = np.exp(-j * j / 3.0 - 3.0)
+    row0 = np.zeros(n)
+    row0[1:] = tail_in
+    row0[0] = 1.0 - tail_in.sum()  # includes the folded tail by construction
+    cols0 = np.flatnonzero(row0)
+
+    # state 1: birth pressure spreads mass over 1..3
+    m = np.exp(-2.0) * V / denom
+    vals1 = np.broadcast_to(np.stack([1.0 - 3.0 * m, m, m, m], axis=1), (mu, mv, 4))
+
+    # states i >= 2: death pressure down, birth pressure up, bulk resets to 0
+    i = np.arange(2, n, dtype=float)[:, None, None]
+    down = U[:, None] * np.exp(-i) / denom
+    up = V * np.exp(-2.0 * i) / denom
+    down, up = np.broadcast_arrays(down, up)
+    reset = 1.0 - 2.0 * (down + up)
+    reset[-1] += up[-1]  # top row: upward move folded into the reset
+    vals = np.stack([reset, down, down + up, up], axis=-1)
+    vals[-1, ..., 3] = 0.0  # the top row has no upward entry
+    cols = np.arange(2, n)[:, None] + np.array([-2, -1, 0, 1])
+    cols[:, 0] = 0
+
+    rows_per_state = mu * mv
+    values = np.concatenate([np.tile(row0[cols0], rows_per_state), vals1.ravel(), vals.ravel()])
+    columns = np.concatenate([np.tile(cols0, rows_per_state),
+                              np.tile(np.arange(4), rows_per_state),
+                              np.repeat(cols, rows_per_state, axis=0).ravel()])
+    rows = np.concatenate([np.repeat(np.arange(rows_per_state), len(cols0)),
+                           np.repeat(np.arange(rows_per_state, n * rows_per_state), 4)])
+    keep = values != 0.0
+    return KernelCSR.from_entries(np.arange(n + 1) * rows_per_state,
+                                  rows[keep], columns[keep], values[keep])
+
+
 def build_birth_death(params: BirthDeathParams) -> GameModel:
     """Window-truncated model with exactly stochastic rows.
 
@@ -152,47 +200,6 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
     """
     n = params.window
     U, V = action_grids(params)
-    mu, mv = len(U), len(V)
-    denom = 2.0 * (params.L1 + params.L2)
-
-    transition = []
-
-    # state 0: action-independent row with super-gaussian tail
-    j = np.arange(1, n)
-    tail_in = np.exp(-j * j / 3.0 - 3.0)
-    row0 = np.zeros(n)
-    row0[1:] = tail_in
-    row0[0] = 1.0 - tail_in.sum()  # includes the folded tail by construction
-    P0 = np.broadcast_to(row0, (mu, mv, n)).copy()
-    transition.append(P0)
-
-    # state 1: birth pressure spreads mass over 1..3
-    P1 = np.zeros((mu, mv, n))
-    for b, v in enumerate(V):
-        m = np.exp(-2.0) * v / denom
-        P1[:, b, 0] = 1.0 - 3.0 * m
-        P1[:, b, 1] = m
-        P1[:, b, 2] = m
-        P1[:, b, 3] = m
-    transition.append(P1)
-
-    # states i >= 2: death pressure down, birth pressure up, bulk resets to 0
-    for i in range(2, n):
-        P = np.zeros((mu, mv, n))
-        for a, u in enumerate(U):
-            for b, v in enumerate(V):
-                down = u * np.exp(-float(i)) / denom
-                up = v * np.exp(-2.0 * float(i)) / denom
-                P[a, b, i - 1] = down
-                P[a, b, i] = down + up
-                reset = 1.0 - 2.0 * (down + up)
-                if i + 1 < n:
-                    P[a, b, i + 1] = up
-                else:
-                    reset += up  # top row: upward move folded into the reset
-                P[a, b, 0] += reset
-        transition.append(P)
-
     lyap = LyapunovData(
         log_W=log_weight(np.arange(n)),
         C=drift_constant(),
@@ -203,15 +210,14 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
         n_states=n,
         actions_p1=[U.tolist()] * n,
         actions_p2=[V.tolist()] * n,
-        transition=transition,
+        transition=_kernel(params),
         cost=_costs(params),
         theta=1.0,
         i0=0,
         lyapunov=lyap,
     )
-    for i in range(n):
-        sums = model.row_sums(i)
-        assert np.all(np.abs(sums - 1.0) <= 1e-12), f"row {i} not stochastic: {sums}"
+    off = np.flatnonzero(~(np.abs(model.kernel.row_sums - 1.0) <= 1e-12))
+    assert not off.size, f"rows {off.tolist()} not stochastic"
     return model
 
 

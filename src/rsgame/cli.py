@@ -18,7 +18,7 @@ from . import birth_death as bd
 from . import dirichlet, saddle
 from .model import (GameModel, SchemaError, StationaryStrategy, check_irreducibility,
                     check_lyapunov, check_reference_state, model_from_json,
-                    model_to_json, validate_model)
+                    model_to_json_text, validate_model)
 from .simulate import (OpenModel, SimConfig, estimate_ergodic_cost,
                        estimate_with_deviations, simulate_paths, verify_saddle,
                        verify_stochastic_representation)
@@ -38,7 +38,10 @@ def _json_default(o):
 
 
 def _emit(doc, path=None):
-    text = json.dumps(doc, indent=2, default=_json_default)
+    _write(json.dumps(doc, indent=2, default=_json_default), path)
+
+
+def _write(text: str, path=None):
     if path:
         with open(path, "w") as fh:
             fh.write(text + "\n")
@@ -170,7 +173,7 @@ def run(argv) -> int:
 
         if args.command == "check":
             model = _load_model(args.model)
-            model.csr  # its build refuses an unsound kernel (ModelError, exit 2)
+            model.csr  # refuses an unsound kernel (ModelError, exit 2)
             doc = {}
             ok = True
             if model.lyapunov is not None:
@@ -263,7 +266,7 @@ def run(argv) -> int:
                 p_hat=args.p_hat, delta=args.delta, L1=args.L1, L2=args.L2,
                 grid_u=args.grid, grid_v=args.grid, window=args.window)
             model = bd.build_birth_death(params)
-            _emit(model_to_json(model), args.out)
+            _write(model_to_json_text(model), args.out)
             info = bd.build_info(params)
             if info.negative_cost_entries:
                 print(f"warning: {info.negative_cost_entries} cost entries are negative "

@@ -2,8 +2,11 @@
 
 A model is a finite truncation window over a countable state space: states
 0..N-1, per-state finite action sets for both players, a (sub)stochastic
-transition tensor and a cost tensor. Probability mass leaving the window is
-tracked as exit mass; Dirichlet solvers treat it as absorption at zero.
+transition kernel and a cost tensor. The kernel is stored only as CSR rows
+of its nonzero entries (KernelCSR), so building, ingesting, emitting,
+checking and solving a model take memory and time in O(nnz), not in
+O(rows x window). Probability mass leaving the window is tracked as exit
+mass; Dirichlet solvers treat it as absorption at zero.
 
 The risk parameter theta is folded into the cost tensor at construction
 (c <- theta * c), so all downstream code works with theta = 1.
@@ -11,12 +14,11 @@ The risk parameter theta is folded into the cost tensor at construction
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import connected_components
 
 from ._util import NEG_INF
 
@@ -75,126 +77,171 @@ def _concat_ranges(lo, hi):
     return np.repeat(lo - start, size) + np.arange(int(size.sum())), start
 
 
-def _unsound_row(i: int, mV: int, rows: np.ndarray, sums: np.ndarray) -> ModelError:
-    """The error for the first row of state i that KernelCSR refuses."""
-    ok = np.isfinite(rows) & (rows >= 0.0)
-    bad = ~ok.all(axis=1) | ~(sums <= 1.0 + ROW_SUM_TOL)
-    r = int(bad.argmax())
-    u, v = divmod(r, mV)
-    if ok[r].all():
-        return ModelError(f"unsound kernel: sum_j P(j|{i},{u},{v}) = {float(sums[r])!r} > 1")
-    j = int((~ok[r]).argmax())
-    return ModelError(f"unsound kernel: P({j}|{i},{u},{v}) = {float(rows[r, j])!r} is negative "
-                      "or not finite")
+def _concat(parts: list, dtype=float) -> np.ndarray:
+    """np.concatenate that also takes no parts."""
+    return np.concatenate(parts + [np.zeros(0, dtype)])
 
 
 @dataclass
 class KernelCSR:
-    """Nonzero transition entries of every (i, u, v) row, in CSR form.
+    """The model's transition kernel: the nonzero entries of every (i, u, v)
+    row, in CSR form. It is the only kernel storage, so memory and every
+    kernel reader grow with nnz, not with rows x window.
 
     Rows are numbered state by state and u-major inside a state: row
     row_start[i] + u * mV_i + v holds P(.|i, u, v), and its entries lie at
-    indptr[row]:indptr[row + 1] of `indices` (next state j, ascending) and
-    `log_prob`. A row without mass (exit everywhere) is empty.
+    indptr[row]:indptr[row + 1] of `indices` (next state j, ascending),
+    `prob` and `log_prob`. Exact zeros are not stored, so a row without
+    mass (exit everywhere) is empty. Negative and non-finite entries are
+    stored as given, for validate_model to report; their log is NaN, and
+    GameModel.csr refuses such a kernel before any log is read.
     """
 
     row_start: np.ndarray  # (n_states + 1,)
     indptr: np.ndarray     # (rows + 1,)
     indices: np.ndarray    # (nnz,)
+    prob: np.ndarray       # (nnz,)
     log_prob: np.ndarray   # (nnz,)
 
     @staticmethod
-    def from_transition(transition) -> "KernelCSR":
-        """Built state by state, so no temporary outgrows one state's tensor.
-
-        Raises ModelError, naming the first bad (i, u, v) row, for a
-        negative or non-finite entry or a row sum above 1 + ROW_SUM_TOL:
-        validate_model's thresholds, under which the log kernel is defined.
-        """
-        counts, indices, log_prob = [], [], []
-        for i, P in enumerate(transition):
-            rows = P.reshape(-1, P.shape[-1])
-            with np.errstate(all="ignore"):
-                sums = rows.sum(axis=1)
-            # NaN fails both comparisons; an infinite entry fails the sum test
-            if not (rows.min(initial=0.0) >= 0.0 and sums.max(initial=0.0) <= 1.0 + ROW_SUM_TOL):
-                raise _unsound_row(i, P.shape[1], rows, sums)
-            r, j = np.nonzero(rows)
-            counts.append(np.bincount(r, minlength=len(rows)))
-            indices.append(j)
-            log_prob.append(np.log(rows[r, j]))
-        row_start = np.zeros(len(transition) + 1, dtype=np.int64)
-        np.cumsum([len(c) for c in counts], out=row_start[1:])
+    def from_entries(row_start, rows, cols, prob) -> "KernelCSR":
+        """The kernel of entries given in (row, col) order without zeros."""
+        row_start = np.asarray(row_start, dtype=np.int64)
         indptr = np.zeros(int(row_start[-1]) + 1, dtype=np.int64)
-        np.cumsum(np.concatenate(counts), out=indptr[1:])
+        np.cumsum(np.bincount(rows, minlength=len(indptr) - 1), out=indptr[1:])
+        prob = np.asarray(prob, dtype=float)
+        with np.errstate(all="ignore"):
+            log_prob = np.log(prob)
         return KernelCSR(row_start=row_start, indptr=indptr,
-                         indices=np.concatenate(indices).astype(np.int64),
-                         log_prob=np.concatenate(log_prob))
+                         indices=np.asarray(cols, dtype=np.int64), prob=prob,
+                         log_prob=log_prob)
+
+    @staticmethod
+    def from_dense(transition) -> "KernelCSR":
+        """Converted state by state from (mU_i, mV_i, n) arrays, so no
+        temporary outgrows one state's tensor."""
+        row_start, rows, cols, prob = [0], [], [], []
+        for P in transition:
+            flat = P.reshape(-1, P.shape[-1])
+            r, j = np.nonzero(flat)
+            rows.append(r + row_start[-1])
+            cols.append(j)
+            prob.append(flat[r, j])
+            row_start.append(row_start[-1] + len(flat))
+        return KernelCSR.from_entries(row_start, _concat(rows, np.int64),
+                                      _concat(cols, np.int64), _concat(prob))
+
+    def entry_rows(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    @functools.cached_property
+    def row_sums(self) -> np.ndarray:
+        """sum_j P(j|i,u,v) of every row, in row order."""
+        return np.bincount(self.entry_rows(), weights=self.prob,
+                           minlength=len(self.indptr) - 1)
 
 
 @dataclass
 class GameModel:
     """Truncation-window game: states, per-state actions, kernel, costs.
 
-    transition[i] has shape (mU_i, mV_i, n_states); cost[i] has shape
-    (mU_i, mV_i) and is already scaled by theta. Arrays are frozen after
-    construction; checkers are read-only.
+    `kernel` is a KernelCSR of the nonzero transition entries, the only
+    kernel storage; `dense_transition(i)` rebuilds one state's
+    (mU_i, mV_i, n_states) tensor on demand. cost[i] has shape (mU_i, mV_i)
+    and is already scaled by theta. Arrays are frozen after construction;
+    checkers are read-only.
 
-    Dynamic programming reads the kernel through its sparse layout: `csr`
-    is a KernelCSR of the nonzero entries of every (i, u, v) row, built on
-    first use and kept on the instance (construction and ingestion never
-    pay for it). `inner_log_sums(states, log_psi)` returns the matrices
-    L[u, v] = log sum_j psi(j) P(j|i,u,v) of the requested states from one
-    segment log-sum-exp over those rows, with -inf for empty mass; every
-    operator sweep, drift check and local saddle reads L through it.
+    Dynamic programming reads the log kernel through `csr`, which on first
+    use refuses a kernel with a negative or non-finite entry or a row sum
+    above 1 + ROW_SUM_TOL (validate_model's thresholds, under which the log
+    kernel is defined) and then returns `kernel`; construction and
+    ingestion never pay for the check. `inner_log_sums(states, log_psi)`
+    returns the matrices L[u, v] = log sum_j psi(j) P(j|i,u,v) of the
+    requested states from one segment log-sum-exp over those rows, with
+    -inf for empty mass; every operator sweep, drift check and local
+    saddle reads L through it.
     """
 
     n_states: int
     actions_p1: list
     actions_p2: list
-    transition: list
+    kernel: KernelCSR
     cost: list
     theta: float
     i0: int
     lyapunov: LyapunovData | None = None
-    _csr: KernelCSR | None = field(default=None, init=False, repr=False, compare=False)
+    _sound: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         for i in range(self.n_states):
-            self.transition[i] = np.ascontiguousarray(self.transition[i], dtype=float)
             self.cost[i] = np.ascontiguousarray(self.cost[i], dtype=float)
-            self.transition[i].flags.writeable = False
             self.cost[i].flags.writeable = False
+        for name in ("row_start", "indptr", "indices", "prob", "log_prob"):
+            getattr(self.kernel, name).flags.writeable = False
 
     def n_actions(self, i: int) -> tuple[int, int]:
         return len(self.actions_p1[i]), len(self.actions_p2[i])
 
-    def row_sums(self, i: int) -> np.ndarray:
-        return self.transition[i].sum(axis=2)
+    def _rows_of(self, i: int) -> slice:
+        return slice(int(self.kernel.row_start[i]), int(self.kernel.row_start[i + 1]))
 
-    def exit_mass(self, i: int) -> np.ndarray:
-        return 1.0 - self.row_sums(i)
+    def row_sums(self, i: int) -> np.ndarray:
+        return self.kernel.row_sums[self._rows_of(i)].reshape(self.n_actions(i))
 
     def max_exit_mass(self) -> float:
-        return max(float(self.exit_mass(i).max()) for i in range(self.n_states))
+        return float((1.0 - self.kernel.row_sums).max())
 
     def is_closed(self, tol: float = CLOSED_TOL) -> bool:
-        return self.max_exit_mass() <= tol and all(
-            float(self.exit_mass(i).min()) >= -tol for i in range(self.n_states)
-        )
+        exit_mass = 1.0 - self.kernel.row_sums
+        return bool(exit_mass.max() <= tol and exit_mass.min() >= -tol)
 
-    def log_transition(self, i: int) -> np.ndarray:
-        """Dense log P(.|i, u, v), shape (mU, mV, n); computed on each call."""
-        with np.errstate(divide="ignore"):
-            lt = np.log(self.transition[i])
-        lt.flags.writeable = False
-        return lt
+    def dense_transition(self, i: int) -> np.ndarray:
+        """P(.|i, u, v) as a new dense (mU, mV, n_states) array."""
+        k = self.kernel
+        rows = self._rows_of(i)
+        lo, hi = k.indptr[rows.start], k.indptr[rows.stop]
+        P = np.zeros((rows.stop - rows.start, self.n_states))
+        P[np.repeat(np.arange(len(P)), np.diff(k.indptr[rows.start:rows.stop + 1])),
+          k.indices[lo:hi]] = k.prob[lo:hi]
+        return P.reshape(*self.n_actions(i), self.n_states)
+
+    def flat_cost(self) -> np.ndarray:
+        """c(i, u, v) of every (i, u, v), in kernel row order."""
+        return _concat([C.ravel() for C in self.cost])
+
+    def row_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """(i, u, v) of every kernel row, in row order: the (i, u, v) of
+        the k-th (u, v) slot of the model, state by state."""
+        mv = np.array([len(a) for a in self.actions_p2], dtype=np.int64)
+        state = np.repeat(np.arange(self.n_states), np.diff(self.kernel.row_start))
+        u, v = np.divmod(np.arange(len(state)) - self.kernel.row_start[state], mv[state])
+        return state, u, v
 
     @property
     def csr(self) -> KernelCSR:
-        if self._csr is None:
-            self._csr = KernelCSR.from_transition(self.transition)
-        return self._csr
+        if not self._sound:
+            k = self.kernel
+            ok = np.isfinite(k.prob) & (k.prob >= 0.0)
+            with np.errstate(invalid="ignore"):
+                bad_rows = ~(k.row_sums <= 1.0 + ROW_SUM_TOL)
+            bad_rows[k.entry_rows()[~ok]] = True
+            if bad_rows.any():
+                raise self._unsound(int(bad_rows.argmax()), ok)
+            self._sound = True
+        return self.kernel
+
+    def _unsound(self, r: int, ok: np.ndarray) -> ModelError:
+        """The error for kernel row r, the first that csr refuses."""
+        k = self.kernel
+        state, u, v = (int(a[r]) for a in self.row_actions())
+        lo, hi = k.indptr[r], k.indptr[r + 1]
+        if ok[lo:hi].all():
+            return ModelError(f"unsound kernel: sum_j P(j|{state},{u},{v}) = "
+                              f"{float(k.row_sums[r])!r} > 1")
+        at = lo + int((~ok[lo:hi]).argmax())
+        return ModelError(f"unsound kernel: P({int(k.indices[at])}|{state},{u},{v}) = "
+                          f"{float(k.prob[at])!r} is negative or not finite")
 
     def inner_log_sums(self, states, log_psi) -> list:
         """Per state of `states`, the (mU, mV) matrix log sum_j psi(j) P(j|i,u,v).
@@ -234,7 +281,11 @@ def make_model(
     i0=0,
     lyapunov=None,
 ) -> GameModel:
-    """Normalize raw inputs into a GameModel, applying the theta scaling."""
+    """Normalize raw inputs into a GameModel, applying the theta scaling.
+
+    `transition` is a KernelCSR whose rows follow the action sets, or one
+    dense (mU_i, mV_i, n) array per state, converted state by state.
+    """
     if theta <= 0:
         raise ModelError(f"theta must be strictly positive, got {theta}")
     n = int(n_states)
@@ -242,22 +293,29 @@ def make_model(
     a2 = [list(a) for a in actions_p2]
     if len(a1) != n or len(a2) != n:
         raise ModelError("actions_p1/actions_p2 must have one entry per state")
-    tr, co = [], []
+    kernel = transition if isinstance(transition, KernelCSR) else None
+    dense, co = [], []
     for i in range(n):
         mu, mv = len(a1[i]), len(a2[i])
-        P = np.asarray(transition[i], dtype=float)
+        if kernel is None:
+            P = np.asarray(transition[i], dtype=float)
+            if P.shape != (mu, mv, n):
+                raise ModelError(f"transition[{i}] must have shape {(mu, mv, n)}, got {P.shape}")
+            dense.append(P)
         C = np.asarray(cost[i], dtype=float)
-        if P.shape != (mu, mv, n):
-            raise ModelError(f"transition[{i}] must have shape {(mu, mv, n)}, got {P.shape}")
         if C.shape != (mu, mv):
             raise ModelError(f"cost[{i}] must have shape {(mu, mv)}, got {C.shape}")
-        tr.append(P)
         co.append(theta * C)
+    if kernel is None:
+        kernel = KernelCSR.from_dense(dense)
+    elif not np.array_equal(kernel.row_start,
+                            np.cumsum([0] + [len(a) * len(b) for a, b in zip(a1, a2)])):
+        raise ModelError("kernel rows must follow the action sets")
     return GameModel(
         n_states=n,
         actions_p1=a1,
         actions_p2=a2,
-        transition=tr,
+        kernel=kernel,
         cost=co,
         theta=float(theta),
         i0=int(i0),
@@ -357,38 +415,56 @@ def validate_model(model: GameModel) -> ValidationReport:
     """Diagnostic sweep over every invariant; never raises.
 
     The report names every offending (i, u, v) coordinate so a bad row can
-    be located in the source document directly.
+    be located in the source document directly. The per-entry and per-row
+    tests run as array operations over the kernel; only flagged rows are
+    visited one by one, state by state and u-major, as they are reported.
     """
     out = []
     if not (0 <= model.i0 < model.n_states):
         out.append(Violation("bad_reference_state", (model.i0,), float(model.i0),
                              f"i0={model.i0} outside 0..{model.n_states - 1}"))
-    for i in range(model.n_states):
-        mu, mv = model.n_actions(i)
-        if mu == 0:
-            out.append(Violation("empty_actions_p1", (i,), 0.0, f"state {i} has no player-1 actions"))
-        if mv == 0:
-            out.append(Violation("empty_actions_p2", (i,), 0.0, f"state {i} has no player-2 actions"))
-        if mu == 0 or mv == 0:
+    k = model.kernel
+    negative = k.prob < 0
+    nonfinite = ~np.isfinite(k.prob)
+    with np.errstate(invalid="ignore"):
+        over = k.row_sums > 1.0 + ROW_SUM_TOL
+    cost = model.flat_cost()
+    flagged = over | (cost < 0)
+    flagged[k.entry_rows()[negative | nonfinite]] = True
+    state, us, vs = model.row_actions()
+    empty = [i for i in range(model.n_states) if 0 in model.n_actions(i)]
+    for i, r in sorted([(i, -1) for i in empty]
+                       + [(int(state[r]), int(r)) for r in np.flatnonzero(flagged)]):
+        if r < 0:
+            mu, mv = model.n_actions(i)
+            if mu == 0:
+                out.append(Violation("empty_actions_p1", (i,), 0.0,
+                                     f"state {i} has no player-1 actions"))
+            if mv == 0:
+                out.append(Violation("empty_actions_p2", (i,), 0.0,
+                                     f"state {i} has no player-2 actions"))
             continue
-        P = model.transition[i]
-        C = model.cost[i]
-        for u in range(mu):
-            for v in range(mv):
-                row = P[u, v]
-                neg = row.min()
-                if neg < 0:
-                    j = int(row.argmin())
-                    out.append(Violation("negative_probability", (i, u, v, j), float(neg),
-                                         f"P({j}|{i},{u},{v}) = {neg}"))
-                s = float(row.sum())
-                if s > 1.0 + ROW_SUM_TOL:
-                    out.append(Violation("row_sum_exceeds_one", (i, u, v), s,
-                                         f"sum_j P(j|{i},{u},{v}) = {s!r} > 1"))
-                if C[u, v] < 0:
-                    out.append(Violation("negative_cost", (i, u, v), float(C[u, v]),
-                                         f"c({i},{u},{v}) = {C[u, v]} < 0",
-                                         severity="warning"))
+        u, v = int(us[r]), int(vs[r])
+        seg = slice(int(k.indptr[r]), int(k.indptr[r + 1]))
+        p, cols = k.prob[seg], k.indices[seg]
+        if negative[seg].any():
+            at = int(np.where(negative[seg], p, 0.0).argmin())
+            j, val = int(cols[at]), float(p[at])
+            out.append(Violation("negative_probability", (i, u, v, j), val,
+                                 f"P({j}|{i},{u},{v}) = {val}"))
+        if nonfinite[seg].any():
+            at = int(nonfinite[seg].argmax())
+            j, val = int(cols[at]), float(p[at])
+            out.append(Violation("nonfinite_probability", (i, u, v, j), val,
+                                 f"P({j}|{i},{u},{v}) = {val} is not finite"))
+        if over[r]:
+            s = float(k.row_sums[r])
+            out.append(Violation("row_sum_exceeds_one", (i, u, v), s,
+                                 f"sum_j P(j|{i},{u},{v}) = {s!r} > 1"))
+        if cost[r] < 0:
+            out.append(Violation("negative_cost", (i, u, v), float(cost[r]),
+                                 f"c({i},{u},{v}) = {float(cost[r])} < 0",
+                                 severity="warning"))
     if model.lyapunov is not None:
         ly = model.lyapunov
         if ly.log_W.shape != (model.n_states,):
@@ -536,6 +612,9 @@ class IrreducibilityReport:
 
 
 def _strongly_connected(edges: np.ndarray, n: int) -> bool:
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import connected_components
+
     g = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
     ncomp, _ = connected_components(g, directed=True, connection="strong")
     return ncomp == 1
@@ -549,15 +628,19 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
     (u,v); strong connectivity of that graph implies irreducibility under
     every strategy pair. sampled: falsifier only, checks strong connectivity
     of the support graph under `samples` random pure stationary pairs.
+    Both read the support from the kernel's positive entries.
     """
     n = model.n_states
+    k = model.kernel
+    row_state = np.repeat(np.arange(n), np.diff(k.row_start))
     if mode == "sufficient":
-        edges = []
-        for i in range(n):
-            minrow = model.transition[i].min(axis=(0, 1))
-            for j in np.nonzero(minrow > 0)[0]:
-                edges.append((i, j))
-        ok = bool(edges) and _strongly_connected(np.asarray(edges), n)
+        # edge i->j when every row of state i has a positive entry at j
+        pos = k.prob > 0
+        keys, rows = np.unique(row_state[k.entry_rows()[pos]] * n + k.indices[pos],
+                               return_counts=True)
+        keys = keys[rows == np.diff(k.row_start)[keys // n]]
+        edges = np.stack([keys // n, keys % n], axis=1)
+        ok = bool(len(edges)) and _strongly_connected(edges, n)
         return IrreducibilityReport(
             mode=mode,
             passed=ok,
@@ -566,15 +649,17 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
         )
     if mode == "sampled":
         rng = np.random.default_rng(seed)
+        mv = np.array([len(a) for a in model.actions_p2], dtype=np.int64)
+        row_len = np.diff(k.indptr)
         for s in range(samples):
             pick1 = [int(rng.integers(model.n_actions(i)[0])) for i in range(n)]
             pick2 = [int(rng.integers(model.n_actions(i)[1])) for i in range(n)]
-            edges = []
-            for i in range(n):
-                row = model.transition[i][pick1[i], pick2[i]]
-                for j in np.nonzero(row > 0)[0]:
-                    edges.append((i, j))
-            if not edges or not _strongly_connected(np.asarray(edges), n):
+            rows = k.row_start[:-1] + np.asarray(pick1, dtype=np.int64) * mv + pick2
+            at, _ = _concat_ranges(k.indptr[rows], k.indptr[rows + 1])
+            pos = k.prob[at] > 0
+            edges = np.stack([np.repeat(np.arange(n), row_len[rows])[pos],
+                              k.indices[at][pos]], axis=1)
+            if not len(edges) or not _strongly_connected(edges, n):
                 return IrreducibilityReport(
                     mode=mode,
                     passed=False,
@@ -594,11 +679,16 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
 def check_reference_state(model: GameModel) -> bool:
     """True iff every pure (u,v) at i0 reaches every other window state in one step."""
     i0 = model.i0
-    P = model.transition[i0]
-    others = [j for j in range(model.n_states) if j != i0]
-    if not others:
+    if model.n_states == 1:
         return True
-    return bool(P[:, :, others].min() > 0)
+    k = model.kernel
+    rows = model._rows_of(i0)
+    seg = slice(int(k.indptr[rows.start]), int(k.indptr[rows.stop]))
+    reach = (k.prob[seg] > 0) & (k.indices[seg] != i0)
+    n_rows = rows.stop - rows.start
+    entry_row = np.repeat(np.arange(n_rows), np.diff(k.indptr[rows.start:rows.stop + 1]))
+    per_row = np.bincount(entry_row[reach], minlength=n_rows)
+    return bool((per_row == model.n_states - 1).all())
 
 
 # ---------------------------------------------------------------------------
@@ -638,6 +728,61 @@ def _records(doc: dict, key: str, fields: set) -> list:
     return recs
 
 
+def _first_bad_record(key: str, recs: list, fields: tuple, n: int, mu: np.ndarray,
+                      mv: np.ndarray) -> SchemaError:
+    """The SchemaError that the first bad record of doc[key] earns, found
+    by checking the records one at a time in document order."""
+    for rec in recs:
+        try:
+            ints = [int(rec[f]) for f in fields[:-1]]
+            float(rec[fields[-1]])
+        except (TypeError, ValueError, OverflowError):
+            return SchemaError(f"{key} record needs numbers: {rec}")
+        i, u, v = ints[:3]
+        if not all(0 <= s < n for s in (i, *ints[3:])):
+            return SchemaError(f"{key} record references state outside window: {rec}")
+        if not (0 <= u < mu[i] and 0 <= v < mv[i]):
+            return SchemaError(f"{key} record references missing action: {rec}")
+    return SchemaError(f"{key} records do not fit the window")
+
+
+def _record_columns(doc: dict, key: str, fields: tuple, n: int, mu: np.ndarray,
+                    mv: np.ndarray, slot_start: np.ndarray) -> list:
+    """The records of doc[key], whose keys are `fields` (i, u, v, then
+    other ints, then one float), as columns: the (i, u, v) slot of each
+    record in kernel row order, then the columns after v.
+
+    Each column is cast with int/float as a record-by-record reader casts
+    each value. A value that fails its cast or any record outside the
+    window or its state's action sets makes the whole document fail with
+    the error of the first bad record.
+    """
+    recs = _records(doc, key, set(fields))
+    kinds = [int] * (len(fields) - 1) + [float]
+    try:
+        cols = [np.fromiter(map(kind, [rec[f] for rec in recs]), dtype=kind, count=len(recs))
+                for f, kind in zip(fields, kinds)]
+    except (TypeError, ValueError, OverflowError):
+        raise _first_bad_record(key, recs, fields, n, mu, mv) from None
+    i, u, v = cols[:3]
+    bad = np.zeros(len(recs), dtype=bool)
+    for s in [i] + cols[3:-1]:
+        bad |= (s < 0) | (s >= n)
+    ic = np.where(bad, 0, i)
+    if (bad | (u < 0) | (u >= mu[ic]) | (v < 0) | (v >= mv[ic])).any():
+        raise _first_bad_record(key, recs, fields, n, mu, mv)
+    return [slot_start[i] + u * mv[i] + v] + cols[3:]
+
+
+def _last_of_runs(keys: np.ndarray) -> np.ndarray:
+    """Positions of the last of the elements with each key, in key order."""
+    order = np.argsort(keys, kind="stable")
+    k = keys[order]
+    last = np.ones(len(k), dtype=bool)
+    last[:-1] = k[1:] != k[:-1]
+    return order[last]
+
+
 def model_from_json(doc) -> GameModel:
     """Build a model from the interchange document (dict or JSON text).
 
@@ -675,32 +820,22 @@ def model_from_json(doc) -> GameModel:
     i0 = _number(doc["i0"], int, "i0")
     if not (0 <= i0 < n):
         raise SchemaError(f"i0={i0} outside 0..{n - 1}")
-    transition = []
-    cost = []
-    for i in range(n):
-        mu, mv = len(a1[i]), len(a2[i])
-        transition.append(np.zeros((mu, mv, n)))
-        cost.append(np.zeros((mu, mv)))
-    for rec in _records(doc, "transition", {"i", "u", "v", "j", "p"}):
-        try:
-            i, u, v, j, p = int(rec["i"]), int(rec["u"]), int(rec["v"]), int(rec["j"]), float(rec["p"])
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"transition record needs numbers: {rec}") from None
-        if not (0 <= i < n and 0 <= j < n):
-            raise SchemaError(f"transition record references state outside window: {rec}")
-        if not (0 <= u < len(a1[i]) and 0 <= v < len(a2[i])):
-            raise SchemaError(f"transition record references missing action: {rec}")
-        transition[i][u, v, j] = p
-    for rec in _records(doc, "cost", {"i", "u", "v", "c"}):
-        try:
-            i, u, v, c = int(rec["i"]), int(rec["u"]), int(rec["v"]), float(rec["c"])
-        except (TypeError, ValueError, OverflowError):
-            raise SchemaError(f"cost record needs numbers: {rec}") from None
-        if not (0 <= i < n):
-            raise SchemaError(f"cost record references state outside window: {rec}")
-        if not (0 <= u < len(a1[i]) and 0 <= v < len(a2[i])):
-            raise SchemaError(f"cost record references missing action: {rec}")
-        cost[i][u, v] = c
+    mu = np.array([len(a) for a in a1], dtype=np.int64)
+    mv = np.array([len(a) for a in a2], dtype=np.int64)
+    slot_start = np.concatenate([[0], np.cumsum(mu * mv)])
+    # the kernel's entries in (row, j) order: the last record of each
+    # (i, u, v, j) wins, as in a record-by-record fill, and zeros go
+    rows, j, p = _record_columns(doc, "transition", ("i", "u", "v", "j", "p"), n, mu, mv,
+                                 slot_start)
+    keep = _last_of_runs(rows * n + j)
+    keep = keep[p[keep] != 0.0]
+    kernel = KernelCSR.from_entries(slot_start, rows[keep], j[keep], p[keep])
+    slots, c = _record_columns(doc, "cost", ("i", "u", "v", "c"), n, mu, mv, slot_start)
+    keep = _last_of_runs(slots)
+    flat_cost = np.zeros(int(slot_start[-1]))
+    flat_cost[slots[keep]] = c[keep]
+    cost = [C.reshape(shape) for C, shape in
+            zip(np.split(flat_cost, slot_start[1:-1]), zip(mu.tolist(), mv.tolist()))]
     lyap = None
     if doc.get("lyapunov") is not None:
         lb = doc["lyapunov"]
@@ -736,7 +871,7 @@ def model_from_json(doc) -> GameModel:
         n_states=n,
         actions_p1=a1,
         actions_p2=a2,
-        transition=transition,
+        transition=kernel,
         cost=cost,
         theta=_number(doc.get("theta", 1.0), float, "theta"),
         i0=i0,
@@ -744,21 +879,21 @@ def model_from_json(doc) -> GameModel:
     )
 
 
-def model_to_json(model: GameModel) -> dict:
-    """Emit the interchange document. Costs are written already theta-scaled
-    with theta set to 1 so a round trip reproduces the internal tensors."""
-    transition = []
-    cost = []
-    for i in range(model.n_states):
-        P = model.transition[i]
-        C = model.cost[i]
-        mu, mv = model.n_actions(i)
-        for u in range(mu):
-            for v in range(mv):
-                for j in np.nonzero(P[u, v])[0]:
-                    transition.append({"i": i, "u": u, "v": v, "j": int(j), "p": float(P[u, v, j])})
-                if C[u, v] != 0.0:
-                    cost.append({"i": i, "u": u, "v": v, "c": float(C[u, v])})
+def _emitted_columns(model: GameModel):
+    """Columns (i, u, v, j, p) of the transition records and (i, u, v, c)
+    of the cost records the interchange document carries: every stored
+    kernel entry and every nonzero cost, in (i, u, v[, j]) order."""
+    k = model.kernel
+    state, u, v = model.row_actions()
+    rows = k.entry_rows()
+    cost = model.flat_cost()
+    slots = np.flatnonzero(cost != 0.0)
+    return ((state[rows], u[rows], v[rows], k.indices, k.prob),
+            (state[slots], u[slots], v[slots], cost[slots]))
+
+
+def _document(model: GameModel, transition, cost) -> dict:
+    """The interchange document around the given record lists."""
     doc = {
         "states": model.n_states,
         "actions_p1": [list(map(float, a)) for a in model.actions_p1],
@@ -781,3 +916,41 @@ def model_to_json(model: GameModel) -> dict:
             block["ell"] = [float(x) for x in ly.ell]
         doc["lyapunov"] = block
     return doc
+
+
+def model_to_json(model: GameModel) -> dict:
+    """Emit the interchange document. Costs are written already theta-scaled
+    with theta set to 1 so a round trip reproduces the internal tensors."""
+    (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = (
+        [col.tolist() for col in cols] for cols in _emitted_columns(model))
+    return _document(
+        model,
+        [{"i": i, "u": u, "v": v, "j": j, "p": p} for i, u, v, j, p in zip(ti, tu, tv, tj, tp)],
+        [{"i": i, "u": u, "v": v, "c": c} for i, u, v, c in zip(ci, cu, cv, cc)])
+
+
+def _json_floats(a: np.ndarray) -> list:
+    """The entries of a float array as json.dumps writes them."""
+    return json.dumps(a.tolist())[1:-1].split(", ") if a.size else []
+
+
+def model_to_json_text(model: GameModel) -> str:
+    """model_to_json(model) as JSON text with one record per line.
+
+    The records are formatted straight from the kernel's columns, so the
+    text costs O(nnz) string work and no dict per record; json.loads of it
+    gives the same value as model_to_json.
+    """
+    (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = _emitted_columns(model)
+    transition = [f'{{"i": {i}, "u": {u}, "v": {v}, "j": {j}, "p": {p}}}' for i, u, v, j, p
+                  in zip(ti.tolist(), tu.tolist(), tv.tolist(), tj.tolist(), _json_floats(tp))]
+    cost = [f'{{"i": {i}, "u": {u}, "v": {v}, "c": {c}}}' for i, u, v, c
+            in zip(ci.tolist(), cu.tolist(), cv.tolist(), _json_floats(cc))]
+    parts = []
+    for key, value in _document(model, transition, cost).items():
+        if key in ("transition", "cost"):
+            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
+        else:
+            value = json.dumps(value)
+        parts.append(f'  "{key}": {value}')
+    return "{\n" + ",\n".join(parts) + "\n}"

@@ -65,7 +65,6 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linprog, minimize
 
 from ._util import NEG_INF
 
@@ -268,6 +267,8 @@ def _maximize_h_1d(C, Qs):
 
 def _maximize_h_epigraph(C, Qs, nu0):
     """|V| >= 3: SLSQP on max s subject to s <= f_u(nu), nu on the simplex, from nu0."""
+    from scipy.optimize import minimize  # deferred: pure-saddle solves never need scipy
+
     mU, mV = C.shape
 
     def neg_obj(z):
@@ -405,6 +406,8 @@ def _mu_candidates(C, Qs, nu, active, lam_mu, groups=True):
         cands.append(lam_mu / lam_mu.sum())
     if not groups:
         return cands
+    from scipy.optimize import linprog
+
     # mixtures can only straddle pure actions whose one-step mass under nu
     # agrees; group the active set by that mass and equalize the payoff
     # gradient over the support of nu by linear programming
@@ -539,6 +542,8 @@ def _cert_gap(C, Qs, nu, cheap_target=None):
     if cheap_target is not None and best <= cheap_target:
         return best, h
     if k > 2:
+        from scipy.optimize import linprog
+
         # variables lam (k), tau; minimize slack.lam + tau
         cvec = np.concatenate([slack, [1.0]])
         A_ub = np.concatenate([rows.T, -np.ones((C.shape[1], 1))], axis=1)

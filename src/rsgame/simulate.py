@@ -120,6 +120,8 @@ class PathBatch:
 
 
 def _padded_tables(model: GameModel):
+    """Cumulative next-state rows (padded slots all ones) and costs,
+    filled state by state from the kernel's dense rows."""
     n = model.n_states
     mu_max = max(model.n_actions(i)[0] for i in range(n))
     mv_max = max(model.n_actions(i)[1] for i in range(n))
@@ -127,7 +129,7 @@ def _padded_tables(model: GameModel):
     cost = np.zeros((n, mu_max, mv_max))
     for i in range(n):
         mu, mv = model.n_actions(i)
-        cum_next[i, :mu, :mv] = np.cumsum(model.transition[i], axis=2)
+        cum_next[i, :mu, :mv] = np.cumsum(model.dense_transition(i), axis=2)
         cost[i, :mu, :mv] = model.cost[i]
     return cum_next, cost
 
@@ -186,7 +188,9 @@ def _step_tables(model: GameModel, log_psi=None):
     can reach them is refused by its caller.
 
     One uniform splits into a column pick and an accept fraction; the hot
-    simulation loop then runs without any window-width gathers.
+    simulation loop then runs without any window-width gathers. The rows
+    are filled state by state from model.dense_transition(i), so the
+    tables hold the values a dense kernel would give, bit for bit.
     """
     n = model.n_states
     mu_max = max(model.n_actions(i)[0] for i in range(n))
@@ -196,10 +200,11 @@ def _step_tables(model: GameModel, log_psi=None):
     rows = np.ones((n, mu_max, mv_max, n))
     for i in range(n):
         mu, mv = model.n_actions(i)
-        rows_i = model.transition[i]
+        rows_i = model.dense_transition(i)
         cost[i, :mu, :mv] = model.cost[i]
         if log_psi is not None and np.isfinite(log_psi[i]):
-            tilted = model.log_transition(i) + log_psi
+            with np.errstate(divide="ignore"):
+                tilted = np.log(rows_i) + log_psi
             log_mass = logsumexp(tilted, axis=2)
             ok = np.isfinite(log_mass)
             shift = np.where(ok, log_mass, 0.0)[..., None]
@@ -497,7 +502,7 @@ def _pair_kernel(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrat
     for i in range(n):
         mu, nu = pi1.weights[i], pi2.weights[i]
         cbar[i] = mu @ model.cost[i] @ nu
-        pbar[i] = np.einsum("u,v,uvj->j", mu, nu, model.transition[i])
+        pbar[i] = np.einsum("u,v,uvj->j", mu, nu, model.dense_transition(i))
     return cbar, pbar
 
 

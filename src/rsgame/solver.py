@@ -295,9 +295,10 @@ def uncontrolled_eigen_oracle(model: GameModel, tol: float = 1e-12,
         mu, mv = model.n_actions(i)
         if mu != 1 or mv != 1:
             raise NotUncontrolled(f"state {i} has {mu}x{mv} actions")
+    k = model.kernel
+    rows = k.entry_rows()  # one row per state
     M = np.zeros((n, n))
-    for i in range(n):
-        M[i] = np.exp(model.cost[i][0, 0]) * model.transition[i][0, 0]
+    M[rows, k.indices] = np.exp(model.flat_cost())[rows] * k.prob
     v = np.ones(n)
     lo, hi = NEG_INF, np.inf
     for sweep in range(1, max_iter + 1):

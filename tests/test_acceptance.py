@@ -80,7 +80,7 @@ def test_criterion_2_perron_oracle_equivalence():
         oracle = uncontrolled_eigen_oracle(m, tol=1e-13)
         worst = max(worst, abs(rep.rho_star - oracle))
         # independent cross-check: dense eigenvalues of the weighted kernel
-        M = np.array([np.exp(m.cost[i][0, 0]) * m.transition[i][0, 0] for i in range(n)])
+        M = np.array([np.exp(m.cost[i][0, 0]) * m.dense_transition(i)[0, 0] for i in range(n)])
         assert abs(oracle - perron_log_radius(M)) <= 1e-9
     report(2, worst <= 1e-8, f"worst |rho* - oracle| = {worst:.3e} over 20 chains")
     assert worst <= 1e-8

@@ -1,8 +1,13 @@
 import contextlib
 import copy
+import hashlib
 import io
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +16,8 @@ from hypothesis import strategies as st
 
 from rsgame import dirichlet, saddle
 from rsgame.cli import run
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture
@@ -167,6 +174,70 @@ def test_solve_reports_no_convergence(workdir, capsys, monkeypatch, exc):
     assert err == f"error: NoConvergence: {exc}\n"
 
 
+def test_example_document_pinned(workdir, capsys):
+    """The window-20 example, one record per line, hashes as it did when
+    the kernel was a dense tensor (canonical form: sorted keys)."""
+    assert run(["example", "birth-death", "--window", "20", "--out", "m.json"]) == 0
+    capsys.readouterr()
+    text = Path("m.json").read_text()
+    doc = json.loads(text)
+    canonical = json.dumps(doc, sort_keys=True, separators=(",", ":"))
+    assert hashlib.sha256(canonical.encode()).hexdigest() == (
+        "f7f888411ee626487e67052879222a1af2ddf94e2013f2e5faf74be4da630777")
+    records = [line for line in text.splitlines() if line.startswith('    {"i": ')]
+    assert len(records) == len(doc["transition"]) + len(doc["cost"])
+
+
+def run_python(code: str) -> str:
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([SRC, os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_scipy_is_imported_only_where_used():
+    """The CLI imports no scipy; a pure-saddle solve needs no scipy.optimize."""
+    out = run_python(
+        "import contextlib, io, os, sys, tempfile\n"
+        "from rsgame.cli import run\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+        "path = os.path.join(tempfile.mkdtemp(), 'm.json')\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    assert run(['example', 'birth-death', '--window', '30', '--out', path]) == 0\n"
+        "    assert run(['solve', path, '--ladder', '15,30']) == 0\n"
+        "print('scipy.optimize' in sys.modules)\n")
+    assert out.split("\n")[:2] == ["[]", "False"]
+
+
+# peak resident set of example -> validate -> check -> solve at window 2000:
+# 121 MB measured with the CSR kernel (2-vCPU Linux host, Python 3.11,
+# numpy 2.4), 892 MB with the dense per-state tensors it replaced
+PIPELINE_2000_PEAK_MB = 250
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="reads VmHWM from /proc")
+def test_wide_window_pipeline_memory(tmp_path):
+    out = run_python(
+        "import contextlib, io, sys\n"
+        "from rsgame.cli import run\n"
+        f"m, r = {str(tmp_path / 'm.json')!r}, {str(tmp_path / 'r.json')!r}\n"
+        "codes = []\n"
+        "with contextlib.redirect_stdout(io.StringIO()), "
+        "contextlib.redirect_stderr(io.StringIO()):\n"
+        "    for argv in (['example', 'birth-death', '--window', '2000', '--out', m],\n"
+        "                 ['validate', m], ['check', m],\n"
+        "                 ['solve', m, '--ladder', '250,500,1000,2000', '--out', r]):\n"
+        "        codes.append(run(argv))\n"
+        "hwm = [line for line in open('/proc/self/status') if line.startswith('VmHWM:')]\n"
+        "print(codes, int(hwm[0].split()[1]) / 1024.0)\n")
+    codes, peak = out.rsplit("]", 1)
+    # check may report FAIL (exit 1): the wide window's tails underflow
+    assert codes in ("[0, 0, 0, 0", "[0, 0, 1, 0"), codes
+    assert float(peak) < PIPELINE_2000_PEAK_MB
+
+
 def test_usage_and_ingestion_errors(workdir, capsys):
     assert run(["solve", "missing.json"]) == 2
     with open("bad.json", "w") as fh:
@@ -222,13 +293,20 @@ def test_validate_flags_structural_break(workdir, capsys):
         "cost": [],
         "i0": 0,
     }
-    for doc, message in [(one_state, "sum_j P(j|0,0,0) = 1.5 > 1"),
-                         (two_state, "P(1|0,0,0) = -0.5 is negative")]:
+    two_state_nan = copy.deepcopy(two_state)
+    two_state_nan["transition"][:2] = [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 0.5},
+                                       {"i": 0, "u": 0, "v": 0, "j": 1, "p": "nan"}]
+    for doc, message, kind in [
+            (one_state, "sum_j P(j|0,0,0) = 1.5 > 1", "row_sum_exceeds_one"),
+            (two_state, "P(1|0,0,0) = -0.5 is negative", "negative_probability"),
+            (two_state_nan, "P(1|0,0,0) = nan is negative or not finite",
+             "nonfinite_probability")]:
         with open("broken.json", "w") as fh:
             json.dump(doc, fh)
         assert run(["validate", "broken.json"]) == 1
         out = json.loads(capsys.readouterr().out)
         assert not out["structurally_sound"]
+        assert kind in [v["kind"] for v in out["violations"]]
         for command in ("check", "solve"):
             with warnings.catch_warnings():
                 warnings.simplefilter("error")  # no numpy RuntimeWarning on the way

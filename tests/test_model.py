@@ -12,7 +12,8 @@ from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import (LyapunovData, MissingLyapunovData, SchemaError,
                           StationaryStrategy, check_irreducibility,
                           check_lyapunov, check_reference_state, make_model,
-                          model_from_json, model_to_json, validate_model)
+                          model_from_json, model_to_json, model_to_json_text,
+                          validate_model)
 
 
 def test_validate_well_formed_two_state(two_state):
@@ -198,7 +199,7 @@ def test_json_round_trip(rng):
     m2 = model_from_json(json.dumps(doc))
     assert m2.n_states == m.n_states
     for i in range(m.n_states):
-        assert np.array_equal(m.transition[i], m2.transition[i])
+        assert np.array_equal(m.dense_transition(i), m2.dense_transition(i))
         assert np.array_equal(m.cost[i], m2.cost[i])
     assert m2.i0 == m.i0
 
@@ -269,7 +270,7 @@ def test_round_trip_preserves_tensors(seed, n, mu, mv):
     m = random_closed_model(np.random.default_rng(seed), n=n, mu=mu, mv=mv)
     m2 = model_from_json(json.dumps(model_to_json(m)))
     for i in range(n):
-        assert np.array_equal(m.transition[i], m2.transition[i])
+        assert np.array_equal(m.dense_transition(i), m2.dense_transition(i))
         assert np.array_equal(m.cost[i], m2.cost[i])
 
 
@@ -304,10 +305,10 @@ def assert_matches_dense(model, states, log_psi):
     assert len(got) == len(states)
     eps = np.finfo(float).eps
     for i, L in zip(states, got):
-        ref = dense_inner_sums(model.transition[i], log_psi)
+        ref = dense_inner_sums(model.dense_transition(i), log_psi)
         assert L.shape == ref.shape == model.n_actions(i)
         assert np.array_equal(L == -np.inf, ref == -np.inf), i
-        terms = ((model.transition[i] > 0) & np.isfinite(log_psi)).sum(axis=2)
+        terms = ((model.dense_transition(i) > 0) & np.isfinite(log_psi)).sum(axis=2)
         bound = 4 * np.spacing(np.abs(ref)) + np.maximum(terms - 1, 0) * eps
         finite = np.isfinite(ref)
         assert np.all(np.abs(L[finite] - ref[finite]) <= bound[finite]), i
@@ -355,3 +356,98 @@ def test_inner_sums_one_state_and_birth_death(rng):
     log_psi = np.where(np.arange(60) < 40, rng.normal(scale=3.0, size=60), -np.inf)
     assert_matches_dense(m, list(range(60)), log_psi)
     assert_matches_dense(m, list(range(60)), m.lyapunov.log_W)
+
+
+# ---------------------------------------------------------------------------
+# columnar ingestion against the record-by-record dense reference
+
+
+def reference_ingest(doc):
+    """Record-by-record ingestion into dense per-state tensors, the way the
+    kernel was filled before it was stored in CSR form: (transition, cost),
+    or the message of the SchemaError the first bad record earns."""
+    n, a1, a2 = doc["states"], doc["actions_p1"], doc["actions_p2"]
+    transition = [np.zeros((len(a1[i]), len(a2[i]), n)) for i in range(n)]
+    cost = [np.zeros((len(a1[i]), len(a2[i]))) for i in range(n)]
+    for rec in doc["transition"]:
+        try:
+            i, u, v, j, p = (int(rec["i"]), int(rec["u"]), int(rec["v"]), int(rec["j"]),
+                             float(rec["p"]))
+        except (TypeError, ValueError, OverflowError):
+            return f"transition record needs numbers: {rec}"
+        if not (0 <= i < n and 0 <= j < n):
+            return f"transition record references state outside window: {rec}"
+        if not (0 <= u < len(a1[i]) and 0 <= v < len(a2[i])):
+            return f"transition record references missing action: {rec}"
+        transition[i][u, v, j] = p
+    for rec in doc["cost"]:
+        try:
+            i, u, v, c = int(rec["i"]), int(rec["u"]), int(rec["v"]), float(rec["c"])
+        except (TypeError, ValueError, OverflowError):
+            return f"cost record needs numbers: {rec}"
+        if not (0 <= i < n):
+            return f"cost record references state outside window: {rec}"
+        if not (0 <= u < len(a1[i]) and 0 <= v < len(a2[i])):
+            return f"cost record references missing action: {rec}"
+        cost[i][u, v] = c
+    return transition, cost
+
+
+PROBS = st.one_of(st.sampled_from([0.0, -0.0, 0.5, 1.0, -0.25, float("nan"), float("inf")]),
+                  st.floats(0.0, 1.0))
+JUNK_VALUES = st.sampled_from([None, "x", "2", 1.5, True, -1, 9, 10**30, [0], float("nan")])
+
+
+@st.composite
+def record_documents(draw):
+    """Ragged action sets; records in any order, with duplicates, zeros,
+    negative and NaN entries, rows left empty (open); sometimes one field
+    of one record replaced by a value a reader must refuse or cast."""
+    n = draw(st.integers(1, 4))
+    a1 = [list(range(draw(st.integers(1, 3)))) for _ in range(n)]
+    a2 = [list(range(draw(st.integers(1, 3)))) for _ in range(n)]
+
+    def slot():
+        i = draw(st.integers(0, n - 1))
+        return i, draw(st.integers(0, len(a1[i]) - 1)), draw(st.integers(0, len(a2[i]) - 1))
+
+    transition = []
+    for _ in range(draw(st.integers(0, 12))):
+        i, u, v = slot()
+        transition.append({"i": i, "u": u, "v": v, "j": draw(st.integers(0, n - 1)),
+                           "p": draw(PROBS)})
+    cost = []
+    for _ in range(draw(st.integers(0, 6))):
+        i, u, v = slot()
+        cost.append({"i": i, "u": u, "v": v, "c": draw(st.floats(-2.0, 2.0))})
+    doc = {"states": n, "actions_p1": a1, "actions_p2": a2, "transition": transition,
+           "cost": cost, "i0": 0}
+    recs = draw(st.sampled_from([transition, cost]))
+    if recs and draw(st.booleans()):
+        rec = draw(st.sampled_from(recs))
+        rec[draw(st.sampled_from(sorted(rec)))] = draw(JUNK_VALUES)
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(doc=record_documents())
+def test_columnar_ingestion_matches_dense_reference(doc):
+    ref = reference_ingest(doc)
+    if isinstance(ref, str):
+        with pytest.raises(SchemaError) as refused:
+            model_from_json(doc)
+        assert str(refused.value) == ref
+        return
+    transition, cost = ref
+    m = model_from_json(doc)
+    for i in range(m.n_states):
+        assert np.array_equal(m.dense_transition(i), transition[i], equal_nan=True)
+        assert np.array_equal(m.cost[i], cost[i], equal_nan=True)
+    want = make_model(m.n_states, doc["actions_p1"], doc["actions_p2"], transition, cost).kernel
+    for name in ("row_start", "indptr", "indices", "prob", "log_prob"):
+        assert np.array_equal(getattr(m.kernel, name), getattr(want, name), equal_nan=True), name
+    assert not (m.kernel.prob == 0).any()
+    # emission from the columns: the text and the dict are the same JSON value
+    text = model_to_json_text(m)
+    assert (json.dumps(json.loads(text), sort_keys=True)
+            == json.dumps(model_to_json(m), sort_keys=True))

@@ -152,7 +152,7 @@ def test_oracle_row_stochastic_root_is_one(rng):
 def test_oracle_matches_dense_eigvals(rng):
     for _ in range(5):
         m = random_uncontrolled_chain(rng, 6)
-        M = np.array([np.exp(m.cost[i][0, 0]) * m.transition[i][0, 0] for i in range(6)])
+        M = np.array([np.exp(m.cost[i][0, 0]) * m.dense_transition(i)[0, 0] for i in range(6)])
         assert uncontrolled_eigen_oracle(m) == pytest.approx(perron_log_radius(M), abs=1e-9)
 
 
