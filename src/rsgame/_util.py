@@ -1,8 +1,7 @@
-"""Shared numeric helpers: stable log-sum-exp, simplex tools, ordered maps."""
+"""Shared numeric helpers: stable log-sum-exp, whole and by segment, and
+concatenated index ranges."""
 
 from __future__ import annotations
-
-import concurrent.futures
 
 import numpy as np
 
@@ -16,8 +15,6 @@ def logsumexp(a, axis=None):
     if scalar:
         a = a.ravel()
         axis = 0
-    # errstate is per thread (context-local), unlike warnings filters, so
-    # map_ordered's worker threads may call this concurrently
     with np.errstate(all="ignore"):
         amax = np.max(a, axis=axis, keepdims=True)
         amax_safe = np.where(np.isfinite(amax), amax, 0.0)
@@ -26,14 +23,25 @@ def logsumexp(a, axis=None):
     return float(res) if scalar else res
 
 
-def map_ordered(fn, items, threads: int = 1):
-    """Apply fn to items, returning results in input order.
+def concat_ranges(lo, hi):
+    """arange(lo[k], hi[k]) for every k, concatenated, and where each starts."""
+    size = hi - lo
+    start = np.cumsum(size) - size
+    return np.repeat(lo - start, size) + np.arange(int(size.sum())), start
 
-    Thread count never changes the result; reductions downstream rely on
-    this ordering for bit-stable output.
-    """
-    items = list(items)
-    if threads <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with concurrent.futures.ThreadPoolExecutor(max_workers=threads) as ex:
-        return list(ex.map(fn, items))
+
+def segment_logsumexp(vals, sizes):
+    """log sum exp over consecutive segments of `vals` of the given sizes,
+    each shifted by its max as logsumexp does. An empty segment, or one
+    whose entries are all -inf, gives -inf: empty mass."""
+    sizes = np.asarray(sizes)
+    out = np.full(len(sizes), NEG_INF)
+    full = sizes > 0
+    if vals.size:
+        start = (np.cumsum(sizes) - sizes)[full]
+        with np.errstate(all="ignore"):
+            amax = np.maximum.reduceat(vals, start)
+            shift = np.where(np.isfinite(amax), amax, 0.0)
+            total = np.add.reduceat(np.exp(vals - np.repeat(shift, sizes[full])), start)
+            out[full] = shift + np.log(total)
+    return out

@@ -124,7 +124,8 @@ def build_parser() -> argparse.ArgumentParser:
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--start", type=int, default=0)
     m.add_argument("--deviate", type=str, default=None, help="player:count")
-    m.add_argument("--threads", type=int, default=1)
+    m.add_argument("--threads", type=int, default=1,
+                   help="accepted for compatibility; has no effect")
     m.add_argument("--paths-csv", type=str, default=None,
                    help="also write full trajectories (memory scales with T*N)")
 
@@ -139,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     w.add_argument("--seed", type=int, default=0)
     w.add_argument("--deviations", type=int, default=2)
     w.add_argument("--threads", type=int, default=1,
-                   help="threads for --saddle's path blocks; --representation runs in one")
+                   help="accepted for compatibility; has no effect")
 
     e = sub.add_parser("example", help="emit a bundled example model")
     e.add_argument("family", choices=["birth-death"])
@@ -220,14 +221,12 @@ def run(argv) -> int:
             if args.deviate:
                 player_s, count_s = args.deviate.split(":", 1)
                 player, count = int(player_s), int(count_s)
-                base, rows = estimate_with_deviations(model, pi1, pi2, cfg, player, count,
-                                                      threads=args.threads)
+                base, rows = estimate_with_deviations(model, pi1, pi2, cfg, player, count)
                 out = {"base": base.to_dict(),
                        "deviations": {"player": player,
                                       "estimates": [r.to_dict() for r in rows]}}
             else:
-                out = {"base": estimate_ergodic_cost(model, pi1, pi2, cfg,
-                                                     threads=args.threads).to_dict()}
+                out = {"base": estimate_ergodic_cost(model, pi1, pi2, cfg).to_dict()}
             if args.paths_csv:
                 batch = simulate_paths(model, pi1, pi2, cfg)
                 with open(args.paths_csv, "w") as fh:
@@ -242,8 +241,7 @@ def run(argv) -> int:
             ok = True
             cfg = SimConfig(T=args.T, N=args.N, seed=args.seed)
             if args.saddle:
-                verdict = verify_saddle(model, report, cfg, deviations=args.deviations,
-                                        threads=args.threads)
+                verdict = verify_saddle(model, report, cfg, deviations=args.deviations)
                 doc["saddle"] = verdict.to_dict()
                 ok = ok and verdict.passed
             if args.representation:

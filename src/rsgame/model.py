@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import NEG_INF
+from ._util import concat_ranges, segment_logsumexp
 
 ROW_SUM_TOL = 1e-12
 CLOSED_TOL = 1e-12
@@ -68,13 +68,6 @@ class LyapunovData:
     @property
     def case(self) -> str:
         return "bounded" if self.gamma is not None else "unbounded"
-
-
-def _concat_ranges(lo, hi):
-    """arange(lo[k], hi[k]) for every k, concatenated, and where each starts."""
-    size = hi - lo
-    start = np.cumsum(size) - size
-    return np.repeat(lo - start, size) + np.arange(int(size.sum())), start
 
 
 def _concat(parts: list, dtype=float) -> np.ndarray:
@@ -148,7 +141,8 @@ class GameModel:
 
     `kernel` is a KernelCSR of the nonzero transition entries, the only
     kernel storage; `dense_transition(i)` rebuilds one state's
-    (mU_i, mV_i, n_states) tensor on demand. cost[i] has shape (mU_i, mV_i)
+    (mU_i, mV_i, n_states) tensor on demand, as a dense reference for
+    tests; no solve or simulation reads it. cost[i] has shape (mU_i, mV_i)
     and is already scaled by theta. Arrays are frozen after construction;
     checkers are read-only.
 
@@ -246,26 +240,18 @@ class GameModel:
     def inner_log_sums(self, states, log_psi) -> list:
         """Per state of `states`, the (mU, mV) matrix log sum_j psi(j) P(j|i,u,v).
 
-        One segment log-sum-exp over the CSR entries of all the states'
+        One _util.segment_logsumexp over the CSR entries of all the states'
         rows, shifted by each row's max as _util.logsumexp does. A row with
         no entries, or whose entries all meet log psi = -inf, gives -inf:
         empty mass.
         """
         csr = self.csr
         states = np.asarray(states, dtype=np.int64)
-        rows, _ = _concat_ranges(csr.row_start[states], csr.row_start[states + 1])
+        rows, _ = concat_ranges(csr.row_start[states], csr.row_start[states + 1])
         lo, hi = csr.indptr[rows], csr.indptr[rows + 1]
-        at, start = _concat_ranges(lo, hi)
-        flat = np.full(len(rows), NEG_INF)
-        full = hi > lo
-        if at.size:
-            vals = csr.log_prob[at] + np.asarray(log_psi, dtype=float)[csr.indices[at]]
-            start = start[full]
-            with np.errstate(all="ignore"):
-                amax = np.maximum.reduceat(vals, start)
-                shift = np.where(np.isfinite(amax), amax, 0.0)
-                total = np.add.reduceat(np.exp(vals - np.repeat(shift, (hi - lo)[full])), start)
-                flat[full] = shift + np.log(total)
+        at, _ = concat_ranges(lo, hi)
+        flat = segment_logsumexp(
+            csr.log_prob[at] + np.asarray(log_psi, dtype=float)[csr.indices[at]], hi - lo)
         shapes = [self.n_actions(int(i)) for i in states]
         cuts = np.cumsum([mu * mv for mu, mv in shapes])[:-1]
         return [L.reshape(shape) for L, shape in zip(np.split(flat, cuts), shapes)]
@@ -655,7 +641,7 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
             pick1 = [int(rng.integers(model.n_actions(i)[0])) for i in range(n)]
             pick2 = [int(rng.integers(model.n_actions(i)[1])) for i in range(n)]
             rows = k.row_start[:-1] + np.asarray(pick1, dtype=np.int64) * mv + pick2
-            at, _ = _concat_ranges(k.indptr[rows], k.indptr[rows + 1])
+            at, _ = concat_ranges(k.indptr[rows], k.indptr[rows + 1])
             pos = k.prob[at] > 0
             edges = np.stack([np.repeat(np.arange(n), row_len[rows])[pos],
                               k.indices[at][pos]], axis=1)

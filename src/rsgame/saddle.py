@@ -74,9 +74,8 @@ _Y_FLOOR = 1e-300
 
 
 class NoConvergence(RuntimeError):
-    def __init__(self, iterations: int, gap: float):
-        super().__init__(f"duality gap {gap:.3e} above tolerance after {iterations} iterations")
-        self.iterations = iterations
+    def __init__(self, gap: float):
+        super().__init__(f"duality gap {gap:.3e} above tolerance")
         self.gap = gap
 
 
@@ -96,7 +95,6 @@ class LocalSaddle:
     gap: float
     order_gap: float = 0.0
     empty_support: bool = False
-    iterations: int = 0
 
 
 def local_matrices(model, i: int, log_psi: np.ndarray):
@@ -720,7 +718,7 @@ def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) ->
     nu, lam = _newton_polish(C, Qs, nu)
     cert, h = _cert_gap(C, Qs, nu)
     if not cert <= tol:  # a NaN certificate fails too
-        raise NoConvergence(0, cert)
+        raise NoConvergence(cert)
     return finish(nu, h, cert, lam)
 
 

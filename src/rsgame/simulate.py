@@ -4,14 +4,14 @@ Sampling follows the game's path law: at each step the players draw
 actions independently from their mixed rules, then the chain draws the
 next state. Randomness is counter-based: path k of a run seeded s uses
 its own Philox stream keyed (s, k), so results are bit-identical however
-paths are batched or threaded, and aggregation reduces in fixed path
-order.
+paths are batched, and aggregation reduces in fixed path order.
 
 The ergodic-cost estimator is the plug-in form of the multiplicative
 criterion: (1/T) log[(1/N) sum_paths exp(sum_t c)] via log-sum-exp. Its
 sampling distribution is heavy tailed, so the uncertainty proxy reported
 is the spread (standard deviation) of sqrt(N) batch-mean estimates, not a
-Gaussian stderr, together with the largest path exponent seen.
+Gaussian stderr, together with the largest path exponent seen and the
+effective sample size of the path weights.
 
 Saddle verification estimates the psi-weighted growth rate
 Lambda_T = (1/T) log E_x0[exp(sum_{t<T} c) psi(X_T) / psi(x0)] with the
@@ -20,22 +20,23 @@ exponential change of measure that draws each next state with
 probability proportional to P(j|i,u,v) psi(j) (Asmussen & Glynn,
 Stochastic Simulation, 2007, ch. VI). The likelihood ratio telescopes
 into the per-step log weight c + log sum_j P psi - log psi(i), so the
-same path kernel runs on a different cost table and alias table; the
-plug-in estimator is the case psi = 1. When (rho*, psi*) solves the
-equation for the simulated pair, Lambda_T = rho* at every T; for any
-positive psi, Lambda_T tends to the pair's criterion, so a wrong rho*
-is still caught.
+same path step runs on different entry weights and costs; the plug-in
+estimator is the case psi = 1. When (rho*, psi*) solves the equation for
+the simulated pair, Lambda_T = rho* at every T; for any positive psi,
+Lambda_T tends to the pair's criterion, so a wrong rho* is still caught.
 
-Each path step reads one uniform triple from the path's stream. Actions
-are drawn by inverse CDF: the action index is the number of cumulative
-weights at or below the uniform. The estimators draw the next state from
-alias tables (Walker 1977; Vose 1991), built for every (i, u, v) row in
-one lockstep pass, so a step costs O(1) whatever the window. Path batches
-and hitting-time paths take one inverse-CDF step, _step_block, for the
-next state too. Every sampler steps all live paths of a block together
-and reads each path's uniforms from its stream in chunks of at most
-T_CHUNK rows, transposed to one (3, paths) slice per step; the streams
-are continuous, so the chunking changes no value.
+Each path step reads one uniform from the path's stream and makes one
+alias pick (Walker 1977; Vose 1991) in its state's table over the pair's
+joint (u, v, j) law: the kernel entry of row (i, u, v) with next state j
+has weight mu_i(u) nu_i(v) P(j|i,u,v) and carries the row's step cost.
+That is the law of drawing both actions independently and then the next
+state, so a step costs O(1) whatever the window or the action sets. The
+tables hold one slot per kernel entry the pair can draw, so they are
+built in time and memory O(nnz); an open model's rows get one exit entry
+each, of the row's exit mass. Every sampler steps all live paths of a
+block together and reads each path's uniforms from its stream in chunks
+of at most T_CHUNK, transposed to one row of uniforms per step; the
+streams are continuous, so the chunking changes no value.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import logsumexp, map_ordered
+from ._util import concat_ranges, logsumexp, segment_logsumexp
 from .model import CLOSED_TOL, GameModel, StationaryStrategy
 from .solver import SolveReport
 
@@ -119,111 +120,152 @@ class PathBatch:
         return "\n".join(lines) + "\n"
 
 
-def _padded_tables(model: GameModel):
-    """Cumulative next-state rows (padded slots all ones) and costs,
-    filled state by state from the kernel's dense rows."""
-    n = model.n_states
-    mu_max = max(model.n_actions(i)[0] for i in range(n))
-    mv_max = max(model.n_actions(i)[1] for i in range(n))
-    cum_next = np.ones((n, mu_max, mv_max, n))
-    cost = np.zeros((n, mu_max, mv_max))
-    for i in range(n):
-        mu, mv = model.n_actions(i)
-        cum_next[i, :mu, :mv] = np.cumsum(model.dense_transition(i), axis=2)
-        cost[i, :mu, :mv] = model.cost[i]
-    return cum_next, cost
+# ---------------------------------------------------------------------------
+# the sampler: per-state alias tables over the pair's kernel entries
 
 
-def _alias_rows(rows):
-    """Walker/Vose alias tables for every row of `rows`, each renormalized.
+def _alias_rows(weights, sizes):
+    """Walker/Vose alias tables for consecutive segments of `weights` of the
+    given sizes, each renormalized; alias values index `weights`.
 
-    Vose's algorithm runs on all rows in lockstep. A row's small and large
-    stacks share one index array: small ones grow from the left, large ones
-    from the right, both seeded in ascending index order with the top at
-    the largest index. Each iteration pops both tops of every row that
-    still has both stacks, with the float operations of the one-row
-    algorithm, so each row's table is bit-identical to building it alone.
-    A row whose entries all sit on one side (a uniform row) keeps prob 1
-    and alias 0; at most n - 1 iterations run.
+    Vose's algorithm runs on all segments in lockstep. A segment's small
+    and large stacks share its slice of one index array: small ones grow
+    from the left, large ones from the right, both seeded in ascending
+    index order with the top at the largest index. Each iteration pops both
+    tops of every segment that still has both stacks, with the float
+    operations of the one-segment algorithm, and each segment is normalized
+    by its sum as ndarray.sum takes it (summed with the other segments of
+    its size as rows of one array), so each segment's table is
+    bit-identical to building it alone. A segment whose entries all sit on
+    one side keeps prob 1 and the alias of its first entry; at most
+    max(sizes) - 1 iterations run.
     """
-    R, n = rows.shape
-    scaled = (rows / rows.sum(axis=1, keepdims=True)) * n
-    prob = np.ones((R, n))
-    alias = np.zeros((R, n), dtype=np.int64)
-    col = np.arange(n)
+    sizes = np.asarray(sizes, dtype=np.int64)
+    hi = np.cumsum(sizes)
+    lo = hi - sizes
+    seg = np.repeat(np.arange(len(sizes)), sizes)
+    total = np.ones(len(sizes))
+    for m in np.unique(sizes[sizes > 0]):
+        at = np.flatnonzero(sizes == m)
+        total[at] = weights[lo[at, None] + np.arange(m)].sum(axis=1)
+    scaled = (weights / total[seg]) * sizes[seg]
+    prob = np.ones(len(weights))
+    alias = lo[seg]
     small = scaled < 1.0
-    stack = np.argsort(np.where(small, col, 2 * n - col), axis=1)
-    n_small = small.sum(axis=1)
-    n_large = n - n_small
+    local = np.arange(len(weights)) - alias
+    stack = np.lexsort((np.where(small, local, -local), ~small, seg))
+    n_small = np.bincount(seg[small], minlength=len(sizes))
+    n_large = sizes - n_small
     live = np.flatnonzero((n_small > 0) & (n_large > 0))
     while live.size:
-        s = stack[live, n_small[live] - 1]
-        g = stack[live, n - n_large[live]]
+        s = stack[lo[live] + n_small[live] - 1]
+        g = stack[hi[live] - n_large[live]]
         n_small[live] -= 1
         n_large[live] -= 1
-        p_s = scaled[live, s]
-        prob[live, s] = p_s
-        alias[live, s] = g
-        p_g = scaled[live, g] - (1.0 - p_s)
-        scaled[live, g] = p_g
+        p_s = scaled[s]
+        prob[s] = p_s
+        alias[s] = g
+        p_g = scaled[g] - (1.0 - p_s)
+        scaled[g] = p_g
         to_small = p_g < 1.0
         rs = live[to_small]
-        stack[rs, n_small[rs]] = g[to_small]
+        stack[lo[rs] + n_small[rs]] = g[to_small]
         n_small[rs] += 1
         rl = live[~to_small]
         n_large[rl] += 1
-        stack[rl, n - n_large[rl]] = g[~to_small]
+        stack[hi[rl] - n_large[rl]] = g[~to_small]
         live = live[(n_small[live] > 0) & (n_large[live] > 0)]
     return prob, alias
 
 
-def _step_tables(model: GameModel, log_psi=None):
-    """Per-step cost table and O(1)-per-draw next-state alias tables.
+@dataclass
+class _Entries:
+    """The pair-independent half of the sampler: every stored kernel entry
+    in row order, and per kernel row its (i, u, v) and step cost."""
 
-    Without log_psi these are the path law's own cost c and kernel P.
-    With a log eigenfunction they are its psi-tilted version: next states
-    are drawn with probability P(j|i,u,v) psi(j) / (P psi)(i,u,v), and
-    the per-step log weight is c + log (P psi)(i,u,v) - log psi(i). Rows
-    with psi(i) = 0 or (P psi) = 0 keep the untilted entries; a run that
-    can reach them is refused by its caller.
+    row: np.ndarray    # (E,) kernel row of each entry, ascending
+    j: np.ndarray      # (E,) next state; -1 marks an exit
+    p: np.ndarray      # (E,) probability, psi-tilted where asked
+    state: np.ndarray  # (rows,) i, u, v and step cost of each kernel row
+    u: np.ndarray
+    v: np.ndarray
+    cost: np.ndarray
 
-    One uniform splits into a column pick and an accept fraction; the hot
-    simulation loop then runs without any window-width gathers. The rows
-    are filled state by state from model.dense_transition(i), so the
-    tables hold the values a dense kernel would give, bit for bit.
+
+def _entries(model: GameModel, log_psi=None) -> _Entries:
+    """Kernel entries and step costs for the sampler, built from the CSR.
+
+    Without log_psi these are the path law's own kernel P and cost c, and
+    an open model's rows each get one exit entry (j = -1) of mass
+    1 - sum_j P. With a log eigenfunction they are its psi-tilted version:
+    entry j of row (i, u, v) gets P(j|i,u,v) psi(j) / (P psi)(i,u,v) and the
+    row's step cost is c + log (P psi)(i,u,v) - log psi(i), with log (P psi)
+    from GameModel.inner_log_sums. Rows with psi(i) = 0 or (P psi) = 0 keep
+    the untilted entries; a run that can reach them is refused by its caller.
     """
-    n = model.n_states
-    mu_max = max(model.n_actions(i)[0] for i in range(n))
-    mv_max = max(model.n_actions(i)[1] for i in range(n))
-    cost = np.zeros((n, mu_max, mv_max))
-    # padded (u, v) slots get uniform rows, whose tables stay prob 1, alias 0
-    rows = np.ones((n, mu_max, mv_max, n))
-    for i in range(n):
-        mu, mv = model.n_actions(i)
-        rows_i = model.dense_transition(i)
-        cost[i, :mu, :mv] = model.cost[i]
-        if log_psi is not None and np.isfinite(log_psi[i]):
-            with np.errstate(divide="ignore"):
-                tilted = np.log(rows_i) + log_psi
-            log_mass = logsumexp(tilted, axis=2)
-            ok = np.isfinite(log_mass)
-            shift = np.where(ok, log_mass, 0.0)[..., None]
-            rows_i = np.where(ok[..., None], np.exp(tilted - shift), rows_i)
-            cost[i, :mu, :mv] += np.where(ok, log_mass - log_psi[i], 0.0)
-        rows[i, :mu, :mv] = rows_i
-    return cost, _alias_rows(rows.reshape(-1, n))
+    k = model.csr
+    state, u, v = model.row_actions()
+    row, j, p, cost = k.entry_rows(), k.indices, k.prob, model.flat_cost()
+    if log_psi is not None:
+        log_mass = np.concatenate([L.ravel() for L in
+                                   model.inner_log_sums(np.arange(model.n_states), log_psi)])
+        tilt = np.isfinite(log_psi[state]) & np.isfinite(log_mass)
+        at = np.flatnonzero(tilt[row])
+        p = p.copy()
+        p[at] = np.exp(k.log_prob[at] + log_psi[j[at]] - log_mass[row[at]])
+        cost[tilt] += log_mass[tilt] - log_psi[state[tilt]]
+    elif not model.is_closed(CLOSED_TOL):
+        row = np.concatenate([row, np.arange(len(state))])
+        order = np.argsort(row, kind="stable")  # each exit after its row's entries
+        row = row[order]
+        j = np.concatenate([j, np.full(len(state), -1)])[order]
+        p = np.concatenate([p, 1.0 - k.row_sums])[order]
+    return _Entries(row=row, j=j, p=p, state=state, u=u, v=v, cost=cost)
 
 
-def _strategy_cum(model: GameModel, strategy: StationaryStrategy, player: int):
-    """Cumulative action weights as an (m_max, n) table, padded with ones:
-    row k holds every state's weight of actions 0..k."""
-    n = model.n_states
-    m_max = max(model.n_actions(i)[player - 1] for i in range(n))
-    cum = np.ones((m_max, n))
-    for i in range(n):
-        w = strategy.weights[i]
-        cum[: len(w), i] = np.cumsum(w)
-    return cum
+def _row_weights(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy):
+    """mu_i(u) nu_i(v) of every kernel row."""
+    mu, nu = (np.concatenate(pi.weights) for pi in (pi1, pi2))
+    mu_at, nu_at = (np.cumsum([0] + [len(w) for w in pi.weights[:-1]]) for pi in (pi1, pi2))
+    return mu[mu_at[entries.state] + entries.u] * nu[nu_at[entries.state] + entries.v]
+
+
+@dataclass
+class _Table:
+    """One pair's sampling table: state i's slots lie at lo[i]:lo[i] + size[i],
+    one per entry of positive weight, with that weight, its alias pair,
+    kernel row, next state and step cost."""
+
+    lo: np.ndarray
+    size: np.ndarray
+    weight: np.ndarray
+    prob: np.ndarray
+    alias: np.ndarray
+    row: np.ndarray
+    j: np.ndarray
+    cost: np.ndarray
+
+
+def _table(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy) -> _Table:
+    """The pair's alias tables, one per state, over its entries of positive
+    weight: time and memory O(nnz)."""
+    w = _row_weights(entries, pi1, pi2)[entries.row] * entries.p
+    keep = np.flatnonzero(w > 0)
+    row = entries.row[keep]
+    size = np.bincount(entries.state[row], minlength=len(pi1.weights))
+    prob, alias = _alias_rows(w[keep], size)
+    return _Table(lo=np.cumsum(size) - size, size=size, weight=w[keep], prob=prob, alias=alias,
+                  row=row, j=entries.j[keep], cost=entries.cost[row])
+
+
+def _step(tab: _Table, s, r):
+    """The slot each path draws from its state's table with its uniform r:
+    one alias pick, r * size split into a slot and an accept fraction."""
+    size = tab.size[s]
+    scaled = r * size
+    k = np.minimum(scaled.astype(np.int64), size - 1)
+    e = tab.lo[s] + k
+    return np.where(scaled - k < tab.prob[e], e, tab.alias[e])
 
 
 def _path_stream(seed: int, path_index: int) -> np.random.Generator:
@@ -232,37 +274,12 @@ def _path_stream(seed: int, path_index: int) -> np.random.Generator:
 
 
 def _draws(gens, rows):
-    """The next `rows` uniform triples of every stream, as a contiguous
-    (rows, 3, len(gens)) array: one (3, paths) slice per step."""
-    buf = np.empty((len(gens), rows, 3))
+    """The next `rows` uniforms of every stream, as a contiguous
+    (rows, len(gens)) array: one row of uniforms per step."""
+    buf = np.empty((len(gens), rows))
     for k, g in enumerate(gens):
         g.random(out=buf[k])
-    return np.ascontiguousarray(buf.transpose(1, 2, 0))
-
-
-def _pick(cum, states, r):
-    """Inverse-CDF action for every path: how many of its state's cumulative
-    weights lie at or below its uniform, counted one column at a time."""
-    k = (cum[0][states] <= r).astype(np.int64)
-    for column in cum[1:]:
-        k += column[states] <= r
-    return k
-
-
-def _step_block(states, r, cum1, cum2, cum_next, cost_tab, closed):
-    """One inverse-CDF step for a block of live paths; returns (u, v, j, cost).
-
-    r holds one uniform triple per path as rows (u draw, v draw, next-state
-    draw). An open model's j equals n when the draw falls in the exit mass.
-    """
-    u = _pick(cum1, states, r[0])
-    v = _pick(cum2, states, r[1])
-    rows = cum_next[states, u, v]  # (B, n)
-    j = (rows <= r[2][:, None]).sum(axis=1)
-    c = cost_tab[states, u, v]
-    if closed:
-        j = np.minimum(j, rows.shape[1] - 1)
-    return u, v, j, c
+    return np.ascontiguousarray(buf.T)
 
 
 def _require_strategies(model, pi1, pi2):
@@ -292,14 +309,11 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     case the path parks at state -1 with zero cost afterwards.
     """
     pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
-    closed = model.is_closed(CLOSED_TOL)
-    if not closed and not cfg.allow_absorption:
+    if not model.is_closed(CLOSED_TOL) and not cfg.allow_absorption:
         raise OpenModel(f"max exit mass {model.max_exit_mass():.3e}; "
                         "pass allow_absorption=True to park exited paths")
-    n = model.n_states
-    cum_next, cost_tab = _padded_tables(model)
-    cum1 = _strategy_cum(model, pi1, 1)
-    cum2 = _strategy_cum(model, pi2, 2)
+    entries = _entries(model)
+    tab = _table(entries, pi1, pi2)
     N, T = cfg.N, cfg.T
     gens = [_path_stream(cfg.seed, p) for p in range(N)]
 
@@ -312,40 +326,25 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     for done in range(0, T, T_CHUNK):
         for t, r in enumerate(_draws(gens, min(T_CHUNK, T - done)), done):
             live = np.flatnonzero(s >= 0)
-            u, v, j, c = _step_block(s[live], r[:, live], cum1, cum2, cum_next,
-                                     cost_tab, closed)
-            u_idx[live, t] = u
-            v_idx[live, t] = v
-            costs[live, t] = c
-            s[live] = np.where(j < n, j, -1)
+            e = _step(tab, s[live], r[live])
+            u_idx[live, t] = entries.u[tab.row[e]]
+            v_idx[live, t] = entries.v[tab.row[e]]
+            costs[live, t] = tab.cost[e]
+            s[live] = tab.j[e]
             states[:, t + 1] = s
     return PathBatch(states=states, u_idx=u_idx, v_idx=v_idx, costs=costs)
 
 
-def _block_exponents(cum1, cum2, tables, cost_tab, seed, start, T, lo, hi):
-    """Cost exponents sum_t c for paths lo..hi-1, vectorized over the block.
-
-    Next states come from alias tables, so every step is O(block)
-    regardless of the window size; prob and alias are read through one
-    flat offset per path.
-    """
-    n = tables[0].shape[-1]
-    prob, alias = (tab.ravel() for tab in tables)
-    _, mu_max, mv_max = cost_tab.shape
-    flat_cost = cost_tab.ravel()
+def _block_exponents(tab: _Table, seed, start, T, lo, hi):
+    """Cost exponents sum_t c for paths lo..hi-1, vectorized over the block."""
     gens = [_path_stream(seed, p) for p in range(lo, hi)]
     s = np.full(hi - lo, start, dtype=np.int64)
     expo = np.zeros(hi - lo)
     for done in range(0, T, T_CHUNK):
         for r in _draws(gens, min(T_CHUNK, T - done)):
-            u = _pick(cum1, s, r[0])
-            v = _pick(cum2, s, r[1])
-            flat = (s * mu_max + u) * mv_max + v
-            expo += flat_cost[flat]
-            scaled = r[2] * n
-            k_col = np.minimum(scaled.astype(np.int64), n - 1)
-            at = flat * n + k_col
-            s = np.where(scaled - k_col < prob[at], k_col, alias[at])
+            e = _step(tab, s, r)
+            expo += tab.cost[e]
+            s = tab.j[e]
     return expo
 
 
@@ -355,20 +354,13 @@ def _require_closed(model: GameModel):
                         f"max exit mass {model.max_exit_mass():.3e}")
 
 
-def _growth_estimate(model, pi1, pi2, cfg, tables, threads) -> EstimatorReport:
-    """(logsumexp of path exponents - log N) / T on the given step tables,
-    with the spread over sqrt(N) contiguous path batches."""
-    cost_tab, alias = tables
-    cum1 = _strategy_cum(model, pi1, 1)
-    cum2 = _strategy_cum(model, pi2, 2)
-    start = int(cfg.start)
-
-    blocks = [(lo, min(lo + BLOCK_PATHS, cfg.N)) for lo in range(0, cfg.N, BLOCK_PATHS)]
-    parts = map_ordered(
-        lambda b: _block_exponents(cum1, cum2, alias, cost_tab,
-                                   cfg.seed, start, cfg.T, b[0], b[1]),
-        blocks, threads=threads)
-    expo = np.concatenate(parts)
+def _growth_estimate(tab: _Table, cfg: SimConfig) -> EstimatorReport:
+    """(logsumexp of path exponents - log N) / T on the pair's table, with
+    the spread over sqrt(N) contiguous path batches and the effective
+    sample size of the path weights w = exp(expo - max expo)."""
+    expo = np.concatenate([
+        _block_exponents(tab, cfg.seed, int(cfg.start), cfg.T, lo, min(lo + BLOCK_PATHS, cfg.N))
+        for lo in range(0, cfg.N, BLOCK_PATHS)])
 
     estimate = (logsumexp(expo) - np.log(cfg.N)) / cfg.T
     n_batches = max(1, int(np.sqrt(cfg.N)))
@@ -380,6 +372,7 @@ def _growth_estimate(model, pi1, pi2, cfg, tables, threads) -> EstimatorReport:
         batch_est.append((logsumexp(expo[lo:hi]) - np.log(hi - lo)) / cfg.T)
     batch_est = np.asarray(batch_est)
     spread = float(batch_est.std(ddof=1)) if len(batch_est) > 1 else 0.0
+    w = np.exp(expo - expo.max())
     return EstimatorReport(
         estimate=float(estimate),
         spread=spread,
@@ -389,6 +382,8 @@ def _growth_estimate(model, pi1, pi2, cfg, tables, threads) -> EstimatorReport:
             "batches": int(n_batches),
             "batch_mean": float(batch_est.mean()),
             "shift_applied": True,
+            "ess": float(w.sum() ** 2 / (w ** 2).sum()),
+            "top_weight_share": float(w.max() / w.sum()),
         },
     )
 
@@ -401,11 +396,13 @@ def estimate_ergodic_cost(model: GameModel, pi1: StationaryStrategy,
     estimate = (logsumexp of path exponents - log N) / T. The spread is
     the standard deviation of the same estimator over sqrt(N) contiguous
     path batches; heavy-tailed runs show up as a large spread together
-    with a dominant max exponent.
+    with a dominant max exponent, a small `ess` and a large
+    `top_weight_share`. `threads` is accepted for compatibility and has
+    no effect: the path blocks run in one thread.
     """
     pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
     _require_closed(model)
-    return _growth_estimate(model, pi1, pi2, cfg, _step_tables(model), threads)
+    return _growth_estimate(_table(_entries(model), pi1, pi2), cfg)
 
 
 def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
@@ -416,21 +413,21 @@ def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
     Returns (base, deviation estimates). Deviation k replaces `player`'s
     rule by the k-th of _deviation_strategies(model, player, count,
     cfg.seed) and runs on seed cfg.seed + k + 1; each estimate equals the
-    one estimate_ergodic_cost gives for that pair and seed, but the step
-    tables are built once for all runs.
+    one estimate_ergodic_cost gives for that pair and seed, but the kernel
+    entries are read once for all runs. `threads` has no effect.
     """
     if player not in (1, 2):
         raise ValueError(f"deviating player must equal 1 or 2, got {player}")
     pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
     _require_closed(model)
-    tables = _step_tables(model)
-    base = _growth_estimate(model, pi1, pi2, cfg, tables, threads)
+    entries = _entries(model)
+    base = _growth_estimate(_table(entries, pi1, pi2), cfg)
     rows = []
     for k, dev in enumerate(_deviation_strategies(model, player, count, cfg.seed)):
         a, b = (dev, pi2) if player == 1 else (pi1, dev)
         _require_strategies(model, a, b)
         sub = SimConfig(T=cfg.T, N=cfg.N, seed=cfg.seed + k + 1, start=cfg.start)
-        rows.append(_growth_estimate(model, a, b, sub, tables, threads))
+        rows.append(_growth_estimate(_table(entries, a, b), sub))
     return base, rows
 
 
@@ -494,51 +491,53 @@ def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
     return out
 
 
-def _pair_kernel(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy):
-    """Cost c(i) and kernel P(.|i) averaged over the pair's mixed actions."""
-    n = model.n_states
-    cbar = np.empty(n)
-    pbar = np.empty((n, n))
-    for i in range(n):
-        mu, nu = pi1.weights[i], pi2.weights[i]
-        cbar[i] = mu @ model.cost[i] @ nu
-        pbar[i] = np.einsum("u,v,uvj->j", mu, nu, model.dense_transition(i))
-    return cbar, pbar
+def _pair_kernel(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy):
+    """Cost c(i) averaged over the pair's mixed actions, and the pair's
+    table, whose slot weights compose the kernel: P(j|i) is the weight of
+    state i's slots with next state j."""
+    cbar = np.bincount(entries.state, weights=_row_weights(entries, pi1, pi2) * entries.cost,
+                       minlength=len(pi1.weights))
+    return cbar, _table(entries, pi1, pi2)
 
 
-def _extend_log_psi(report: SolveReport, cbar, pbar):
+def _extend_log_psi(report: SolveReport, cbar, tab: _Table):
     """log psi* on the final domain, extended off it by the pair's equation.
 
     psi(i) <- exp(cbar(i) - rho*) (Pbar psi)(i) for every state without a
     finite value on the domain, in at most n Jacobi sweeps (enough for
-    positivity to spread along every path into the domain). States that
-    cannot reach a positive value stay at -inf.
+    positivity to spread along every path into the domain), each one
+    segment log-sum-exp over those states' slots. States that cannot
+    reach a positive value stay at -inf.
     """
     n = len(cbar)
     src = np.asarray(report.log_psi_star, dtype=float)
     dom = np.asarray(report.domain, dtype=int)
     log_psi = np.full(n, -np.inf)
     log_psi[dom] = src[dom]
-    free = ~np.isfinite(log_psi)
-    if free.any():
-        with np.errstate(divide="ignore"):
-            log_p = np.log(pbar[free])
+    free = np.flatnonzero(~np.isfinite(log_psi))
+    if free.size:
+        at, _ = concat_ranges(tab.lo[free], tab.lo[free] + tab.size[free])
+        log_w, j = np.log(tab.weight[at]), tab.j[at]
         base = cbar[free] - report.rho_star
         for _ in range(n):
-            new = base + logsumexp(log_p + log_psi, axis=1)
+            new = base + segment_logsumexp(log_w + log_psi[j], tab.size[free])
             if np.array_equal(new, log_psi[free]):
                 break
             log_psi[free] = new
     return log_psi
 
 
-def _reachable(pbar, start: int) -> np.ndarray:
-    seen = np.zeros(len(pbar), dtype=bool)
+def _reachable(tab: _Table, start: int) -> np.ndarray:
+    """The states a closed model's table reaches from `start`, one frontier
+    of states at a time, so each slot is read at most once."""
+    seen = np.zeros(len(tab.size), dtype=bool)
     seen[start] = True
-    frontier = seen.copy()
-    while frontier.any():
-        frontier = (pbar[frontier] > 0).any(axis=0) & ~seen
-        seen |= frontier
+    frontier = np.array([start])
+    while frontier.size:
+        at, _ = concat_ranges(tab.lo[frontier], tab.lo[frontier] + tab.size[frontier])
+        frontier = np.unique(tab.j[at])
+        frontier = frontier[~seen[frontier]]
+        seen[frontier] = True
     return seen
 
 
@@ -558,15 +557,16 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
     comparison uses its own run's spread. A run that can reach a state
     where the extended psi* is still zero cannot be weighted: it fails,
     and a warning names those states. Deviation runs draw fresh seeds
-    derived from cfg.seed.
+    derived from cfg.seed. `threads` is accepted for compatibility and
+    has no effect.
     """
     pi1, pi2 = report.selectors
     rho = report.rho_star
     _require_strategies(model, pi1, pi2)
     _require_closed(model)
-    cbar, pbar = _pair_kernel(model, pi1, pi2)
-    log_psi = _extend_log_psi(report, cbar, pbar)
-    tables = _step_tables(model, log_psi)
+    plain = _entries(model)
+    log_psi = _extend_log_psi(report, *_pair_kernel(plain, pi1, pi2))
+    tilted = _entries(model, log_psi)
     zero = ~np.isfinite(log_psi)
     start = int(cfg.start)
     warnings = []
@@ -575,14 +575,14 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
         """The run's estimate, and False when it can reach a zero of psi."""
         covered = True
         if zero.any():
-            hit = np.flatnonzero(zero & _reachable(_pair_kernel(model, a, b)[1], start))
+            hit = np.flatnonzero(zero & _reachable(_table(plain, a, b), start))
             if hit.size:
                 covered = False
                 warnings.append(f"{label}: states {hit.tolist()} are reachable from "
                                 f"state {start} but psi* is zero there, so their paths "
                                 "cannot be weighted")
         sub = SimConfig(T=cfg.T, N=cfg.N, seed=cfg.seed + run, start=start)
-        return covered, _growth_estimate(model, a, b, sub, tables, threads)
+        return covered, _growth_estimate(_table(tilted, a, b), sub)
 
     covered, base = weighted("selector pair", pi1, pi2, 0)
     equality_ok = covered and abs(base.estimate - rho) <= 3.0 * base.spread + BAND_FLOOR
@@ -632,16 +632,15 @@ class RepresentationVerdict:
                 "per_start": self.per_start, "warnings": self.warnings}
 
 
-def _hitting_terms(cum1, cum2, cum_next, cost_tab, log_psi, rho, target_mask,
-                   seed, start, N, cap):
+def _hitting_terms(tab: _Table, log_psi, rho, target_mask, seed, start, N, cap):
     """Per-path log of exp(sum_{t<tau} (c - rho)) * psi(X_tau); NaN when capped.
 
     Paths run in blocks of BLOCK_PATHS; the live paths of a block step
-    together through _step_block and leave the live set on entering the
-    target. Draw chunks grow geometrically from 4 rows up to T_CHUNK, so
-    the common fast-hitting paths cost a handful of uniforms while the
-    buffer of a long-lived block stays bounded. Returns the terms and the
-    number of capped paths.
+    together and leave the live set on entering the target. Draw chunks
+    grow geometrically from 4 rows up to T_CHUNK, so the common
+    fast-hitting paths cost a handful of uniforms while the buffer of a
+    long-lived block stays bounded. Returns the terms and the number of
+    capped paths.
     """
     out = np.full(N, np.nan)
     capped = 0
@@ -655,8 +654,9 @@ def _hitting_terms(cum1, cum2, cum_next, cost_tab, log_psi, rho, target_mask,
             draws = _draws([gens[k] for k in live], min(chunk, cap - steps))
             cols = np.arange(live.size)
             for r in draws:
-                _, _, s, c = _step_block(s, r[:, cols], cum1, cum2, cum_next, cost_tab, True)
-                acc += c - rho
+                e = _step(tab, s, r[cols])
+                acc += tab.cost[e] - rho
+                s = tab.j[e]
                 steps += 1
                 hit = target_mask[s]
                 if hit.any():
@@ -677,8 +677,7 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
     tau is the first entry time into the target set, paths run under the
     selector pair from each requested start state outside the set. Paths
     that exceed cfg.hitting_cap are dropped and counted; more than 1% of
-    them makes the verdict INCONCLUSIVE rather than a pass or fail. The
-    hitting blocks run in one thread.
+    them makes the verdict INCONCLUSIVE rather than a pass or fail.
     """
     pi1, pi2 = report.selectors
     rho = report.rho_star
@@ -697,9 +696,7 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
         # hitting-time integrability is only guaranteed for supersets of the
         # declared exception set; smaller targets are still checkable
         warnings.append("target set does not contain the declared exception set")
-    cum_next, cost_tab = _padded_tables(model)
-    cum1 = _strategy_cum(model, pi1, 1)
-    cum2 = _strategy_cum(model, pi2, 2)
+    tab = _table(_entries(model), pi1, pi2)
 
     per_start = []
     all_pass = True
@@ -708,9 +705,8 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
         s0 = int(s0)
         if mask[s0]:
             raise ValueError(f"start state {s0} is inside the target set")
-        terms, capped = _hitting_terms(
-            cum1, cum2, cum_next, cost_tab, log_psi, rho, mask,
-            cfg.seed + 104729 * idx, s0, cfg.N, cfg.hitting_cap)
+        terms, capped = _hitting_terms(tab, log_psi, rho, mask, cfg.seed + 104729 * idx, s0,
+                                       cfg.N, cfg.hitting_cap)
         good = terms[~np.isnan(terms)]
         frac_capped = capped / cfg.N
         estimate = float(np.exp(logsumexp(good) - np.log(len(good)))) if len(good) else np.nan

@@ -195,7 +195,7 @@ def test_no_convergence_reports_bracket(two_state):
 
 def saddle_fields(s):
     return (s.log_value, s.mu.tolist(), s.nu.tolist(), s.gap, s.order_gap,
-            s.empty_support, s.iterations)
+            s.empty_support)
 
 
 def random_game(seed=1):

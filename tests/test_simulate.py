@@ -8,8 +8,8 @@ import pytest
 from conftest import one_state_two_action, pennies_layer_model, uncontrolled_two_state
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import StationaryStrategy, make_model
-from rsgame.simulate import (Deviation, OpenModel, SimConfig, _alias_rows,
-                             estimate_ergodic_cost, simulate_paths,
+from rsgame.simulate import (Deviation, OpenModel, SimConfig, _alias_rows, _entries, _step,
+                             _table, estimate_ergodic_cost, simulate_paths,
                              verify_saddle, verify_stochastic_representation)
 from rsgame.solver import solve_ergodic_game
 
@@ -37,6 +37,9 @@ def test_constant_cost_estimates_exactly():
     est = estimate_ergodic_cost(m, pi1, pi2, SimConfig(T=64, N=300, seed=2))
     assert est.estimate == pytest.approx(kappa, abs=1e-13)
     assert est.spread <= 1e-14
+    # every path carries the same weight
+    assert est.diagnostics["ess"] == 300
+    assert est.diagnostics["top_weight_share"] == 1 / 300
 
 
 def test_single_step_single_state():
@@ -114,6 +117,8 @@ def test_estimator_consistency_error_shrinks(two_state):
     assert err_hi <= err_lo + 0.005
     assert err_hi <= 3.0 * hi.spread
     assert lo.diagnostics["max_exponent"] <= 1e4  # log-sum-exp shift regime
+    # heavy tail: fewer effective paths than paths, at least 1 / top share
+    assert 1.0 / lo.diagnostics["top_weight_share"] <= lo.diagnostics["ess"] < 5000
 
 
 def test_deviation_replaces_weights(two_state):
@@ -200,7 +205,7 @@ def test_plug_in_estimator_is_the_untilted_case(two_state):
     pi1, pi2 = rep.selectors
     cfg = SimConfig(T=2000, N=20000, seed=41)
     plug_in = estimate_ergodic_cost(two_state, pi1, pi2, cfg)
-    assert plug_in.estimate == 0.37084236744214966
+    assert plug_in.estimate == 0.37024809571838047
     flat = dataclasses.replace(rep, log_psi_star=np.zeros(2))
     verdict = verify_saddle(two_state, flat, cfg)
     assert verdict.selector_estimate.estimate == plug_in.estimate
@@ -265,7 +270,7 @@ def test_representation_cap_inconclusive():
     assert verdict.inconclusive
     assert not verdict.passed
     assert verdict.per_start[0]["capped_fraction"] > 0.01
-    assert verdict.per_start[0]["capped_fraction"] == 0.912
+    assert verdict.per_start[0]["capped_fraction"] == 0.914
 
 
 def test_value_state_independence(two_state):
@@ -356,12 +361,85 @@ def test_lockstep_alias_matches_scalar_vose(rng):
         [1.0] * 6 + [0.5, 1.5] * 3,
         [0.0] * (n - 1) + [1.0],                  # a point mass
     ])
-    rows = np.vstack([dense, sparse, ties])
-    prob, alias = _alias_rows(rows)
-    for r, row in enumerate(rows):
+    segments = list(np.vstack([dense, sparse, ties]))
+    segments += [rng.uniform(0.0, 1.0, m) for m in rng.integers(1, 300, 30)]
+    segments += [np.array([0.7]), np.array([2.0]), np.array([0.0, 5.0]),
+                 np.array([5.0, 0.0, 0.0])]       # length 1 and point masses
+    order = rng.permutation(len(segments))        # lengths interleave
+    segments = [segments[k] for k in order]
+    prob, alias = _alias_rows(np.concatenate(segments), [len(w) for w in segments])
+    lo = 0
+    for k, row in enumerate(segments):
         ref_prob, ref_alias = scalar_vose(row)
-        assert np.array_equal(prob[r], ref_prob), r
-        assert np.array_equal(alias[r], ref_alias), r
+        assert np.array_equal(prob[lo:lo + len(row)], ref_prob), k
+        assert np.array_equal(alias[lo:lo + len(row)] - lo, ref_alias), k
+        lo += len(row)
+
+
+def assert_frequencies(counts, expected, N):
+    """Every cell's frequency within 4 binomial sigma of its probability."""
+    expected = np.asarray(expected)
+    assert expected.sum() == pytest.approx(1.0, abs=1e-12)
+    sigma = np.sqrt(expected * (1.0 - expected) / N)
+    assert np.all(np.abs(counts / N - expected) <= 4.0 * sigma + 1e-12), (counts / N, expected)
+
+
+def test_one_step_frequencies_mixed_pennies_pair():
+    """One step from state 0 draws (u, v, j) with probability mu(u) nu(v) P(j|0,u,v)."""
+    m = pennies_layer_model()
+    mu, nu = np.array([0.3, 0.7]), np.array([0.8, 0.2])
+    pi1 = StationaryStrategy([mu, np.ones(1)])
+    pi2 = StationaryStrategy([nu, np.ones(1)])
+    N = 40000
+    batch = simulate_paths(m, pi1, pi2, SimConfig(T=1, N=N, seed=4))
+    cell = (batch.u_idx[:, 0] * 2 + batch.v_idx[:, 0]) * 2 + batch.states[:, 1]
+    expected = np.einsum("u,v,uvj->uvj", mu, nu, m.dense_transition(0)).ravel()
+    assert_frequencies(np.bincount(cell, minlength=8), expected, N)
+    assert np.array_equal(batch.costs[:, 0], m.cost[0][batch.u_idx[:, 0], batch.v_idx[:, 0]])
+
+
+def test_one_step_frequencies_tilted_birth_death_pair(bd60):
+    """Under the psi*-tilted table one step from state i draws (u, v, j)
+    with probability mu(u) nu(v) P(j|i,u,v) psi(j) / (P psi)(i,u,v), and
+    the step cost is c + log (P psi) - log psi(i)."""
+    m, rep = bd60
+    pi1, pi2 = rep.selectors
+    log_psi = np.asarray(rep.log_psi_star, dtype=float)
+    tab = _table(_entries(m, log_psi), pi1, pi2)
+    N = 40000
+    for i in (0, 3, 7):
+        e = _step(tab, np.full(N, i), np.random.default_rng(i).random(N))
+        mu, nu = pi1.weights[i], pi2.weights[i]
+        P = m.dense_transition(i)
+        mass = P @ np.exp(log_psi)
+        tilted = P * np.exp(log_psi) / mass[..., None]
+        expected = np.einsum("u,v,uvj->uvj", mu, nu, tilted)
+        mU, mV = m.n_actions(i)
+        state, us, vs = m.row_actions()
+        cell = (us[tab.row[e]] * mV + vs[tab.row[e]]) * m.n_states + tab.j[e]
+        assert_frequencies(np.bincount(cell, minlength=expected.size), expected.ravel(), N)
+        step_cost = m.cost[i] + np.log(mass) - log_psi[i]
+        assert np.allclose(tab.cost[e], step_cost[us[tab.row[e]], vs[tab.row[e]]],
+                           rtol=0, atol=1e-12)
+
+
+def test_open_model_exit_frequency():
+    """An open model's paths leave the window with the pair's exit mass
+    sum_{u,v} mu(u) nu(v) (1 - sum_j P(j|0,u,v)) and park at -1."""
+    P0 = np.array([[[0.5, 0.3]], [[0.1, 0.4]]])  # exit masses 0.2 and 0.5
+    m = make_model(2, [[0, 1], [0]], [[0], [0]], [P0, np.full((1, 1, 2), 0.5)],
+                   [np.zeros((2, 1)), np.zeros((1, 1))], i0=0)
+    pi1 = StationaryStrategy([np.array([0.25, 0.75]), np.ones(1)])
+    pi2 = StationaryStrategy.pure(m, 2, 0)
+    N = 40000
+    batch = simulate_paths(m, pi1, pi2, SimConfig(T=3, N=N, seed=6, allow_absorption=True))
+    exit_mass = 0.25 * 0.2 + 0.75 * 0.5
+    counts = np.bincount(batch.states[:, 1] + 1, minlength=3)
+    assert_frequencies(counts, [exit_mass, 0.25 * 0.5 + 0.75 * 0.1, 0.25 * 0.3 + 0.75 * 0.4],
+                       N)
+    gone = batch.states[:, 1] == -1
+    assert (batch.states[gone, 2:] == -1).all()
+    assert (batch.u_idx[gone, 1:] == -1).all() and (batch.costs[gone, 1:] == 0).all()
 
 
 @pytest.fixture(scope="module")
@@ -377,22 +455,24 @@ def test_verify_saddle_output_pinned(bd60):
         "passed": True,
         "rho_star": 0.007303781489469197,
         "selector_estimate": {
-            "estimate": 0.007303781486674832,
-            "spread": 5.3426860493713686e-17,
-            "diagnostics": {"max_exponent": 0.2921512594670247,
-                            "min_exponent": 0.2921512594669798, "batches": 17,
-                            "batch_mean": 0.007303781486674838, "shift_applied": True},
+            "estimate": 0.007303781486674632,
+            "spread": 4.256318683690492e-17,
+            "diagnostics": {"max_exponent": 0.2921512594670158,
+                            "min_exponent": 0.29215125946697185, "batches": 17,
+                            "batch_mean": 0.0073037814866746395, "shift_applied": True,
+                            "ess": 299.99999999999994,
+                            "top_weight_share": 0.0033333333333334346},
         },
         "equality_ok": True,
         "deviations": [
-            {"player": 1, "estimate": 0.6583435112127383,
-             "spread": 0.015889566406708414, "ok": True},
-            {"player": 1, "estimate": 0.29699707196433794,
-             "spread": 0.019910852440832988, "ok": True},
-            {"player": 2, "estimate": -0.39241085517253305,
-             "spread": 0.0138445050738646, "ok": True},
-            {"player": 2, "estimate": -0.20078468144800024,
-             "spread": 0.018137427571921, "ok": True},
+            {"player": 1, "estimate": 0.6568199592157111,
+             "spread": 0.014093918657505138, "ok": True},
+            {"player": 1, "estimate": 0.29691982315288346,
+             "spread": 0.022801263374623383, "ok": True},
+            {"player": 2, "estimate": -0.39243741506773616,
+             "spread": 0.015909587878675545, "ok": True},
+            {"player": 2, "estimate": -0.1999487571261623,
+             "spread": 0.019699241350583773, "ok": True},
         ],
         "warnings": [],
     }
@@ -400,11 +480,11 @@ def test_verify_saddle_output_pinned(bd60):
 
 @pytest.mark.parametrize("target, N, rows", [
     # nearly every path enters {0..4} on its first step
-    (range(5), 2000, [(5, 1.63724430949868, 1.637034321241558, 0.003491299436440371),
+    (range(5), 2000, [(5, 1.6367232396369134, 1.637034321241558, 6.738350395781277e-16),
                       (6, 1.8088589253852752, 1.8090215202842623, 6.738350395781277e-16)]),
     # paths leave through state 0 and climb back: long, refilled live sets
-    (range(1, 5), 300, [(5, 1.6464018281992663, 1.637034321241558, 0.048095424157381536),
-                        (6, 1.822761176576563, 1.8090215202842623, 0.05346940771188591)]),
+    (range(1, 5), 300, [(5, 1.6251043211534542, 1.637034321241558, 0.06464661582658957),
+                        (6, 1.8344532925963855, 1.8090215202842623, 0.05483134686294625)]),
 ])
 def test_representation_rows_pinned(bd60, target, N, rows):
     m, rep = bd60
@@ -422,14 +502,14 @@ def test_path_csv_pinned():
     m = build_birth_death(BirthDeathParams(window=30))
     pi1, pi2 = solve_ergodic_game(m, ladder=[10, 30]).selectors
     assert digest(m, pi1, pi2, SimConfig(T=20, N=50, seed=5)) == (
-        "6f04b9b8b6d578a4da5d44fed642986289149a8b04b5ca63514ff14b0af1510c")
+        "b52685f7e6c7d4ea2fd48d5cfdb0a84e7062c3bc5bed16eb8e931df411b80185")
     pennies = pennies_layer_model()
     mixed = solve_ergodic_game(pennies, ladder=[2]).selectors
     assert digest(pennies, *mixed, SimConfig(T=30, N=40, seed=2)) == (
-        "bda2955084b1a86130210c97548294dee1548b7547317acac4ba1658d9aceccf")
+        "bf1129df0dba20850a65050b3969dabd901020045ab58f76f3ec52fd5dba2f44")
     P = np.full((1, 1, 2), 0.4)  # open: a fifth of each row's mass leaves
     leaky = make_model(2, [[0], [0]], [[0], [0]], [P.copy(), P.copy()],
                        [np.zeros((1, 1))] * 2, i0=0)
     assert digest(leaky, *pures(leaky),
                   SimConfig(T=40, N=6, seed=0, allow_absorption=True)) == (
-        "29fdc1639505c8691ae5c5eefad4e7e0b537920193723b3016248502c5570e8a")
+        "3c6390c809ef1b67310bc8f73b7b9832848ab442c04933293159d1b2175d3313")
