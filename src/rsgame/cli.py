@@ -9,6 +9,7 @@ CSV. Exit codes: 0 success or PASS, 1 FAIL verdicts or solver failure
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 
@@ -18,7 +19,7 @@ from . import birth_death as bd
 from . import dirichlet, saddle
 from .model import (GameModel, SchemaError, StationaryStrategy, check_irreducibility,
                     check_lyapunov, check_reference_state, model_from_json,
-                    model_to_json_text, validate_model)
+                    validate_model, write_model_json)
 from .simulate import (OpenModel, SimConfig, estimate_ergodic_cost,
                        estimate_with_deviations, simulate_paths, verify_saddle,
                        verify_stochastic_representation)
@@ -264,7 +265,9 @@ def run(argv) -> int:
                 p_hat=args.p_hat, delta=args.delta, L1=args.L1, L2=args.L2,
                 grid_u=args.grid, grid_v=args.grid, window=args.window)
             model = bd.build_birth_death(params)
-            _write(model_to_json_text(model), args.out)
+            with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
+                write_model_json(model, fh)
+                fh.write("\n")
             info = bd.build_info(params)
             if info.negative_cost_entries:
                 print(f"warning: {info.negative_cost_entries} cost entries are negative "

@@ -27,6 +27,8 @@ CLOSED_TOL = 1e-12
 STRATEGY_TOL = 1e-12
 # Drift inequality must hold strictly; slack at or below this fails the check.
 LYAPUNOV_SLACK_PASS = 1e-14
+# records formatted and written at a time by write_model_json
+RECORD_CHUNK = 1 << 16
 
 
 class ModelError(ValueError):
@@ -338,11 +340,25 @@ class StationaryStrategy:
         )
 
     def validate_for(self, model: GameModel, player: int) -> list[str]:
-        problems = []
+        """One message per problem, state by state. The sign and sum checks
+        run on all well-shaped states at once, as segment reductions over
+        the concatenated weights, and the states they flag are checked
+        again one by one for their messages. Segment sums may round apart
+        from w.sum(), so that filter flags sums off by half the tolerance."""
         if len(self.weights) != model.n_states:
             return [f"strategy has {len(self.weights)} states, model has {model.n_states}"]
-        for i, w in enumerate(self.weights):
-            m = model.n_actions(i)[player - 1]
+        sizes = np.array([len(a) for a in (model.actions_p1, model.actions_p2)[player - 1]])
+        ok = np.array([w.shape == (m,) for w, m in zip(self.weights, sizes.tolist())], dtype=bool)
+        at = np.flatnonzero(ok)
+        if at.size:
+            flat = np.concatenate([self.weights[i] for i in at])
+            lo = np.cumsum(sizes[at]) - sizes[at]
+            ok[at] = ~(np.minimum.reduceat(flat, lo) < 0) & ~(
+                np.abs(np.add.reduceat(flat, lo) - 1.0) > STRATEGY_TOL / 2)
+        problems = []
+        for i in np.flatnonzero(~ok).tolist():
+            w = self.weights[i]
+            m = int(sizes[i])
             if w.shape != (m,):
                 problems.append(f"state {i}: {w.shape[0]} weights for {m} actions")
                 continue
@@ -879,7 +895,8 @@ def _emitted_columns(model: GameModel):
 
 
 def _document(model: GameModel, transition, cost) -> dict:
-    """The interchange document around the given record lists."""
+    """The interchange document around the given transition and cost
+    records (or stand-ins for them)."""
     doc = {
         "states": model.n_states,
         "actions_p1": [list(map(float, a)) for a in model.actions_p1],
@@ -920,23 +937,36 @@ def _json_floats(a: np.ndarray) -> list:
     return json.dumps(a.tolist())[1:-1].split(", ") if a.size else []
 
 
-def model_to_json_text(model: GameModel) -> str:
-    """model_to_json(model) as JSON text with one record per line.
+def write_model_json(model: GameModel, fh) -> None:
+    """Write model_to_json(model) as JSON text with one record per line.
 
     The records are formatted straight from the kernel's columns, so the
-    text costs O(nnz) string work and no dict per record; json.loads of it
-    gives the same value as model_to_json.
+    text costs O(nnz) string work and no dict per record, and they are
+    written RECORD_CHUNK at a time, so no more than one chunk of text is
+    held; json.loads of the text gives the same value as model_to_json.
     """
     (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = _emitted_columns(model)
-    transition = [f'{{"i": {i}, "u": {u}, "v": {v}, "j": {j}, "p": {p}}}' for i, u, v, j, p
-                  in zip(ti.tolist(), tu.tolist(), tv.tolist(), tj.tolist(), _json_floats(tp))]
-    cost = [f'{{"i": {i}, "u": {u}, "v": {v}, "c": {c}}}' for i, u, v, c
-            in zip(ci.tolist(), cu.tolist(), cv.tolist(), _json_floats(cc))]
-    parts = []
-    for key, value in _document(model, transition, cost).items():
-        if key in ("transition", "cost"):
-            value = "[\n    " + ",\n    ".join(value) + "\n  ]" if value else "[]"
-        else:
-            value = json.dumps(value)
-        parts.append(f'  "{key}": {value}')
-    return "{\n" + ",\n".join(parts) + "\n}"
+
+    def transition(at):
+        return [f'{{"i": {i}, "u": {u}, "v": {v}, "j": {j}, "p": {p}}}' for i, u, v, j, p
+                in zip(ti[at].tolist(), tu[at].tolist(), tv[at].tolist(), tj[at].tolist(),
+                       _json_floats(tp[at]))]
+
+    def cost(at):
+        return [f'{{"i": {i}, "u": {u}, "v": {v}, "c": {c}}}' for i, u, v, c
+                in zip(ci[at].tolist(), cu[at].tolist(), cv[at].tolist(), _json_floats(cc[at]))]
+
+    sep = "{\n"
+    for key, value in _document(model, (transition, len(tp)), (cost, len(cc))).items():
+        fh.write(f'{sep}  "{key}": ')
+        sep = ",\n"
+        if key not in ("transition", "cost"):
+            fh.write(json.dumps(value))
+            continue
+        records, total = value
+        lead = "[\n    "
+        for lo in range(0, total, RECORD_CHUNK):
+            fh.write(lead + ",\n    ".join(records(slice(lo, lo + RECORD_CHUNK))))
+            lead = ",\n    "
+        fh.write("[]" if not total else "\n  ]")
+    fh.write("\n}")

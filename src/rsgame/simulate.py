@@ -2,9 +2,11 @@
 
 Sampling follows the game's path law: at each step the players draw
 actions independently from their mixed rules, then the chain draws the
-next state. Randomness is counter-based: path k of a run seeded s uses
-its own Philox stream keyed (s, k), so results are bit-identical however
-paths are batched, and aggregation reduces in fixed path order.
+next state. Randomness is counter-based (Salmon et al., SC'11): the
+uniform of path k at step t of a run seeded s is value k % 4 of numpy's
+Philox stream with key (s mod 2^64, 0) and counter (k // 4, t, 0, 0), a
+pure function of (s, k, t). Results are therefore bit-identical however
+paths are blocked or stepped, and aggregation reduces in fixed path order.
 
 The ergodic-cost estimator is the plug-in form of the multiplicative
 criterion: (1/T) log[(1/N) sum_paths exp(sum_t c)] via log-sum-exp. Its
@@ -25,18 +27,16 @@ estimator is the case psi = 1. When (rho*, psi*) solves the equation for
 the simulated pair, Lambda_T = rho* at every T; for any positive psi,
 Lambda_T tends to the pair's criterion, so a wrong rho* is still caught.
 
-Each path step reads one uniform from the path's stream and makes one
-alias pick (Walker 1977; Vose 1991) in its state's table over the pair's
-joint (u, v, j) law: the kernel entry of row (i, u, v) with next state j
-has weight mu_i(u) nu_i(v) P(j|i,u,v) and carries the row's step cost.
-That is the law of drawing both actions independently and then the next
-state, so a step costs O(1) whatever the window or the action sets. The
-tables hold one slot per kernel entry the pair can draw, so they are
-built in time and memory O(nnz); an open model's rows get one exit entry
-each, of the row's exit mass. Every sampler steps all live paths of a
-block together and reads each path's uniforms from its stream in chunks
-of at most T_CHUNK, transposed to one row of uniforms per step; the
-streams are continuous, so the chunking changes no value.
+Each path step reads one uniform and makes one alias pick (Walker 1977;
+Vose 1991) in its state's table over the pair's joint (u, v, j) law: the
+kernel entry of row (i, u, v) with next state j has weight
+mu_i(u) nu_i(v) P(j|i,u,v) and carries the row's step cost. That is the
+law of drawing both actions independently and then the next state, so a
+step costs O(1) whatever the window or the action sets. The tables hold
+one slot per kernel entry the pair can draw, so they are built in time
+and memory O(nnz); an open model's rows get one exit entry each, of the
+row's exit mass. Every sampler steps all live paths of a block together,
+and one Philox call per step draws the uniforms of the whole block.
 """
 
 from __future__ import annotations
@@ -50,7 +50,6 @@ from .model import CLOSED_TOL, GameModel, StationaryStrategy
 from .solver import SolveReport
 
 BLOCK_PATHS = 4096
-T_CHUNK = 128
 HITTING_CAP = 10**6
 # fixed part of every saddle-verification band: the residual tolerance each
 # solve is held to, which bounds how far rho* may sit from the exact value
@@ -268,18 +267,22 @@ def _step(tab: _Table, s, r):
     return np.where(scaled - k < tab.prob[e], e, tab.alias[e])
 
 
-def _path_stream(seed: int, path_index: int) -> np.random.Generator:
-    key = np.array([np.uint64(seed & (2**64 - 1)), np.uint64(path_index)], dtype=np.uint64)
-    return np.random.Generator(np.random.Philox(key=key))
+class _Uniforms:
+    """The counter-keyed uniforms of a run seeded `seed` (module docstring)."""
 
+    def __init__(self, seed: int):
+        key = (seed & (2**64 - 1), 0)
+        self._gen = np.random.Generator(np.random.Philox(key=np.array(key, dtype=np.uint64)))
+        self._state = {"bit_generator": "Philox", "state": {"counter": None, "key": key},
+                       "buffer": (0, 0, 0, 0), "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
-def _draws(gens, rows):
-    """The next `rows` uniforms of every stream, as a contiguous
-    (rows, len(gens)) array: one row of uniforms per step."""
-    buf = np.empty((len(gens), rows))
-    for k, g in enumerate(gens):
-        g.random(out=buf[k])
-    return np.ascontiguousarray(buf.T)
+    def row(self, t: int, lo: int, hi: int) -> np.ndarray:
+        """The uniforms of paths lo..hi-1 at step t: one Philox call from an
+        empty buffer at the counter of path lo - lo % 4, i.e. from its lane 0."""
+        base = lo - lo % 4
+        self._state["state"]["counter"] = (base // 4, t, 0, 0)
+        self._gen.bit_generator.state = self._state
+        return self._gen.random(hi - base)[lo - base:]
 
 
 def _require_strategies(model, pi1, pi2):
@@ -315,7 +318,7 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     entries = _entries(model)
     tab = _table(entries, pi1, pi2)
     N, T = cfg.N, cfg.T
-    gens = [_path_stream(cfg.seed, p) for p in range(N)]
+    draws = _Uniforms(cfg.seed)
 
     s = np.full(N, int(cfg.start), dtype=np.int64)
     states = np.empty((N, T + 1), dtype=np.int32)
@@ -323,28 +326,26 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     u_idx = np.full((N, T), -1, dtype=np.int32)
     v_idx = np.full((N, T), -1, dtype=np.int32)
     costs = np.zeros((N, T))
-    for done in range(0, T, T_CHUNK):
-        for t, r in enumerate(_draws(gens, min(T_CHUNK, T - done)), done):
-            live = np.flatnonzero(s >= 0)
-            e = _step(tab, s[live], r[live])
-            u_idx[live, t] = entries.u[tab.row[e]]
-            v_idx[live, t] = entries.v[tab.row[e]]
-            costs[live, t] = tab.cost[e]
-            s[live] = tab.j[e]
-            states[:, t + 1] = s
+    for t in range(T):
+        live = np.flatnonzero(s >= 0)
+        e = _step(tab, s[live], draws.row(t, 0, N)[live])
+        u_idx[live, t] = entries.u[tab.row[e]]
+        v_idx[live, t] = entries.v[tab.row[e]]
+        costs[live, t] = tab.cost[e]
+        s[live] = tab.j[e]
+        states[:, t + 1] = s
     return PathBatch(states=states, u_idx=u_idx, v_idx=v_idx, costs=costs)
 
 
 def _block_exponents(tab: _Table, seed, start, T, lo, hi):
     """Cost exponents sum_t c for paths lo..hi-1, vectorized over the block."""
-    gens = [_path_stream(seed, p) for p in range(lo, hi)]
+    draws = _Uniforms(seed)
     s = np.full(hi - lo, start, dtype=np.int64)
     expo = np.zeros(hi - lo)
-    for done in range(0, T, T_CHUNK):
-        for r in _draws(gens, min(T_CHUNK, T - done)):
-            e = _step(tab, s, r)
-            expo += tab.cost[e]
-            s = tab.j[e]
+    for t in range(T):
+        e = _step(tab, s, draws.row(t, lo, hi))
+        expo += tab.cost[e]
+        s = tab.j[e]
     return expo
 
 
@@ -484,10 +485,17 @@ def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
                 rec(i + 1, acc + [a])
         rec(0, [])
         return [s for s in out]
+    # one gamma draw for all states, normalized as Generator.dirichlet does:
+    # a left-to-right sum per state, then each gamma times the sum's inverse
     rng = np.random.default_rng(np.uint64(seed) + np.uint64(7919 * player))
+    seg = np.repeat(np.arange(n), sizes)
+    slot = np.arange(len(seg)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     for _ in range(count):
-        ws = [rng.dirichlet(np.ones(m)) for m in sizes]
-        out.append(StationaryStrategy(ws))
+        g = rng.standard_gamma(1.0, size=len(seg))
+        acc = np.zeros(n)
+        for k in range(max(sizes)):
+            acc[seg[slot == k]] += g[slot == k]
+        out.append(StationaryStrategy(np.split(g * (1.0 / acc)[seg], np.cumsum(sizes)[:-1])))
     return out
 
 
@@ -636,36 +644,27 @@ def _hitting_terms(tab: _Table, log_psi, rho, target_mask, seed, start, N, cap):
     """Per-path log of exp(sum_{t<tau} (c - rho)) * psi(X_tau); NaN when capped.
 
     Paths run in blocks of BLOCK_PATHS; the live paths of a block step
-    together and leave the live set on entering the target. Draw chunks
-    grow geometrically from 4 rows up to T_CHUNK, so the common
-    fast-hitting paths cost a handful of uniforms while the buffer of a
-    long-lived block stays bounded. Returns the terms and the number of
-    capped paths.
+    together and leave the live set on entering the target. Each step
+    draws the uniforms from the first to the last live path and reads the
+    live ones. Returns the terms and the number of capped paths.
     """
     out = np.full(N, np.nan)
     capped = 0
     for lo in range(0, N, BLOCK_PATHS):
-        gens = [_path_stream(seed, p) for p in range(lo, min(lo + BLOCK_PATHS, N))]
-        live = np.arange(len(gens))
-        s = np.full(len(gens), start, dtype=np.int64)
-        acc = np.zeros(len(gens))
-        steps, chunk = 0, 4
-        while live.size and steps < cap:
-            draws = _draws([gens[k] for k in live], min(chunk, cap - steps))
-            cols = np.arange(live.size)
-            for r in draws:
-                e = _step(tab, s, r[cols])
-                acc += tab.cost[e] - rho
-                s = tab.j[e]
-                steps += 1
-                hit = target_mask[s]
-                if hit.any():
-                    out[lo + live[hit]] = acc[hit] + log_psi[s[hit]]
-                    keep = ~hit
-                    live, cols, s, acc = live[keep], cols[keep], s[keep], acc[keep]
-                    if not live.size:
-                        break
-            chunk = min(chunk * 8, T_CHUNK)
+        draws = _Uniforms(seed)
+        live = np.arange(lo, min(lo + BLOCK_PATHS, N))
+        s = np.full(live.size, start, dtype=np.int64)
+        acc = np.zeros(live.size)
+        t = 0
+        while live.size and t < cap:
+            e = _step(tab, s, draws.row(t, live[0], live[-1] + 1)[live - live[0]])
+            acc += tab.cost[e] - rho
+            s = tab.j[e]
+            t += 1
+            hit = target_mask[s]
+            if hit.any():
+                out[live[hit]] = acc[hit] + log_psi[s[hit]]
+                live, s, acc = live[~hit], s[~hit], acc[~hit]
         capped += live.size
     return out, capped
 

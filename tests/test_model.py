@@ -1,3 +1,4 @@
+import io
 import json
 
 import numpy as np
@@ -7,13 +8,14 @@ from hypothesis import strategies as st
 
 from conftest import (one_state_two_action, random_closed_model, scalar_self_loop,
                       uncontrolled_two_state)
+from rsgame import model as model_module
 from rsgame._util import logsumexp
 from rsgame.birth_death import BirthDeathParams, build_birth_death
-from rsgame.model import (LyapunovData, MissingLyapunovData, SchemaError,
+from rsgame.model import (STRATEGY_TOL, LyapunovData, MissingLyapunovData, SchemaError,
                           StationaryStrategy, check_irreducibility,
                           check_lyapunov, check_reference_state, make_model,
-                          model_from_json, model_to_json, model_to_json_text,
-                          validate_model)
+                          model_from_json, model_to_json, validate_model,
+                          write_model_json)
 
 
 def test_validate_well_formed_two_state(two_state):
@@ -191,6 +193,50 @@ def test_strategy_validation(two_state):
     assert any("sum" in p for p in problems)
     misshapen = StationaryStrategy([np.array([0.5, 0.5]), np.array([1.0])])
     assert any("actions" in p for p in misshapen.validate_for(two_state, 1))
+
+
+def test_strategy_validation_matches_per_state_checks(rng):
+    """The segment-reduction checks report exactly what the per-state loop
+    reports, sums at the tolerance's edge included."""
+    n = 300
+    sizes = rng.integers(1, 9, n)
+    m = make_model(n, [list(range(k)) for k in sizes], [[0]] * n,
+                   [np.full((k, 1, n), 1.0 / n) for k in sizes],
+                   [np.zeros((k, 1)) for k in sizes], i0=0)
+    ws = [rng.dirichlet(np.ones(k)) for k in sizes]
+    for i in range(0, n, 7):
+        ws[i] = ws[i] * (1.0 + rng.choice([-1.0, 1.0]) * rng.uniform(0.5, 2.0) * STRATEGY_TOL)
+    ws[3] = np.append(ws[3], 0.0)
+    ws[5] = ws[5] - 0.25
+    ws[11][0] = -0.5
+    k = int(np.flatnonzero(sizes > 1)[-1])    # a negative weight in a sum of 1
+    ws[k] = np.zeros(sizes[k])
+    ws[k][:2] = 1.5, -0.5
+    strategy = StationaryStrategy(ws)
+    expected = []
+    for i, w in enumerate(strategy.weights):
+        if w.shape != (sizes[i],):
+            expected.append(f"state {i}: {w.shape[0]} weights for {sizes[i]} actions")
+            continue
+        if w.min() < 0:
+            expected.append(f"state {i}: negative weight {w.min()}")
+        if abs(w.sum() - 1.0) > STRATEGY_TOL:
+            expected.append(f"state {i}: weights sum to {w.sum()!r}")
+    assert len(expected) > 10
+    assert strategy.validate_for(m, 1) == expected
+
+
+def test_emission_chunking_changes_no_byte(monkeypatch):
+    """Records written a few at a time give the text written in one chunk."""
+    m = build_birth_death(BirthDeathParams(window=12))
+    texts = []
+    for chunk in (1 << 16, 7, 1):
+        monkeypatch.setattr(model_module, "RECORD_CHUNK", chunk)
+        buf = io.StringIO()
+        write_model_json(m, buf)
+        texts.append(buf.getvalue())
+    assert texts[0] == texts[1] == texts[2]
+    assert json.loads(texts[0]) == json.loads(json.dumps(model_to_json(m)))
 
 
 def test_json_round_trip(rng):
@@ -448,6 +494,8 @@ def test_columnar_ingestion_matches_dense_reference(doc):
         assert np.array_equal(getattr(m.kernel, name), getattr(want, name), equal_nan=True), name
     assert not (m.kernel.prob == 0).any()
     # emission from the columns: the text and the dict are the same JSON value
-    text = model_to_json_text(m)
+    buf = io.StringIO()
+    write_model_json(m, buf)
+    text = buf.getvalue()
     assert (json.dumps(json.loads(text), sort_keys=True)
             == json.dumps(model_to_json(m), sort_keys=True))
