@@ -18,8 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import (GameModel, KernelCSR, LyapunovData, _drift_slack, _norm_like_tail,
-                    make_model)
+from .model import GameModel, KernelCSR, LyapunovData, check_lyapunov, make_model
 
 P_HAT_LIMIT = 1.0 / 6.0
 
@@ -248,32 +247,24 @@ class StabilityReport:
 def verify_stability_estimates(params: BirthDeathParams, i_max: int = 200) -> StabilityReport:
     """Numerical check of the stability estimates for states 0..i_max.
 
-    Verifies the drift inequality sum_j W(j) P(j|i,u,v) <= C 1_M(i)
-    + e^{-ell(i)} W(i) exactly on the grid (log domain), the state-0
-    variant against C alone, and the finite-window norm-like surrogate of
-    ell(i) - max_{u,v} c(i,u,v): a nondecreasing tail with positive net
-    growth beyond the last decrease.
+    Runs check_lyapunov on states 0..i_max of the model built on a window
+    that covers them: the drift inequality sum_j W(j) P(j|i,u,v) <= C 1_M(i)
+    + e^{-ell(i)} W(i) exactly on the grid (log domain) and the
+    finite-window norm-like surrogate of ell(i) - max_{u,v} c(i,u,v). It
+    adds the state-0 variant of the drift against C alone.
     """
     window = max(params.window, i_max + 2)
-    build = BirthDeathParams(**{**params.__dict__, "window": window})
-    model = build_birth_death(build)
+    model = build_birth_death(BirthDeathParams(**{**params.__dict__, "window": window}))
     ly = model.lyapunov
-    states = np.arange(i_max + 1)
-    slack, lhs = _drift_slack(model, states)
-    drift_ok = bool(slack.min() > 0.0)
-    worst = int(slack.argmin())
-    state0_vs_C = float(np.log(ly.C)) - lhs[0]
-
-    d = np.array([float(ly.ell[i] - model.cost[i].max()) for i in states])
-    norm_like = _norm_like_tail(d)
-
+    rep = check_lyapunov(model, np.arange(i_max + 1))
+    state0_vs_C = ly.log_C - float(rep.lhs[0])
     return StabilityReport(
-        passed=bool(drift_ok and norm_like["passed"] and state0_vs_C > 0.0),
-        drift_passed=drift_ok,
-        worst_slack=float(slack.min()),
-        worst_state=worst,
-        state0_vs_C=float(state0_vs_C),
-        norm_like=norm_like,
+        passed=bool(rep.passed and state0_vs_C > 0.0),
+        drift_passed=rep.drift_passed,
+        worst_slack=float(rep.slack.min()),
+        worst_state=rep.worst_state,
+        state0_vs_C=state0_vs_C,
+        norm_like=rep.norm_like,
         M=ly.K.tolist(),
-        slack=slack.tolist(),
+        slack=rep.slack.tolist(),
     )

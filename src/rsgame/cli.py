@@ -279,11 +279,8 @@ def run(argv) -> int:
                 if not stab.passed:
                     return FAIL
             return OK
-    except (OSError, json.JSONDecodeError, SchemaError, bd.ParamError,
-            bd.WindowTooSmall, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return USAGE_ERROR
-    except OpenModel as exc:
+    # ValueError covers malformed JSON, SchemaError, ModelError and bad parameters
+    except (OSError, ValueError, OpenModel) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     return USAGE_ERROR

@@ -89,7 +89,6 @@ class EigenPair:
     bracket: tuple
     iterations: int
     damping_events: int = 0
-    normalization: str = "i0"
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:

@@ -71,6 +71,13 @@ class LyapunovData:
     def case(self) -> str:
         return "bounded" if self.gamma is not None else "unbounded"
 
+    @property
+    def log_C(self) -> float:
+        """log C, refusing a C that is not finite and positive (ModelError)."""
+        if not (np.isfinite(self.C) and self.C > 0):
+            raise ModelError(f"Lyapunov constant C = {self.C!r} must be finite and > 0")
+        return float(np.log(self.C))
+
 
 def _concat(parts: list, dtype=float) -> np.ndarray:
     """np.concatenate that also takes no parts."""
@@ -340,9 +347,10 @@ class StationaryStrategy:
         )
 
     def validate_for(self, model: GameModel, player: int) -> list[str]:
-        """One message per problem, state by state. The sign and sum checks
-        run on all well-shaped states at once, as segment reductions over
-        the concatenated weights, and the states they flag are checked
+        """One message per problem, state by state. The sign, finiteness
+        and sum checks run on all well-shaped states at once, as segment
+        reductions over the concatenated weights (a non-finite weight makes
+        its segment's sum non-finite), and the states they flag are checked
         again one by one for their messages. Segment sums may round apart
         from w.sum(), so that filter flags sums off by half the tolerance."""
         if len(self.weights) != model.n_states:
@@ -353,14 +361,17 @@ class StationaryStrategy:
         if at.size:
             flat = np.concatenate([self.weights[i] for i in at])
             lo = np.cumsum(sizes[at]) - sizes[at]
-            ok[at] = ~(np.minimum.reduceat(flat, lo) < 0) & ~(
-                np.abs(np.add.reduceat(flat, lo) - 1.0) > STRATEGY_TOL / 2)
+            ok[at] = ~(np.minimum.reduceat(flat, lo) < 0) & (
+                np.abs(np.add.reduceat(flat, lo) - 1.0) <= STRATEGY_TOL / 2)
         problems = []
         for i in np.flatnonzero(~ok).tolist():
             w = self.weights[i]
             m = int(sizes[i])
             if w.shape != (m,):
                 problems.append(f"state {i}: {w.shape[0]} weights for {m} actions")
+                continue
+            if not np.isfinite(w).all():
+                problems.append(f"state {i}: non-finite weight {w[~np.isfinite(w)][0]}")
                 continue
             if w.min() < 0:
                 problems.append(f"state {i}: negative weight {w.min()}")
@@ -478,8 +489,9 @@ def validate_model(model: GameModel) -> ValidationReport:
                                          f"W({i}) = {np.exp(ly.log_W[i])} < 1"))
         if ly.ell is not None and ly.ell.shape != (model.n_states,):
             out.append(Violation("lyapunov_shape", (), 0.0, "ell must have one entry per state"))
-        if ly.C <= 0:
-            out.append(Violation("lyapunov_C_nonpositive", (), float(ly.C), "C must be > 0"))
+        if not (np.isfinite(ly.C) and ly.C > 0):
+            out.append(Violation("lyapunov_C_nonpositive", (), float(ly.C),
+                                 "C must be finite and > 0"))
         for k in ly.K:
             if not (0 <= k < model.n_states):
                 out.append(Violation("lyapunov_K_out_of_window", (int(k),), float(k),
@@ -495,10 +507,12 @@ def validate_model(model: GameModel) -> ValidationReport:
 class LyapunovReport:
     case: str
     passed: bool
-    slack: np.ndarray  # per state, log-domain: log RHS - max_{u,v} log LHS
+    slack: np.ndarray  # per checked state, log-domain: log RHS - max_{u,v} log LHS
     worst_state: int
     norm_like: dict | None
     gamma_check: dict | None
+    lhs: np.ndarray  # per checked state: max_{u,v} log sum_j W(j) P(j|i,u,v)
+    drift_passed: bool
 
     def to_dict(self) -> dict:
         return {
@@ -511,84 +525,87 @@ class LyapunovReport:
         }
 
 
-def _drift_slack(model: GameModel, states: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Log-domain drift slack and left-hand side on the index array `states`.
-
-    lhs(i) = max over (u,v) of log sum_j W(j) P(j|i,u,v); the right-hand
-    side is log(C 1_K(i) + e^{-rate} W(i)) with rate gamma or ell(i).
-    Returns (rhs - lhs, lhs).
-    """
-    ly = model.lyapunov
-    lhs = np.array([float(L.max()) for L in model.inner_log_sums(states, ly.log_W)])
-    rate = ly.gamma if ly.gamma is not None else ly.ell[states]
-    decay = -rate + ly.log_W[states]
-    rhs = np.where(np.isin(states, ly.K), np.logaddexp(float(np.log(ly.C)), decay), decay)
-    return rhs - lhs, lhs
+def _max_costs(model: GameModel, states) -> np.ndarray:
+    """max_{u,v} c(i,u,v) for each i of `states`."""
+    return np.array([float(model.cost[i].max()) for i in states])
 
 
-def _norm_like_tail(d) -> dict:
-    """Finite-window surrogate of a norm-like sequence d: the start of its
-    nondecreasing tail and the net growth along it. `passed` asks for a
-    tail of length >= 2; a constant tail is indistinguishable from slow
-    growth on a finite window, so only a decreasing tail fails."""
-    last = len(d) - 1
-    tail_start = last
-    for m in range(last - 1, -1, -1):
-        if d[m + 1] >= d[m] - 1e-12:
-            tail_start = m
-        else:
-            break
-    return {
-        "surrogate": "nondecreasing tail (finite window)",
-        "tail_start": int(tail_start),
-        "net_growth": float(d[last] - d[tail_start]),
-        "passed": bool(tail_start <= last - 1),
-    }
-
-
-def check_lyapunov(model: GameModel) -> LyapunovReport:
-    """Check the drift inequality sum_j W(j)P(j|i,u,v) <= C 1_K(i) + e^{-rate} W(i).
+def check_lyapunov(model: GameModel, states=None) -> LyapunovReport:
+    """Check the drift inequality sum_j W(j)P(j|i,u,v) <= C 1_K(i) + e^{-rate} W(i),
+    rate gamma or ell(i), on `states` (default: the window).
 
     All arithmetic in log domain: the weight function typically grows like
     exp(i^2/6) and is not representable linearly on useful windows. Slack is
-    log RHS - log LHS per state (worst action pair); a state passes when its
-    slack exceeds LYAPUNOV_SLACK_PASS.
+    log RHS - log LHS per state (worst action pair); the drift passes when
+    every slack exceeds LYAPUNOV_SLACK_PASS. C must be finite and positive.
 
-    For the unbounded case the report also carries a finite-window surrogate
-    of the norm-like requirement on ell(i) - max_{u,v} c(i,u,v): the sequence
-    must have a nondecreasing tail of length >= 2 with strictly positive net
-    growth. A tail property can only be sampled on a window; the surrogate is
-    flagged as such.
+    Unbounded case: a finite-window surrogate of the norm-like requirement
+    on d(i) = ell(i) - max_{u,v} c(i,u,v), the start of its nondecreasing
+    tail and the net growth along it, passes with a tail of length >= 2 or
+    a single checked state (only a decreasing tail fails: a constant one is
+    indistinguishable from slow growth on a window). Bounded case: gamma
+    must exceed every cost on `states`.
     """
     ly = model.lyapunov
     if ly is None:
         raise MissingLyapunovData("model has no Lyapunov data")
-    n = model.n_states
-    slack, _ = _drift_slack(model, np.arange(n))
+    log_C = ly.log_C
+    states = np.arange(model.n_states) if states is None else np.asarray(states, dtype=int)
+    lhs = np.array([float(L.max()) for L in model.inner_log_sums(states, ly.log_W)])
+    decay = ly.log_W[states] - (ly.gamma if ly.case == "bounded" else ly.ell[states])
+    slack = np.where(np.isin(states, ly.K), np.logaddexp(log_C, decay), decay) - lhs
     worst = int(slack.argmin())
-    passed = bool(slack[worst] > LYAPUNOV_SLACK_PASS)
+    drift_passed = bool(slack[worst] > LYAPUNOV_SLACK_PASS)
+    cmax = _max_costs(model, states)
 
-    norm_like = None
-    gamma_check = None
+    norm_like = gamma_check = None
     if ly.case == "unbounded":
-        d = np.array([float(ly.ell[i] - model.cost[i].max()) for i in range(n)])
-        norm_like = _norm_like_tail(d)
-        norm_like["passed"] = norm_like["passed"] or n == 1
-        passed = passed and norm_like["passed"]
+        d = ly.ell[states] - cmax
+        last = len(d) - 1
+        breaks = np.flatnonzero(~(d[1:] >= d[:-1] - 1e-12))
+        tail_start = int(breaks[-1]) + 1 if breaks.size else 0
+        norm_like = {
+            "surrogate": "nondecreasing tail (finite window)",
+            "tail_start": tail_start,
+            "net_growth": float(d[last] - d[tail_start]),
+            "passed": bool(tail_start < last or last == 0),
+        }
+        passed = drift_passed and norm_like["passed"]
     else:
-        cmax = max(float(model.cost[i].max()) for i in range(n))
-        ok = ly.gamma > cmax
-        gamma_check = {"gamma": float(ly.gamma), "max_cost": cmax, "passed": bool(ok)}
-        passed = passed and ok
+        gamma_check = {"gamma": float(ly.gamma), "max_cost": float(cmax.max()),
+                       "passed": bool(ly.gamma > cmax.max())}
+        passed = drift_passed and gamma_check["passed"]
 
     return LyapunovReport(
         case=ly.case,
         passed=passed,
         slack=slack,
-        worst_state=worst,
+        worst_state=int(states[worst]),
         norm_like=norm_like,
         gamma_check=gamma_check,
+        lhs=lhs,
+        drift_passed=drift_passed,
     )
+
+
+def eigenvalue_upper_bound(model: GameModel) -> dict | None:
+    """Lyapunov-derived upper bound on the eigenvalue, from the declared data.
+
+    Unbounded case: the drift inequality folds into sum W P <= e^{k1 - ell} W
+    with k1 = max(0, max_{i in K} log(1 + C e^{ell_i}/W_i)), and the norm-like
+    gap gives max_c <= ell + k2 with k2 = -min_i d(i) (check_lyapunov); the
+    criterion value is then at most k1 + k2. Bounded case: the criterion is
+    at most the drift rate gamma. Either way C must be finite and positive.
+    """
+    ly = model.lyapunov
+    if ly is None:
+        return None
+    log_C = ly.log_C  # refuses an invalid C in either case
+    if ly.case == "bounded":
+        return {"case": "bounded", "k1": float(ly.gamma), "k2": 0.0, "upper": float(ly.gamma)}
+    k1 = max([0.0] + np.logaddexp(0.0, log_C + ly.ell[ly.K] - ly.log_W[ly.K]).tolist())
+    k2 = -float((ly.ell - _max_costs(model, range(model.n_states))).min())
+    return {"case": "unbounded", "k1": k1, "k2": k2, "upper": k1 + k2}
 
 
 # ---------------------------------------------------------------------------

@@ -41,6 +41,7 @@ and one Philox call per step draws the uniforms of the whole block.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -355,6 +356,16 @@ def _require_closed(model: GameModel):
                         f"max exit mass {model.max_exit_mass():.3e}")
 
 
+def _batch_log_means(terms) -> np.ndarray:
+    """log of the mean of exp(terms) over floor(sqrt(n)) contiguous batches
+    of the n terms, the last batch taking the remainder; empty for n = 0."""
+    n = len(terms)
+    n_batches = int(np.sqrt(n))
+    ends = [b * (n // max(1, n_batches)) for b in range(n_batches)] + [n]
+    return np.array([logsumexp(terms[lo:hi]) - np.log(hi - lo)
+                     for lo, hi in zip(ends, ends[1:])])
+
+
 def _growth_estimate(tab: _Table, cfg: SimConfig) -> EstimatorReport:
     """(logsumexp of path exponents - log N) / T on the pair's table, with
     the spread over sqrt(N) contiguous path batches and the effective
@@ -364,14 +375,7 @@ def _growth_estimate(tab: _Table, cfg: SimConfig) -> EstimatorReport:
         for lo in range(0, cfg.N, BLOCK_PATHS)])
 
     estimate = (logsumexp(expo) - np.log(cfg.N)) / cfg.T
-    n_batches = max(1, int(np.sqrt(cfg.N)))
-    size = cfg.N // n_batches
-    batch_est = []
-    for b in range(n_batches):
-        lo = b * size
-        hi = cfg.N if b == n_batches - 1 else (b + 1) * size
-        batch_est.append((logsumexp(expo[lo:hi]) - np.log(hi - lo)) / cfg.T)
-    batch_est = np.asarray(batch_est)
+    batch_est = _batch_log_means(expo) / cfg.T
     spread = float(batch_est.std(ddof=1)) if len(batch_est) > 1 else 0.0
     w = np.exp(expo - expo.max())
     return EstimatorReport(
@@ -380,7 +384,7 @@ def _growth_estimate(tab: _Table, cfg: SimConfig) -> EstimatorReport:
         diagnostics={
             "max_exponent": float(expo.max()),
             "min_exponent": float(expo.min()),
-            "batches": int(n_batches),
+            "batches": len(batch_est),
             "batch_mean": float(batch_est.mean()),
             "shift_applied": True,
             "ess": float(w.sum() ** 2 / (w ** 2).sum()),
@@ -408,14 +412,14 @@ def estimate_ergodic_cost(model: GameModel, pi1: StationaryStrategy,
 
 def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
                              pi2: StationaryStrategy, cfg: SimConfig, player: int,
-                             count: int, threads: int = 1):
+                             count: int):
     """Plug-in estimates for the pair and for `count` deviations of one player.
 
     Returns (base, deviation estimates). Deviation k replaces `player`'s
     rule by the k-th of _deviation_strategies(model, player, count,
     cfg.seed) and runs on seed cfg.seed + k + 1; each estimate equals the
     one estimate_ergodic_cost gives for that pair and seed, but the kernel
-    entries are read once for all runs. `threads` has no effect.
+    entries are read once for all runs.
     """
     if player not in (1, 2):
         raise ValueError(f"deviating player must equal 1 or 2, got {player}")
@@ -456,40 +460,25 @@ class SaddleVerdict:
         }
 
 
-def _pure_strategy_count(model: GameModel, player: int) -> float:
-    total = 1.0
-    for i in range(model.n_states):
-        total *= model.n_actions(i)[player - 1]
-        if total > 1e6:
-            break
-    return total
-
-
 def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
     """Pure strategies when few enough, else per-state Dirichlet mixtures.
 
     A player with singleton action sets everywhere has nothing to deviate
     to; the empty list makes that player's checks vacuous.
     """
-    out = []
     n = model.n_states
     sizes = [model.n_actions(i)[player - 1] for i in range(n)]
     if all(m == 1 for m in sizes):
-        return out
-    if _pure_strategy_count(model, player) <= count:
-        def rec(i, acc):
-            if i == n:
-                out.append(StationaryStrategy.pure(model, player, list(acc)))
-                return
-            for a in range(sizes[i]):
-                rec(i + 1, acc + [a])
-        rec(0, [])
-        return [s for s in out]
+        return []
+    pure = list(itertools.islice(itertools.product(*map(range, sizes)), count + 1))
+    if len(pure) <= count:
+        return [StationaryStrategy.pure(model, player, list(idx)) for idx in pure]
     # one gamma draw for all states, normalized as Generator.dirichlet does:
     # a left-to-right sum per state, then each gamma times the sum's inverse
     rng = np.random.default_rng(np.uint64(seed) + np.uint64(7919 * player))
     seg = np.repeat(np.arange(n), sizes)
     slot = np.arange(len(seg)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
+    out = []
     for _ in range(count):
         g = rng.standard_gamma(1.0, size=len(seg))
         acc = np.zeros(n)
@@ -550,7 +539,7 @@ def _reachable(tab: _Table, start: int) -> np.ndarray:
 
 
 def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
-                  deviations: int = 4, threads: int = 1) -> SaddleVerdict:
+                  deviations: int = 4) -> SaddleVerdict:
     """Simulation check of the equilibrium property of the solved pair.
 
     Every run estimates the psi*-weighted growth rate Lambda_T (module
@@ -565,8 +554,7 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
     comparison uses its own run's spread. A run that can reach a state
     where the extended psi* is still zero cannot be weighted: it fails,
     and a warning names those states. Deviation runs draw fresh seeds
-    derived from cfg.seed. `threads` is accepted for compatibility and
-    has no effect.
+    derived from cfg.seed.
     """
     pi1, pi2 = report.selectors
     rho = report.rho_star
@@ -709,14 +697,7 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
         good = terms[~np.isnan(terms)]
         frac_capped = capped / cfg.N
         estimate = float(np.exp(logsumexp(good) - np.log(len(good)))) if len(good) else np.nan
-        n_batches = max(1, int(np.sqrt(len(good))))
-        size = max(1, len(good) // n_batches)
-        batch_est = []
-        for b in range(n_batches):
-            lo = b * size
-            hi = len(good) if b == n_batches - 1 else (b + 1) * size
-            if hi > lo:
-                batch_est.append(float(np.exp(logsumexp(good[lo:hi]) - np.log(hi - lo))))
+        batch_est = np.exp(_batch_log_means(good))
         spread = float(np.std(batch_est, ddof=1)) if len(batch_est) > 1 else 0.0
         psi_i = float(np.exp(log_psi[s0]))
         inconclusive = frac_capped > 0.01

@@ -18,7 +18,7 @@ import numpy as np
 from ._util import NEG_INF
 from .dirichlet import (DEFAULT_MAX_ITER, DEFAULT_TOL, DirichletDomain,
                         EigenPair, NoConvergence, apply_operator, dirichlet_eigenpair)
-from .model import GameModel, StationaryStrategy
+from .model import GameModel, StationaryStrategy, eigenvalue_upper_bound
 
 DEFAULT_TOL_OUTER = 1e-6
 BOUNDARY_MASS_WARN = 1e-6
@@ -52,10 +52,12 @@ class SolveReport:
 
     def to_dict(self) -> dict:
         pi1, pi2 = self.selectors
+        with np.errstate(over="ignore"):  # psi above the float range is written as null
+            psi = [float(np.exp(x)) for x in self.log_psi_star]
         return {
             "rho_star": float(self.rho_star),
             "log_psi_star": [float(x) for x in self.log_psi_star],
-            "psi_star": [float(np.exp(x)) for x in self.log_psi_star],
+            "psi_star": [None if p == np.inf else p for p in psi],
             "domain": [int(s) for s in self.domain],
             "ladder": [
                 {"n": r.index, "domain_size": r.domain_size, "rho_n": float(r.rho),
@@ -93,28 +95,6 @@ def default_ladder(model: GameModel) -> list:
         size *= 2
     sizes.append(n)
     return sizes
-
-
-def eigenvalue_upper_bound(model: GameModel) -> dict | None:
-    """Lyapunov-derived upper bound on the eigenvalue, from the declared data.
-
-    Unbounded case: the drift inequality folds into sum W P <= e^{k1 - ell} W
-    with k1 = max(0, max_{i in K} log(1 + C e^{ell_i}/W_i)), and the norm-like
-    gap gives max_c <= ell + k2 with k2 = max_i (max_c_i - ell_i); the
-    criterion value is then at most k1 + k2. Bounded case: the criterion is
-    at most the drift rate gamma.
-    """
-    ly = model.lyapunov
-    if ly is None:
-        return None
-    if ly.case == "bounded":
-        return {"case": "bounded", "k1": float(ly.gamma), "k2": 0.0, "upper": float(ly.gamma)}
-    logC = float(np.log(ly.C))
-    k1 = 0.0
-    for i in ly.K:
-        k1 = max(k1, float(np.logaddexp(0.0, logC + ly.ell[i] - ly.log_W[i])))
-    k2 = max(float(model.cost[i].max() - ly.ell[i]) for i in range(model.n_states))
-    return {"case": "unbounded", "k1": k1, "k2": k2, "upper": k1 + k2}
 
 
 def _domain_sweep(model: GameModel, log_psi: np.ndarray, domain, tol_local):
@@ -217,6 +197,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
         raise ValueError(f"ladder exceeds the window: {sizes[-1]} > {model.n_states}")
     if sizes[0] <= model.i0:
         raise ValueError(f"every rung must contain the reference state {model.i0}")
+    bounds = eigenvalue_upper_bound(model)
 
     rungs = []
     warnings = []
@@ -250,7 +231,6 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     selectors = _selectors(model, dict(zip(states, saddles)))
     warnings.extend(_boundary_warnings(model, final.domain))
 
-    bounds = eigenvalue_upper_bound(model)
     if bounds is not None:
         tol_bound = max(tol_outer, 1e-6)
         for r in rungs:

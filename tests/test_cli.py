@@ -111,6 +111,22 @@ def test_simulate_subcommand(workdir, capsys):
     assert len(doc["deviations"]["estimates"]) == 2
 
 
+def test_simulate_refuses_nonfinite_strategy_weights(workdir, capsys):
+    from conftest import pennies_layer_model
+    from rsgame.model import model_to_json
+
+    with open("m.json", "w") as fh:
+        json.dump(model_to_json(pennies_layer_model()), fh)
+    assert run(["solve", "m.json", "--out", "r.json"]) == 0
+    report = read_json("r.json")
+    report["selectors"]["p1"][0] = [float("nan"), 1.0]
+    with open("r.json", "w") as fh:
+        json.dump(report, fh)
+    capsys.readouterr()
+    assert run(["simulate", "m.json", "--strategies", "r.json", "--T", "10", "--N", "10"]) == 2
+    assert "state 0: non-finite weight nan" in capsys.readouterr().err
+
+
 def test_simulate_deviations_build_tables_once(workdir, capsys, monkeypatch):
     from rsgame import simulate
     from rsgame.cli import _load_model, _load_report
@@ -334,6 +350,35 @@ def test_validate_flags_structural_break(workdir, capsys):
                 assert run([command, "broken.json"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: unsound kernel: ") and message in err
+
+
+def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
+    """validate reports a C that is not finite and positive; check and solve
+    refuse it by name before taking its log."""
+    doc = {
+        "states": 2,
+        "actions_p1": [[0], [0]],
+        "actions_p2": [[0], [0]],
+        "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 0.5},
+                       {"i": 0, "u": 0, "v": 0, "j": 1, "p": 0.5},
+                       {"i": 1, "u": 0, "v": 0, "j": 0, "p": 1.0}],
+        "cost": [{"i": 1, "u": 0, "v": 0, "c": 0.5}],
+        "i0": 0,
+        "lyapunov": {"logW": [0.0, 1.0], "ell": [0.5, 0.5], "K": [0, 1], "C": 1.0},
+    }
+    for C in (-1.0, 0.0, "nan", "inf"):
+        doc["lyapunov"]["C"] = C
+        with open("bad_c.json", "w") as fh:
+            json.dump(doc, fh)
+        assert run(["validate", "bad_c.json"]) == 1
+        out = json.loads(capsys.readouterr().out)
+        assert "lyapunov_C_nonpositive" in [v["kind"] for v in out["violations"]]
+        for command in ("check", "solve"):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+                assert run([command, "bad_c.json"]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error: Lyapunov constant C = ") and "finite and > 0" in err
 
 
 # ---------------------------------------------------------------------------

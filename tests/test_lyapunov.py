@@ -47,3 +47,12 @@ def _stability(p_hat):
         "stability-0.2", "bound-bd60", "bound-bounded"])
 def test_lyapunov_documents_pinned(document, sha):
     assert _digest(document()) == sha
+
+
+def test_single_checked_state_passes_the_surrogate():
+    """Both documents come from one checker: the stability report at
+    i_max = 0 is check_lyapunov on state 0, whose surrogate passes."""
+    one = verify_stability_estimates(BirthDeathParams(window=60), i_max=0)
+    assert one.norm_like["passed"] and one.passed
+    rep = check_lyapunov(build_birth_death(BirthDeathParams(window=60)), [0])
+    assert rep.norm_like == one.norm_like and rep.slack.tolist() == one.slack

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import (one_state_two_action, random_closed_model, scalar_self_loop,
-                      uncontrolled_two_state)
+from conftest import (one_state_two_action, pennies_layer_model, random_closed_model,
+                      scalar_self_loop, uncontrolled_two_state)
 from rsgame import model as model_module
 from rsgame._util import logsumexp
 from rsgame.birth_death import BirthDeathParams, build_birth_death
@@ -16,6 +16,7 @@ from rsgame.model import (STRATEGY_TOL, LyapunovData, MissingLyapunovData, Schem
                           check_lyapunov, check_reference_state, make_model,
                           model_from_json, model_to_json, validate_model,
                           write_model_json)
+from rsgame.simulate import SimConfig, estimate_ergodic_cost
 
 
 def test_validate_well_formed_two_state(two_state):
@@ -193,6 +194,18 @@ def test_strategy_validation(two_state):
     assert any("sum" in p for p in problems)
     misshapen = StationaryStrategy([np.array([0.5, 0.5]), np.array([1.0])])
     assert any("actions" in p for p in misshapen.validate_for(two_state, 1))
+
+
+def test_strategy_validation_flags_nonfinite_weights():
+    """A NaN or infinite weight is a problem; the simulator refuses it
+    rather than dropping that action."""
+    m = pennies_layer_model()
+    pi2 = StationaryStrategy.uniform(m, 2)
+    for bad in (np.nan, np.inf):
+        pi1 = StationaryStrategy([np.array([bad, 1.0]), np.array([1.0])])
+        assert pi1.validate_for(m, 1) == [f"state 0: non-finite weight {bad}"]
+        with pytest.raises(ValueError, match="non-finite weight"):
+            estimate_ergodic_cost(m, pi1, pi2, SimConfig(T=10, N=10))
 
 
 def test_strategy_validation_matches_per_state_checks(rng):

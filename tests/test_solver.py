@@ -1,3 +1,6 @@
+import json
+import warnings
+
 import numpy as np
 import pytest
 
@@ -250,3 +253,15 @@ def test_report_diagnostics_mixed_random_game():
     pi1, pi2 = rep.selectors
     assert all(np.array_equal(pi1.weights[i], s.mu) and np.array_equal(pi2.weights[i], s.nu)
                for i, s in zip(states, saddles))
+
+
+def test_report_writes_overflowed_psi_as_null(two_state):
+    """psi_star is null where exp(log psi) leaves the float range, with no
+    warning; every other entry is exp of its log, 0.0 off the domain."""
+    rep = solve_ergodic_game(two_state)
+    rep.log_psi_star = np.array([0.5, 800.0, -np.inf])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        psi = rep.to_dict()["psi_star"]
+    assert psi == [float(np.exp(0.5)), None, 0.0]
+    json.dumps(psi, allow_nan=False)
