@@ -1,5 +1,5 @@
-"""Shared numeric helpers: stable log-sum-exp, whole and by segment, and
-concatenated index ranges."""
+"""Shared numeric helpers: stable log-sum-exp, whole and by segment,
+concatenated index ranges and graph reachability."""
 
 from __future__ import annotations
 
@@ -28,6 +28,26 @@ def concat_ranges(lo, hi):
     size = hi - lo
     start = np.cumsum(size) - size
     return np.repeat(lo - start, size) + np.arange(int(size.sum())), start
+
+
+def reachable(lo, hi, succ, sources) -> np.ndarray:
+    """Mask of the nodes reached from `sources` in the graph whose node k
+    has the successors succ[lo[k]:hi[k]] (CSR), breadth first: each
+    frontier holds every newly reached node once, so each edge is read at
+    most once."""
+    seen = np.zeros(len(lo), dtype=bool)
+    seen[sources] = True
+    frontier = np.flatnonzero(seen)
+    slot = np.empty(len(lo), dtype=np.int64)
+    while frontier.size:
+        new = succ[concat_ranges(lo[frontier], hi[frontier])[0]]
+        new = new[~seen[new]]
+        # one occurrence of each node wins the slot write; keep only that one
+        order = np.arange(new.size)
+        slot[new] = order
+        frontier = new[slot[new] == order]
+        seen[frontier] = True
+    return seen
 
 
 def segment_logsumexp(vals, sizes):

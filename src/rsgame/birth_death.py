@@ -253,6 +253,8 @@ def verify_stability_estimates(params: BirthDeathParams, i_max: int = 200) -> St
     finite-window norm-like surrogate of ell(i) - max_{u,v} c(i,u,v). It
     adds the state-0 variant of the drift against C alone.
     """
+    if i_max < 0:
+        raise ParamError(f"i_max (--i-max) must be >= 0, got {i_max}")
     window = max(params.window, i_max + 2)
     model = build_birth_death(BirthDeathParams(**{**params.__dict__, "window": window}))
     ly = model.lyapunov

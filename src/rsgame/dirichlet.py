@@ -91,13 +91,6 @@ class EigenPair:
     damping_events: int = 0
     warnings: list = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "rho": float(self.rho),
-            "psi": [float(np.exp(x)) for x in self.log_psi],
-            "domain": [int(s) for s in self.domain],
-        }
-
 
 def viable_states(domain: DirichletDomain) -> np.ndarray:
     """Largest subset on which the game value stays positive.

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import concat_ranges, segment_logsumexp
+from ._util import concat_ranges, reachable, segment_logsumexp
 
 ROW_SUM_TOL = 1e-12
 CLOSED_TOL = 1e-12
@@ -630,13 +630,23 @@ class IrreducibilityReport:
         }
 
 
-def _strongly_connected(edges: np.ndarray, n: int) -> bool:
-    from scipy.sparse import csr_matrix
-    from scipy.sparse.csgraph import connected_components
-
-    g = csr_matrix((np.ones(len(edges)), (edges[:, 0], edges[:, 1])), shape=(n, n))
-    ncomp, _ = connected_components(g, directed=True, connection="strong")
-    return ncomp == 1
+def _strongly_connected(tail, head, n_graphs: int, n: int) -> np.ndarray:
+    """Whether each graph of a batch is strongly connected. Graph b has the
+    nodes b*n .. b*n + n - 1 and the edges tail -> head among them; it is
+    strongly connected when every node reaches its first node and is
+    reached from it. One reachability pass over the disjoint union of the
+    graphs and their reverses tests them all. A graph without edges fails,
+    even on one node."""
+    nodes = n_graphs * n
+    # the reverse of node x is node nodes + x
+    tails = np.concatenate([tail, head + nodes])
+    heads = np.concatenate([head, tail + nodes])
+    count = np.bincount(tails, minlength=2 * nodes)
+    end = np.cumsum(count)
+    seen = reachable(end - count, end, heads[np.argsort(tails)],
+                     np.arange(0, 2 * nodes, n))
+    both = (seen[:nodes] & seen[nodes:]).reshape(n_graphs, n)
+    return both.all(axis=1) & (np.bincount(tail // n, minlength=n_graphs) > 0)
 
 
 def check_irreducibility(model: GameModel, mode: str = "sufficient",
@@ -658,8 +668,7 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
         keys, rows = np.unique(row_state[k.entry_rows()[pos]] * n + k.indices[pos],
                                return_counts=True)
         keys = keys[rows == np.diff(k.row_start)[keys // n]]
-        edges = np.stack([keys // n, keys % n], axis=1)
-        ok = bool(len(edges)) and _strongly_connected(edges, n)
+        ok = bool(_strongly_connected(keys // n, keys % n, 1, n)[0])
         return IrreducibilityReport(
             mode=mode,
             passed=ok,
@@ -668,24 +677,36 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
         )
     if mode == "sampled":
         rng = np.random.default_rng(seed)
+        mu = np.array([len(a) for a in model.actions_p1], dtype=np.int64)
         mv = np.array([len(a) for a in model.actions_p2], dtype=np.int64)
+        highs = np.concatenate([mu, mv])
         row_len = np.diff(k.indptr)
-        for s in range(samples):
-            pick1 = [int(rng.integers(model.n_actions(i)[0])) for i in range(n)]
-            pick2 = [int(rng.integers(model.n_actions(i)[1])) for i in range(n)]
-            rows = k.row_start[:-1] + np.asarray(pick1, dtype=np.int64) * mv + pick2
+        # Samples are tested in chunks of 1, 1, 2, 4, ..., so an early
+        # failure costs about what it costs one sample at a time. A chunk
+        # is drawn in one array call, each sample as player 1's action at
+        # every state, then player 2's: numpy fills the array entry by
+        # entry, the sequence of one scalar call per state and player.
+        done = 0
+        while done < samples:
+            stop = min(samples, max(1, 2 * done))
+            picks = rng.integers(np.tile(highs, stop - done))
+            picks = picks.reshape(stop - done, 2, n)
+            rows = (k.row_start[:-1] + picks[:, 0] * mv + picks[:, 1]).ravel()
             at, _ = concat_ranges(k.indptr[rows], k.indptr[rows + 1])
             pos = k.prob[at] > 0
-            edges = np.stack([np.repeat(np.arange(n), row_len[rows])[pos],
-                              k.indices[at][pos]], axis=1)
-            if not len(edges) or not _strongly_connected(edges, n):
+            tail = np.repeat(np.arange(len(rows)), row_len[rows])[pos]
+            head = k.indices[at][pos] + tail // n * n
+            ok = _strongly_connected(tail, head, stop - done, n)
+            if not ok.all():
+                first = int(np.argmin(ok))
                 return IrreducibilityReport(
                     mode=mode,
                     passed=False,
                     guarantee="reducible under a sampled pure pair",
-                    failing_pair={"p1": pick1, "p2": pick2},
-                    samples=s + 1,
+                    failing_pair={"p1": picks[first, 0].tolist(), "p2": picks[first, 1].tolist()},
+                    samples=done + first + 1,
                 )
+            done = stop
         return IrreducibilityReport(
             mode=mode,
             passed=True,

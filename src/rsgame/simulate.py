@@ -46,7 +46,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import concat_ranges, logsumexp, segment_logsumexp
+from ._util import concat_ranges, logsumexp, reachable, segment_logsumexp
 from .model import CLOSED_TOL, GameModel, StationaryStrategy
 from .solver import SolveReport
 
@@ -524,20 +524,6 @@ def _extend_log_psi(report: SolveReport, cbar, tab: _Table):
     return log_psi
 
 
-def _reachable(tab: _Table, start: int) -> np.ndarray:
-    """The states a closed model's table reaches from `start`, one frontier
-    of states at a time, so each slot is read at most once."""
-    seen = np.zeros(len(tab.size), dtype=bool)
-    seen[start] = True
-    frontier = np.array([start])
-    while frontier.size:
-        at, _ = concat_ranges(tab.lo[frontier], tab.lo[frontier] + tab.size[frontier])
-        frontier = np.unique(tab.j[at])
-        frontier = frontier[~seen[frontier]]
-        seen[frontier] = True
-    return seen
-
-
 def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
                   deviations: int = 4) -> SaddleVerdict:
     """Simulation check of the equilibrium property of the solved pair.
@@ -571,7 +557,8 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
         """The run's estimate, and False when it can reach a zero of psi."""
         covered = True
         if zero.any():
-            hit = np.flatnonzero(zero & _reachable(_table(plain, a, b), start))
+            tab = _table(plain, a, b)
+            hit = np.flatnonzero(zero & reachable(tab.lo, tab.lo + tab.size, tab.j, start))
             if hit.size:
                 covered = False
                 warnings.append(f"{label}: states {hit.tolist()} are reachable from "

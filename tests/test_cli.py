@@ -212,21 +212,6 @@ def run_python(code: str) -> str:
     return proc.stdout
 
 
-def test_scipy_is_imported_only_where_used():
-    """The CLI imports no scipy; a pure-saddle solve needs no scipy.optimize."""
-    out = run_python(
-        "import contextlib, io, os, sys, tempfile\n"
-        "from rsgame.cli import run\n"
-        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
-        "path = os.path.join(tempfile.mkdtemp(), 'm.json')\n"
-        "with contextlib.redirect_stdout(io.StringIO()), "
-        "contextlib.redirect_stderr(io.StringIO()):\n"
-        "    assert run(['example', 'birth-death', '--window', '30', '--out', path]) == 0\n"
-        "    assert run(['solve', path, '--ladder', '15,30']) == 0\n"
-        "print('scipy.optimize' in sys.modules)\n")
-    assert out.split("\n")[:2] == ["[]", "False"]
-
-
 # peak resident set of example -> validate -> check -> solve at window 2000:
 # 121 MB measured with the CSR kernel (2-vCPU Linux host, Python 3.11,
 # numpy 2.4), 892 MB with the dense per-state tensors it replaced
@@ -308,6 +293,14 @@ def test_example_stability_report(workdir, capsys):
     capsys.readouterr()
     # p-hat above the admissible range is a parameter error at build time
     assert bad == 2
+
+
+def test_example_stability_report_refuses_negative_i_max(workdir, capsys):
+    code = run(["example", "birth-death", "--window", "20", "--out", "m.json",
+                "--stability-out", "s.json", "--i-max", "-1"])
+    assert code == 2
+    assert "--i-max" in capsys.readouterr().err
+    assert not Path("s.json").exists()
 
 
 def test_validate_flags_structural_break(workdir, capsys):

@@ -93,9 +93,7 @@ def test_eigen_two_state_perron_root(two_state):
     M = np.array([[0.5, 0.5], [1.0, 1.0]])
     assert ep.rho == pytest.approx(perron_log_radius(M), abs=1e-10)
     assert np.exp(ep.log_psi) == pytest.approx([1.0, 2.0], abs=1e-9)
-    doc = ep.to_dict()
-    assert set(doc) == {"rho", "psi", "domain"}
-    assert doc["domain"] == [0, 1]
+    assert ep.domain.tolist() == [0, 1]
 
 
 def test_eigen_zero_cost_closed_chain(rng):

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from conftest import (one_state_two_action, pennies_layer_model, random_closed_model,
                       scalar_self_loop, uncontrolled_two_state)
 from rsgame import model as model_module
-from rsgame._util import logsumexp
+from rsgame._util import logsumexp, reachable
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import (STRATEGY_TOL, LyapunovData, MissingLyapunovData, SchemaError,
                           StationaryStrategy, check_irreducibility,
@@ -149,6 +149,92 @@ def test_sufficient_implies_sampled(rng):
         m = random_closed_model(rng, n=4, mu=2, mv=2)
         if check_irreducibility(m, "sufficient").passed:
             assert check_irreducibility(m, "sampled", samples=20, seed=3).passed
+
+
+def closure(adj):
+    """Reflexive-transitive closure of a boolean adjacency matrix."""
+    reach = adj | np.eye(len(adj), dtype=bool)
+    for _ in range(len(adj)):
+        reach = reach | (reach.astype(int) @ reach.astype(int) > 0)
+    return reach
+
+
+def test_reachable_matches_the_closure(rng):
+    for _ in range(20):
+        n = int(rng.integers(1, 12))
+        adj = rng.uniform(size=(n, n)) < rng.uniform(0.05, 0.4)
+        src, dst = np.nonzero(adj)
+        # every edge listed twice: duplicate successors are reached once
+        count = 2 * np.bincount(src, minlength=n)
+        end = np.cumsum(count)
+        start = int(rng.integers(n))
+        got = reachable(end - count, end, np.repeat(dst, 2), start)
+        assert got.tolist() == closure(adj)[start].tolist()
+
+
+def test_sampled_draw_is_the_scalar_draw_sequence():
+    """The sampled check draws a chunk of pure pairs in one array call; it
+    must equal one scalar call per state and player, sample after sample,
+    and chunks must continue the same sequence. A one-action set draws
+    nothing."""
+    mu = np.array([1, 3, 1, 5, 7, 2**33])
+    mv = np.array([2, 1, 1, 7, 3, 1])
+    highs = np.concatenate([mu, mv])
+    for seed in range(5):
+        rng = np.random.default_rng(seed)
+        scalar = [int(rng.integers(int(h))) for _ in range(7) for h in highs]
+        rng = np.random.default_rng(seed)
+        chunks = [rng.integers(np.tile(highs, size)) for size in (1, 1, 2, 3)]
+        assert np.concatenate(chunks).tolist() == scalar
+
+
+def sequential_sampled_check(P, mu, mv, samples, seed):
+    """One pure pair at a time, each state's actions drawn by scalar calls."""
+    rng = np.random.default_rng(seed)
+    n = len(P)
+    for s in range(samples):
+        p1 = [int(rng.integers(mu[i])) for i in range(n)]
+        p2 = [int(rng.integers(mv[i])) for i in range(n)]
+        adj = np.array([P[i][p1[i], p2[i]] > 0 for i in range(n)])
+        if not (adj.any() and closure(adj).all()):
+            return {"p1": p1, "p2": p2}, s + 1
+    return None, samples
+
+
+def test_sampled_reports_the_first_failure_in_draw_order():
+    """Pair (0, 0) at a trap state holds the chain there, so a sample
+    fails only when it picks (0, 0) at a trap: late failures, some past
+    the first chunks of the batched check."""
+    late = 0
+    for g in range(12):
+        rng = np.random.default_rng(g)
+        n = 5
+        mu, mv = rng.integers(2, 5, n), rng.integers(2, 5, n)
+        P = [rng.uniform(0.1, 1.0, (mu[i], mv[i], n)) for i in range(n)]
+        for i in rng.choice(n, 2, replace=False):
+            P[i][0, 0] = 0.0
+            P[i][0, 0, i] = 1.0
+        P = [p / p.sum(axis=2, keepdims=True) for p in P]
+        m = make_model(n, [list(range(k)) for k in mu], [list(range(k)) for k in mv],
+                       P, [np.zeros((mu[i], mv[i])) for i in range(n)], i0=0)
+        rep = check_irreducibility(m, "sampled", samples=60, seed=g)
+        pair, count = sequential_sampled_check(P, mu, mv, 60, g)
+        assert (rep.failing_pair, rep.samples, rep.passed) == (pair, count, pair is None)
+        late += pair is not None and count > 4
+    assert late >= 3
+
+
+@pytest.mark.parametrize("p, passed", [(1.0, True), (0.0, False)])
+def test_irreducibility_on_one_state(p, passed):
+    """A single state is strongly connected through its self-loop; with no
+    mass it has no edge, and both modes fail it."""
+    P = [np.full((2, 1, 1), p)]
+    m = make_model(1, [[0, 1]], [[0]], P, [np.zeros((2, 1))], i0=0)
+    assert check_irreducibility(m, "sufficient").passed is passed
+    samp = check_irreducibility(m, "sampled", samples=5, seed=0)
+    assert samp.passed is passed
+    assert samp.samples == (5 if passed else 1)
+    assert samp.failing_pair == sequential_sampled_check(P, [2], [1], 5, 0)[0]
 
 
 def test_reference_state_examples():
