@@ -20,28 +20,34 @@ bilinear inside the exponent and inside the inner sum. Structure used here:
   reported duality gap a genuine certificate rather than an iteration
   heuristic.
 
-The value solved here is sup_nu min_u L(delta_u, nu), the leading form of
+The value solved here is sup_nu min_u L(delta_u, nu) = max_nu h(nu),
+h = min_u f_u with f_u(nu) = c_u . nu + log(q_u . nu), the leading form of
 the dynamic-programming display: a concave maximization over the simplex.
-solve_saddle_core takes the first of these stages that certifies:
+solve_saddle_core has two stages:
 
 1. the batched pure path below, on a batch of one;
-2. the pure candidate again, with the pair and LP certificate tiers;
-3. the exact planar method when |U| = 1;
-4. one lower solve (the single point when |V| = 1, exact scalar search
-   when |V| = 2, a single-start epigraph SLSQP solve when |V| >= 3), then
-   Newton polishing; if its certificate misses the tolerance, the solve
-   raises NoConvergence.
+2. Kelley's cutting planes on h (_lower_solve), started at the pure
+   candidate e_v* of stage 1. Each round adds the supergradient cut of
+   every f_u at the iterate and solves the master, a small matrix game
+   with one row per cut, by a dense simplex whose strategies are solved
+   exactly on its final basis (_matrix_game). If the certificate still
+   misses the tolerance after _MAX_ROUNDS rounds, the solve raises
+   NoConvergence.
 
 Certification. L is concave in BOTH variables, so the two optimization
 orders need not coincide: instances exist (see tests) where
 inf_mu sup_nu exceeds sup_nu inf_mu by 0.1 in log scale. The reported
-`gap` therefore certifies the computed lower value itself: a supergradient
-linear program bounds max_nu h from above at the returned point, and the
-bound is valid unconditionally (concavity of each pure payoff plus an
-activation-slack term). The discrepancy between the two orders for the
-best minimizing mixture found is reported separately as `order_gap`; it
-vanishes whenever a genuine saddle point exists (pure saddles, constant
-psi, singleton actions) and is diagnostic otherwise.
+`gap` therefore certifies the computed lower value itself. Every cut
+bounds its f_u from above, so for the master's dual weights lam over the
+cuts (any lam >= 0 summing to one would do) the best mixed cut,
+max_v (lam' M)_v, bounds max_nu h from above; `gap` is that bound minus
+h at the returned nu, computed in floats from lam, so its validity never
+rests on the accuracy of the master. The returned mu is lam summed per
+action: the minimizer's weights that certify the value. How far that mu
+is from a saddle point is reported separately as `order_gap`, the exact
+planar sup_nu L(mu, nu) minus the lower value; it vanishes whenever a
+genuine saddle point exists (pure saddles, constant psi, singleton
+actions) and is diagnostic otherwise.
 
 Batched pure path. An operator sweep solves one local game per state;
 solve_saddles groups them by action shape, stacks their C and L into
@@ -49,12 +55,11 @@ solve_saddles groups them by action shape, stacks their C and L into
 the batch (_pure_saddles): the row shift and the empty-support and dead
 row tests, the pure candidate v* = argmax_v min_u (C + log Q)[u, v], the
 single-action supergradient certificate at e_v*, and the best pure
-minimizer by the exact planar sup with its order gap. A state is settled
-there only when the scalar solver would return at that same point, so
-every field of its LocalSaddle is bit for bit the scalar result; every
-other state (a certificate that needs the pair or LP tier, an order gap
-above max(tol, 1e-9), a mixed saddle) goes to solve_saddle_core, whose
-own fast path is the batched one on a batch of one.
+minimizer by the exact planar sup with its order gap. Its per-state float
+operations do not depend on the batch, so a state it settles gets the
+same LocalSaddle bit for bit whether it is solved alone or in a sweep;
+every other state (a certificate that needs several actions, an order
+gap above max(tol, 1e-9), a mixed saddle) goes to the cutting planes.
 
 All tie-breaks pick the lowest action index.
 """
@@ -71,6 +76,7 @@ from ._util import NEG_INF
 DEFAULT_TOL = 1e-8
 _ACTIVE_TOL = 1e-9
 _Y_FLOOR = 1e-300
+_MAX_ROUNDS = 60  # cut rounds of the lower solve
 
 
 class NoConvergence(RuntimeError):
@@ -217,341 +223,121 @@ def _sup_over_nu(C: np.ndarray, Qs: np.ndarray, mu: np.ndarray):
 # lower problem: maximize h(nu) = min_u f_u(nu) over the nu-simplex
 
 
-def _h_and_active(C, Qs, nu, atol=_ACTIVE_TOL):
-    f = _pure_values(C, Qs, nu)
-    h = float(f.min())
-    if not np.isfinite(h):
-        active = np.nonzero(~np.isfinite(f))[0]
-    else:
-        active = np.nonzero(f <= h + atol * max(1.0, abs(h)))[0]
-    return h, f, active
+def _cuts(C, Qs, points, h_floor):
+    """Cut rows of every pure f_u at every point: f_u(nu) <= M[k] . nu on the simplex.
 
-
-def _maximize_h_1d(C, Qs):
-    """|V| = 2: bisection on the derivative sign of the concave h(t)."""
-
-    def h(t):
-        nu = np.array([1.0 - t, t])
-        return _pure_values(C, Qs, nu).min()
-
-    def slope(t, eps=1e-9):
-        lo = max(0.0, t - eps)
-        hi = min(1.0, t + eps)
-        return (h(hi) - h(lo)) / (hi - lo)
-
-    lo, hi = 0.0, 1.0
-    if slope(0.0) <= 0.0:
-        t = 0.0
-    elif slope(1.0) >= 0.0:
-        t = 1.0
-    else:
-        for _ in range(200):
-            mid = 0.5 * (lo + hi)
-            if slope(mid) > 0.0:
-                lo = mid
-            else:
-                hi = mid
-            if hi - lo < 1e-16:
-                break
-        t = 0.5 * (lo + hi)
-        # the kink or stationary point may sit a hair off the bisection
-        # limit; a tiny golden polish removes the last bits
-        span = max(hi - lo, 1e-12)
-        ts = np.clip(np.linspace(t - 3 * span, t + 3 * span, 25), 0.0, 1.0)
-        t = float(ts[int(np.argmax([h(tt) for tt in ts]))])
-    nu = np.array([1.0 - t, t])
-    return nu
-
-
-def _maximize_h_epigraph(C, Qs, nu0):
-    """|V| >= 3: SLSQP on max s subject to s <= f_u(nu), nu on the simplex, from nu0."""
-    from scipy.optimize import minimize  # deferred: pure-saddle solves never need scipy
-
-    mU, mV = C.shape
-
-    def neg_obj(z):
-        return -z[-1]
-
-    def neg_obj_grad(z):
-        g = np.zeros(mV + 1)
-        g[-1] = -1.0
-        return g
-
-    cons = []
-
-    def make_fu(u):
-        def fun(z):
-            nu = z[:mV]
-            y = float(Qs[u] @ nu)
-            return C[u] @ nu + np.log(max(y, _Y_FLOOR)) - z[-1]
-
-        def jac(z):
-            nu = z[:mV]
-            y = max(float(Qs[u] @ nu), _Y_FLOOR)
-            g = np.empty(mV + 1)
-            g[:mV] = C[u] + Qs[u] / y
-            g[-1] = -1.0
-            return g
-
-        return {"type": "ineq", "fun": fun, "jac": jac}
-
-    for u in range(mU):
-        cons.append(make_fu(u))
-    cons.append({
-        "type": "eq",
-        "fun": lambda z: z[:mV].sum() - 1.0,
-        "jac": lambda z: np.concatenate([np.ones(mV), [0.0]]),
-    })
-    bounds = [(0.0, 1.0)] * mV + [(None, None)]
-
-    h0 = _pure_values(C, Qs, nu0).min()
-    if not np.isfinite(h0):
-        return nu0
-    res = minimize(neg_obj, np.concatenate([nu0, [h0]]), jac=neg_obj_grad, method="SLSQP",
-                   bounds=bounds, constraints=cons, options={"maxiter": 300, "ftol": 1e-14})
-    nu = np.clip(res.x[:mV], 0.0, None)
-    s = nu.sum()
-    if s <= 0:
-        return nu0
-    nu /= s
-    # an unusable SLSQP point (no finite lower value) falls back to the start
-    return nu if _pure_values(C, Qs, nu).min() > NEG_INF else nu0
-
-
-def _newton_polish(C, Qs, nu):
-    """Refine nu on its detected active sets and recover KKT multipliers.
-
-    Solves the stationarity system (active payoffs equalized, multiplier-
-    weighted gradient constant over the support of nu, both sets summing
-    to one) by least-squares Newton steps; the payoff often depends on nu
-    through few functionals, so the Jacobian can be singular and lstsq is
-    the right tool. Returns (nu, mu_multipliers_or_None).
+    The cut of f_u at a point p is the tangent of log at
+    y = max(q_u . p, eps_u), which bounds log from above for every
+    eps_u > 0. With eps_u = exp(h_floor - max_v c_u,v), a point where f_u
+    falls below h_floor (q_u . p = 0 included) is cut below h_floor, and no
+    cut is steeper than q_u / eps_u. Row k is the cut of f_(k % mU) at
+    point k // mU.
     """
-    mU, mV = C.shape
-    h, _, A = _h_and_active(C, Qs, nu, atol=1e-7)
-    F = np.nonzero(nu > 1e-10)[0]
-    nA, nF = len(A), len(F)
-    if nF == 0 or not np.isfinite(h):
-        return nu, None
-
-    def residual(z):
-        nuF = z[:nF]
-        lam = z[nF:]
-        nu_full = np.zeros(mV)
-        nu_full[F] = nuF
-        y = Qs[A] @ nu_full
-        if np.any(y <= 0):
-            return None
-        fA = C[A] @ nu_full + np.log(y)
-        grads = C[A][:, F] + Qs[A][:, F] / y[:, None]
-        gbar = lam @ grads
-        return np.concatenate([
-            fA - fA.mean(),
-            gbar - gbar.mean(),
-            [nuF.sum() - 1.0, lam.sum() - 1.0],
-        ])
-
-    z = np.concatenate([nu[F], np.full(nA, 1.0 / nA)])
-    converged = False
-    for _ in range(50):
-        res = residual(z)
-        if res is None:
-            break
-        if np.max(np.abs(res)) < 1e-14:
-            converged = True
-            break
-        J = np.empty((len(res), len(z)))
-        eps = 1e-7
-        for kk in range(len(z)):
-            zp = z.copy()
-            zp[kk] += eps
-            rp = residual(zp)
-            J[:, kk] = 0.0 if rp is None else (rp - res) / eps
-        try:
-            step = np.linalg.lstsq(J, -res, rcond=None)[0]
-        except np.linalg.LinAlgError:
-            break
-        if not np.all(np.isfinite(step)):
-            break
-        z = z + np.clip(step, -0.5, 0.5)
-        z = np.maximum(z, 0.0)
-    if not converged:
-        return nu, None
-    cand = np.zeros(mV)
-    cand[F] = np.maximum(z[:nF], 0.0)
-    if cand.sum() <= 0:
-        return nu, None
-    cand /= cand.sum()
-    if _pure_values(C, Qs, cand).min() < h:
-        return nu, None
-    lamA = np.maximum(z[nF:], 0.0)
-    mu = None
-    if lamA.sum() > 0:
-        mu = np.zeros(mU)
-        mu[A] = lamA / lamA.sum()
-    return cand, mu
+    t = np.maximum(points @ Qs.T, np.exp(h_floor - C.max(axis=1)))
+    M = C + Qs / t[:, :, None] + (np.log(t) - 1.0)[:, :, None]
+    return M.reshape(-1, C.shape[1])
 
 
-def _mu_candidates(C, Qs, nu, active, lam_mu, groups=True):
-    """Collect minimizer mixtures to certify against the exact sup over nu."""
+def _matrix_game(M: np.ndarray):
+    """Optimal strategies (nu, lam) of the matrix game max_nu min_lam lam' M nu.
+
+    A dense primal simplex with Bland's rule finds the optimal basis of
+    lam's program max 1'w s.t. (M + s)' w <= 1, w >= 0, where the shift
+    s = 1 - max_v min_k M[k, v] makes the game's value at least 1; each
+    column w_k is scaled so that its largest coefficient is 1, so a steep
+    cut does not swamp the others. The basis names the rows R of M with
+    basic w and the columns S whose slack is not basic, |R| = |S|. Both
+    strategies are then solved from M itself on that kernel, equalizing
+    M[R, S] (Shapley and Snow, 1950), so they are exact on it up to one
+    dense solve's rounding, whatever the pivots accumulated, and zero off
+    it. Returns both clipped to >= 0, summing to one.
+    """
+    K, V = M.shape
+    A = (M + (1.0 - M.min(axis=0).max())).T
+    scale = 1.0 / A.max(axis=0)  # positive: max_v min_k M <= max_v M[k, v] for every k
+    T = np.zeros((V + 1, K + V + 1))
+    T[:V, :K] = A * scale
+    T[:V, K:-1] = np.eye(V)
+    T[:V, -1] = 1.0
+    T[V, :K] = -scale
+    basis = np.arange(K, K + V)
+    unit = np.concatenate([scale, np.ones(V)])  # reduced costs compare unscaled
+    for _ in range(10 * (K + V)):
+        enter = np.flatnonzero(T[V, :-1] < -1e-14 * unit)
+        if not len(enter):
+            break
+        j = enter[0]
+        rows = np.flatnonzero(T[:V, j] > 1e-12)
+        if not len(rows):
+            break
+        ratios = T[rows, -1] / T[rows, j]
+        tied = rows[ratios == ratios.min()]
+        r = tied[np.argmin(basis[tied])]
+        pivot = T[r] / T[r, j]
+        T -= np.outer(T[:, j], pivot)
+        T[r] = pivot
+        basis[r] = j
+    R = np.sort(basis[basis < K])
+    slack_free = np.ones(V, dtype=bool)
+    slack_free[basis[basis >= K] - K] = False
+    S = np.flatnonzero(slack_free)
+    # B nu_S = t 1 and lam_R' B = t 1', each summing to one
+    B, border = M[np.ix_(R, S)], np.ones((len(S), 1))
+    rhs = np.append(np.zeros(len(S)), 1.0)
+    nu, lam = np.zeros(V), np.zeros(K)
+    try:
+        nu[S] = np.linalg.solve(np.block([[B, -border], [border.T, 0.0]]), rhs)[:-1]
+        lam[R] = np.linalg.solve(np.block([[B.T, -border], [border.T, 0.0]]), rhs)[:-1]
+    except np.linalg.LinAlgError:
+        pass
+    nu, lam = np.maximum(nu, 0.0), np.maximum(lam, 0.0)
+    if not (nu.sum() > 0.0 and lam.sum() > 0.0):  # a kernel singular in floats: the tableau's values
+        nu, lam, in_rows = np.maximum(T[V, K:-1], 0.0), np.zeros(K), basis < K
+        lam[basis[in_rows]] = T[:V, -1][in_rows] * scale[basis[in_rows]]
+    return nu / nu.sum(), lam / lam.sum()
+
+
+def _lower_solve(C, Qs, nu, tol):
+    """Kelley's cutting planes on h from nu (h(nu) finite), certified by the master's duals.
+
+    Each round adds the cut of every f_u at the iterate (_cuts, floored at
+    the best value so far) and solves the master max_nu min_k (M nu)_k, a
+    matrix game with one row per cut. Every cut bounds its f_u from above,
+    so for any weights lam >= 0 summing to one over the cuts,
+    max h <= max_v (lam' M)_v: the master's optimal lam bounds the gap of
+    the best iterate whatever the accuracy of the master, and lam summed
+    per action is the minimizer mu. When mu is pure, the next iterate is
+    the exact planar maximizer of that f_u (once per action); otherwise it
+    is the master's nu. The loop stops once the gap is within tol and no
+    longer shrinks; after _MAX_ROUNDS rounds above tol it raises
+    NoConvergence.
+
+    Returns (nu, h(nu), gap, mu) for the best iterate nu.
+    """
     mU = C.shape[0]
-    cands = []
-    for u in active:
-        w = np.zeros(mU)
-        w[u] = 1.0
-        cands.append(w)
-    if lam_mu is not None and lam_mu.sum() > 0:
-        cands.append(lam_mu / lam_mu.sum())
-    if not groups:
-        return cands
-    from scipy.optimize import linprog
-
-    # mixtures can only straddle pure actions whose one-step mass under nu
-    # agrees; group the active set by that mass and equalize the payoff
-    # gradient over the support of nu by linear programming
-    x = Qs[active] @ nu
-    supp = np.nonzero(nu > 1e-12)[0]
-    off = np.nonzero(nu <= 1e-12)[0]
-    for rtol in (1e-9, 1e-6):
-        groups = []
-        used = np.zeros(len(active), dtype=bool)
-        for a in range(len(active)):
-            if used[a]:
-                continue
-            g = np.nonzero(np.abs(x - x[a]) <= rtol * max(1.0, abs(x[a])))[0]
-            used[g] = True
-            if len(g) >= 2:
-                groups.append(active[g])
-        for g in groups:
-            xbar = float(np.mean(Qs[g] @ nu))
-            if xbar <= 0:
-                continue
-            D = C[g] + Qs[g] / xbar  # (|g|, mV): gradient rows, linear in mu
-            ng = len(g)
-            # variables: mu_g (ng), kappa, eps; minimize eps
-            n_var = ng + 2
-            cost_vec = np.zeros(n_var)
-            cost_vec[-1] = 1.0
-            A_ub, b_ub = [], []
-            for v in supp:
-                row = np.zeros(n_var)
-                row[:ng] = D[:, v]
-                row[ng] = -1.0
-                row[-1] = -1.0
-                A_ub.append(row)
-                b_ub.append(0.0)
-                row2 = np.zeros(n_var)
-                row2[:ng] = -D[:, v]
-                row2[ng] = 1.0
-                row2[-1] = -1.0
-                A_ub.append(row2)
-                b_ub.append(0.0)
-            for v in off:
-                row = np.zeros(n_var)
-                row[:ng] = D[:, v]
-                row[ng] = -1.0
-                row[-1] = -1.0
-                A_ub.append(row)
-                b_ub.append(0.0)
-            A_eq = np.zeros((1, n_var))
-            A_eq[0, :ng] = 1.0
-            res = linprog(cost_vec, A_ub=np.asarray(A_ub), b_ub=np.asarray(b_ub),
-                          A_eq=A_eq, b_eq=[1.0],
-                          bounds=[(0, None)] * ng + [(None, None), (0, None)],
-                          method="highs")
-            if res.status == 0:
-                w = np.zeros(mU)
-                w[g] = np.maximum(res.x[:ng], 0.0)
-                if w.sum() > 0:
-                    cands.append(w / w.sum())
-    return cands
-
-
-def _value_and_grads(C, Qs, nu):
-    """Pure payoffs f_u(nu), their gradients, and the one-step masses."""
-    y = Qs @ nu
-    with np.errstate(divide="ignore"):
-        f = C @ nu + np.log(np.maximum(y, 0.0))
-    ysafe = np.maximum(y, _Y_FLOOR)
-    G = C + Qs / ysafe[:, None]
-    return f, G, y
-
-
-def _pair_bound(slack, A):
-    """min over lam in [0,1] of lam s_i + (1-lam) s_j + max_v of the mixed row.
-
-    Piecewise-linear convex in lam; checking endpoints and all crossing
-    points of the row lines is exact and avoids an LP call.
-    """
-    s_i, s_j = slack
-    a, b = A  # rows: a_v at lam=1, b_v at lam=0
-    cands = [0.0, 1.0]
-    for v in range(len(a)):
-        for w in range(v + 1, len(a)):
-            den = (a[v] - b[v]) - (a[w] - b[w])
-            if den != 0.0:
-                lam = (b[w] - b[v]) / den
-                if 0.0 < lam < 1.0:
-                    cands.append(lam)
-    best = np.inf
-    for lam in cands:
-        val = lam * s_i + (1 - lam) * s_j + np.max(lam * a + (1 - lam) * b)
-        if val < best:
-            best = val
-    return best
-
-
-def _cert_gap(C, Qs, nu, cheap_target=None):
-    """Certified bound on max_nu' h(nu') - h(nu), valid unconditionally.
-
-    For any weights lam over pure actions with finite payoff at nu,
-    concavity of each f_u gives
-
-        h(nu') <= sum_u lam_u f_u(nu')
-               <= h(nu) + sum_u lam_u (f_u(nu) - h(nu))
-                  + max_v w_v - w . nu,     w = sum_u lam_u grad f_u(nu).
-
-    Single-action bounds come free; pair mixtures have a closed form; the
-    lam-optimal bound over three or more actions is a tiny linear program,
-    only reached when the cheaper bounds miss `cheap_target`.
-    """
-    f, G, y = _value_and_grads(C, Qs, nu)
-    h = float(f.min())
-    if not np.isfinite(h):
-        return np.inf, h
-    live = np.nonzero(y > 0)[0]
-    slack = f[live] - h
-    g0 = G[live] @ nu
-    rows = G[live] - g0[:, None]
-    per_u = slack + rows.max(axis=1)
-    best = max(float(per_u.min()), 0.0)
-    if cheap_target is not None and best <= cheap_target:
-        return best, h
-    k = len(live)
-    if k == 1:
-        return best, h
-    order = np.argsort(per_u)[: min(k, 4)]
-    for ii in range(len(order)):
-        for jj in range(ii + 1, len(order)):
-            i, j = order[ii], order[jj]
-            val = _pair_bound((slack[i], slack[j]), (rows[i], rows[j]))
-            if val < best:
-                best = max(float(val), 0.0)
-    if cheap_target is not None and best <= cheap_target:
-        return best, h
-    if k > 2:
-        from scipy.optimize import linprog
-
-        # variables lam (k), tau; minimize slack.lam + tau
-        cvec = np.concatenate([slack, [1.0]])
-        A_ub = np.concatenate([rows.T, -np.ones((C.shape[1], 1))], axis=1)
-        b_ub = np.zeros(C.shape[1])
-        A_eq = np.concatenate([np.ones((1, k)), np.zeros((1, 1))], axis=1)
-        res = linprog(cvec, A_ub=A_ub, b_ub=b_ub, A_eq=A_eq, b_eq=[1.0],
-                      bounds=[(0, None)] * k + [(None, None)], method="highs")
-        if res.status == 0 and res.fun < best:
-            best = max(float(res.fun), 0.0)
-    return best, h
+    best_nu, best_h = nu, NEG_INF
+    points = np.empty((0, C.shape[1]))
+    upper, mu, gap, planar_done = np.inf, np.ones(mU), np.inf, set()
+    for _ in range(_MAX_ROUNDS):
+        h = float(_pure_values(C, Qs, nu).min())
+        if h > best_h:
+            best_nu, best_h = nu, h
+        points = np.concatenate([points, nu[None]])
+        rows = _cuts(C, Qs, points, best_h)
+        nu, lam = _matrix_game(rows)
+        bound = float((lam @ rows).max())
+        if bound < upper:
+            upper, mu = bound, np.bincount(np.arange(len(lam)) % mU, lam, minlength=mU)
+        last, gap = gap, upper - best_h
+        if gap <= 0.0 or (gap <= tol and gap >= last):
+            break
+        (live,) = np.nonzero(mu)
+        if len(live) == 1 and live[0] not in planar_done:
+            planar_done.add(live[0])
+            _, nu = _max_x_plus_log_y(C[live[0]], Qs[live[0]])
+    if not gap <= tol:  # a NaN gap fails too
+        raise NoConvergence(gap)
+    return best_nu, best_h, max(gap, 0.0), mu / mu.sum()
 
 
 def _unit(m: int, k: int) -> np.ndarray:
@@ -564,18 +350,17 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
     """Batched prologue and pure fast path of solve_saddle_core.
 
     C and L have shape (k, mU, mV): k states with the same action shape.
-    Per state it applies, in the scalar solver's order, the empty-support
-    test, the dead player-1 row test, the 1 x 1 closed form, and the pure
-    candidate v* = argmax_v min_u pure[u, v] with pure = C + log Qs, which
-    it accepts when the single-action supergradient bound of _cert_gap is
-    within tol and the lowest-index best pure minimizer, measured by the
-    exact planar sup over nu, has order gap within max(tol, 1e-9). Every
-    step is an array operation over the batch whose per-state float
-    operations are the scalar solver's, so an accepted state's LocalSaddle
-    is bit for bit what the scalar stages would return.
+    Per state it applies the empty-support test, the dead player-1 row
+    test, the 1 x 1 closed form, and the pure candidate
+    v* = argmax_v min_u pure[u, v] with pure = C + log Qs, which it accepts
+    when the best single-action supergradient bound at e_v* is within tol
+    and the lowest-index best pure minimizer, measured by the exact planar
+    sup over nu, has order gap within max(tol, 1e-9). Every step is an
+    array operation over the batch whose per-state float operations do
+    not depend on the batch.
 
     Returns (saddles, m0, Qs, v_star): saddles[j] is None for a state left
-    to the scalar stages, which continue from its row shift m0, shifted
+    to the cutting planes, which continue from its row shift m0, shifted
     masses Qs = exp(L - m0) and candidate column v_star.
     """
     k, mU, mV = C.shape
@@ -599,13 +384,13 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
             saddles[j] = LocalSaddle(float(C[j, 0, 0] + L[j, 0, 0]), np.ones(1), np.ones(1), 0.0)
         return saddles, m0, Qs, v_star
 
-    # non-finite costs or masses take the scalar path, whose matrix-vector
-    # products (not the gathers below) define the result for them
+    # non-finite costs or masses go to the cutting planes, whose
+    # matrix-vector products (not the gathers below) define the result for them
     ks = np.nonzero(~settled & np.isfinite(C).all(axis=(1, 2)) & (L < np.inf).all(axis=(1, 2)))[0]
     vs = v_star[ks]
     with np.errstate(all="ignore"):
-        # f_u(e_v*) and the single-action bound of _cert_gap at the vertex
-        # e_v*; a product with a unit vector is exactly a column gather
+        # f_u(e_v*) and the single-action supergradient bounds at the
+        # vertex e_v*; a product with a unit vector is exactly a column gather
         y = Qs[ks, :, vs]  # (r, mU)
         f = C[ks, :, vs] + np.log(np.maximum(y, 0.0))
         h = f.min(axis=1)
@@ -618,8 +403,8 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         return saddles, m0, Qs, v_star
     ks, vs, f, h, cert = ks[keep], vs[keep], f[keep], h[keep], cert[keep]
 
-    # pick_mu without groups: over the active pure actions, the lowest
-    # index with the smallest exact planar sup over nu
+    # over the active pure actions, the lowest index with the smallest
+    # exact planar sup over nu
     active = f <= (h + _ACTIVE_TOL * np.maximum(1.0, np.abs(h)))[:, None]
     ri, ui = np.nonzero(active)
     phi = np.full(active.shape, np.inf)
@@ -630,7 +415,7 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         h_r = float(h[r])
         order1 = max(float(phi[r, u_best[r]]) - h_r, 0.0)
         if order1 > order_tol:
-            continue  # mixing may be required: the scalar group LPs decide
+            continue  # mixing may be required: the cutting planes decide
         saddles[j] = LocalSaddle(h_r + float(m0[j]), _unit(mU, int(u_best[r])),
                                  _unit(mV, int(vs[r])), float(cert[r]), order_gap=order1)
     return saddles, m0, Qs, v_star
@@ -663,63 +448,18 @@ def solve_saddles(costs, Ls, tol: float = DEFAULT_TOL) -> list:
 def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) -> LocalSaddle:
     C = np.asarray(C, dtype=float)
     L = np.asarray(L, dtype=float)
-    mU, mV = C.shape
+    mV = C.shape[1]
 
     (settled,), m0, Qs, v_star = _pure_saddles(C[None], L[None], tol)
     if settled is not None:
         return settled
     m0, Qs = float(m0[0]), Qs[0]
-
-    def pick_mu(nu, h, lam_mu, groups):
-        """Best minimizing mixture by the exact planar sup; order_gap with it."""
-        _, _, active = _h_and_active(C, Qs, nu)
-        cands = _mu_candidates(C, Qs, nu, active, lam_mu, groups=groups)
-        phis, _ = _max_x_plus_log_y_rows(np.array([C.T @ mu for mu in cands]),
-                                         np.array([Qs.T @ mu for mu in cands]))
-        best_mu, best_phi = None, np.inf
-        for mu, phi in zip(cands, phis):
-            if phi < best_phi:
-                best_phi, best_mu = float(phi), mu
-        if best_mu is None:
-            best_mu = _unit(mU, 0)
-            best_phi, _ = _sup_over_nu(C, Qs, best_mu)
-        return best_mu, max(best_phi - h, 0.0)
-
-    def finish(nu, h, cert, lam_mu):
-        mu1, order1 = pick_mu(nu, h, lam_mu, groups=False)
-        if order1 > max(tol, 1e-9):
-            # mixing may be required; the group LP covers every case in
-            # which a saddle point actually exists
-            mu2, order2 = pick_mu(nu, h, lam_mu, groups=True)
-            if order2 < order1:
-                mu1, order1 = mu2, order2
-        return LocalSaddle(h + m0, mu1, nu, cert, order_gap=order1)
-
-    # the pure candidate again, with the pair and LP certificate tiers and
-    # the group mixtures the batched path leaves out
     nu0 = _unit(mV, int(v_star[0]))
-    cert0, h0 = _cert_gap(C, Qs, nu0, cheap_target=tol)
-    if cert0 <= tol:
-        return finish(nu0, h0, cert0, None)
-
-    # exact planar solve when player 1 has a single action
-    if mU == 1:
-        _, nu = _sup_over_nu(C, Qs, np.ones(1))
-        cert, h = _cert_gap(C, Qs, nu)
-        return finish(nu, h, cert, None)
-
-    # full lower solve by the cheapest viable stage, then Newton polishing
-    if mV == 1:
-        nu = np.ones(1)
-    elif mV == 2:
-        nu = _maximize_h_1d(C, Qs)
-    else:
-        nu = _maximize_h_epigraph(C, Qs, np.full(mV, 1.0 / mV))
-    nu, lam = _newton_polish(C, Qs, nu)
-    cert, h = _cert_gap(C, Qs, nu)
-    if not cert <= tol:  # a NaN certificate fails too
-        raise NoConvergence(cert)
-    return finish(nu, h, cert, lam)
+    if not (Qs @ nu0 > 0.0).all():
+        nu0 = np.full(mV, 1.0 / mV)
+    nu, h, gap, mu = _lower_solve(C, Qs, nu0, tol)
+    phi, _ = _sup_over_nu(C, Qs, mu)
+    return LocalSaddle(h + m0, mu, nu, gap, order_gap=max(phi - h, 0.0))
 
 
 def solve_saddle(model, i: int, log_psi, tol: float = DEFAULT_TOL) -> LocalSaddle:

@@ -1,7 +1,8 @@
 """Module boundaries: no rsgame module imports another one's private names,
-and scipy is imported only where a mixed local saddle solve needs it."""
+and none imports scipy."""
 
 import ast
+import json
 import os
 import subprocess
 import sys
@@ -27,12 +28,8 @@ def test_no_module_imports_private_names():
 
 
 def scipy_imports(path: Path):
-    """(module, line, inside a function) for each import of scipy."""
-    tree = ast.parse(path.read_text())
-    deferred = {id(node) for fn in ast.walk(tree)
-                if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef))
-                for node in ast.walk(fn)}
-    for node in ast.walk(tree):
+    """`module:line` for each import of scipy, at any depth."""
+    for node in ast.walk(ast.parse(path.read_text())):
         if isinstance(node, ast.Import):
             names = [alias.name for alias in node.names]
         elif isinstance(node, ast.ImportFrom) and node.level == 0:
@@ -40,31 +37,40 @@ def scipy_imports(path: Path):
         else:
             continue
         if any(name.split(".")[0] == "scipy" for name in names):
-            yield path.name, node.lineno, id(node) in deferred
+            yield f"{path.name}:{node.lineno}"
 
 
-def test_scipy_is_imported_only_inside_saddle_functions():
-    hits = [hit for path in sorted(PACKAGE.glob("*.py")) for hit in scipy_imports(path)]
-    assert hits, "saddle.py's deferred scipy imports were not seen"
-    assert [(name, line) for name, line, deferred in hits
-            if name != "saddle.py" or not deferred] == []
+def test_no_module_imports_scipy():
+    modules = sorted(PACKAGE.rglob("*.py"))
+    assert {"saddle.py", "model.py", "cli.py"} <= {path.name for path in modules}
+    assert [hit for path in modules for hit in scipy_imports(path)] == []
 
 
-def test_scipy_is_imported_only_where_used(tmp_path):
-    """The birth-death check and its all-pure solve import no scipy."""
-    model = str(tmp_path / "m.json")
+def test_no_scipy_is_loaded_by_the_pipeline(tmp_path):
+    """check and solve on birth-death (all pure) and solve on pennies (a
+    mixed local saddle) leave no scipy module loaded."""
+    from conftest import pennies_layer_model
+    from rsgame.model import model_to_json
+
+    bd, pennies = str(tmp_path / "bd.json"), str(tmp_path / "pennies.json")
+    report = str(tmp_path / "report.json")
+    Path(pennies).write_text(json.dumps(model_to_json(pennies_layer_model())))
     code = (
-        "import contextlib, io, sys\n"
+        "import contextlib, io, json, sys\n"
         "from rsgame.cli import run\n"
         "with contextlib.redirect_stdout(io.StringIO()), "
         "contextlib.redirect_stderr(io.StringIO()):\n"
-        f"    assert run(['example', 'birth-death', '--window', '30', '--out', {model!r}]) == 0\n"
-        f"    assert run(['check', {model!r}]) == 0\n"
-        f"    assert run(['solve', {model!r}, '--ladder', '15,30']) == 0\n"
+        f"    assert run(['example', 'birth-death', '--window', '30', '--out', {bd!r}]) == 0\n"
+        f"    assert run(['check', {bd!r}]) == 0\n"
+        f"    assert run(['solve', {bd!r}, '--ladder', '15,30']) == 0\n"
+        f"    assert run(['solve', {pennies!r}, '--out', {report!r}]) == 0\n"
+        f"print(json.load(open({report!r}))['selectors'])\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [str(PACKAGE.parent), os.environ.get("PYTHONPATH", "")])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
                           text=True, timeout=600)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "[]\n"
+    selectors, loaded = proc.stdout.splitlines()
+    assert "0.5" in selectors  # the pennies state took the mixed solve
+    assert loaded == "[]"

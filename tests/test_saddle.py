@@ -1,14 +1,24 @@
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import rsgame
+from conftest import random_closed_model
 from oracles import (bilinear_2x2_mixed, lower_value_exact, lower_value_grid,
                      simplex_grid)
 from rsgame._util import NEG_INF
 from rsgame.model import make_model
 from rsgame.saddle import (LocalSaddle, best_response_pure_min_core,
                            local_payoff_core, solve_saddle_core)
+from rsgame.solver import solve_ergodic_game
 
 
 def rand_instance(rng, mu, mv, cost_lo=0.0, cost_hi=2.0, l_scale=1.5):
@@ -138,13 +148,23 @@ def test_saddle_random_2x2_matches_grid_oracle(rng):
         assert s.log_value == pytest.approx(lower_value_grid(C, L, 300), abs=1e-6)
 
 
+# pinned_local_games trials whose start vertex or later cutting-plane
+# points carry zero one-step mass for some action (h = -inf there)
+ZERO_MASS_TRIALS = (37, 100, 149, 212, 219, 233, 275)
+
+
 def test_saddle_gap_certificate(rng):
     """The certificate is nonnegative, below tolerance, and truthful: no
     grid point ever beats the returned value."""
+    cases = []
     for trial in range(30):
         mu = int(rng.integers(1, 4))
         mv = int(rng.integers(1, 4))
-        C, L = rand_instance(rng, mu, mv)
+        cases.append(rand_instance(rng, mu, mv))
+    games = list(pinned_local_games())
+    cases += [games[t] for t in ZERO_MASS_TRIALS]
+    for C, L in cases:
+        mu, mv = C.shape
         s = solve_saddle_core(C, L, tol=1e-8)
         assert 0.0 <= s.gap <= 1e-8
         probe = simplex_grid(mv, 40)
@@ -393,14 +413,67 @@ def pinned_local_games():
         yield C, L
 
 
-def test_local_solves_pinned():
-    """Every field of 280 local solves, as the one-state-at-a-time solver
-    returned them before the batched pure path (225 of them pure)."""
-    import hashlib
+def pinned_digest() -> str:
     digest = hashlib.sha256()
     for C, L in pinned_local_games():
         digest.update(repr(saddle_fields(solve_saddle_core(C, L, tol=1e-8))).encode())
-    assert digest.hexdigest() == "8dcc01be250a678d305aaf8c519be5628636bee53febe8a49a1dbf43a5efdc4b"
+    return digest.hexdigest()
+
+
+def test_local_solves_pinned():
+    """Every field of 280 local solves, as the cutting-plane solver returns
+    them (225 of them settled by the batched pure path)."""
+    assert pinned_digest() == "c73df98c3b923149fbb8d9257daf94bc929d2e5f300f81231c5cf1e0c25dd79a"
+
+
+def golden_values():
+    """The pinned local solves and the random-3x3 solve of tests/test_dirichlet.py."""
+    model = random_closed_model(np.random.default_rng(1), n=8, mu=3, mv=3)
+    doc = solve_ergodic_game(model).to_dict()
+    return [pinned_digest(), doc["rho_star"], doc["residual"], doc["log_psi_star"],
+            doc["selectors"]]
+
+
+def test_mixed_solves_do_not_depend_on_blas_threads():
+    """With one BLAS thread the two mixed goldens come out as in this process."""
+    env = {**os.environ, "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1",
+           "PYTHONPATH": os.pathsep.join([str(Path(__file__).parent),
+                                          str(Path(rsgame.__file__).parent.parent),
+                                          os.environ.get("PYTHONPATH", "")])}
+    code = "import json, test_saddle; print(json.dumps(test_saddle.golden_values()))"
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                          text=True, timeout=600)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == json.dumps(golden_values()) + "\n"
+
+
+def test_mu_and_order_gap_stable_under_last_ulp_changes():
+    """One ulp up in every entry of L moves each returned mu by at most 1e-6
+    and each order gap by at most 1e-9: on the final-sweep local games of
+    the random-3x3 solve and on the pinned games the pure path leaves."""
+    from rsgame.saddle import _pure_saddles
+    model = random_closed_model(np.random.default_rng(1), n=8, mu=3, mv=3)
+    report = solve_ergodic_game(model)
+    states = list(report.domain)
+    games = list(zip([model.cost[i] for i in states],
+                     model.inner_log_sums(states, report.log_psi_star)))
+    games += [(C, L) for C, L in pinned_local_games()
+              if _pure_saddles(C[None], L[None], 1e-8)[0][0] is None]
+    assert len(games) == 8 + 55
+    for C, L in games:
+        s = solve_saddle_core(C, L)
+        up = solve_saddle_core(C, np.nextafter(L, np.inf))
+        assert np.abs(s.mu - up.mu).max() <= 1e-6
+        assert abs(s.order_gap - up.order_gap) <= 1e-9
+
+
+def test_cut_cap_raises_no_convergence(monkeypatch):
+    """Pennies needs a second round; with one allowed the solve reports its gap."""
+    from rsgame import saddle
+    monkeypatch.setattr(saddle, "_MAX_ROUNDS", 1)
+    with pytest.raises(saddle.NoConvergence, match=r"duality gap 5\.000e-01") as exc:
+        saddle.solve_saddle_core(np.eye(2), np.zeros((2, 2)))
+    assert exc.value.gap == pytest.approx(0.5)
 
 
 def test_pure_vertex_certificates_that_need_the_scalar_stages():
@@ -408,8 +481,8 @@ def test_pure_vertex_certificates_that_need_the_scalar_stages():
     1e-6 into a curved segment: the single-action bound is 1e-6 > tol, the
     exact planar solve moves nu by ~1e-6 and certifies gap ~0. (b) The
     vertex e_0 is optimal (an inactive action certifies it) but each
-    active pure minimizer has order gap 1e-4; the group LP mixes them to
-    a saddle point (any mu_0 / mu_1 between 1e-4 and 1e4 is one)."""
+    active pure minimizer has order gap 1e-4; the master's dual weights mix
+    them to a saddle point (any mu_0 / mu_1 between 1e-4 and 1e4 is one)."""
     from rsgame.saddle import _pure_saddles
     C = np.array([[0.0, -1.0 + 1e-6]])
     L = np.array([[0.0, np.log(2.0)]])
