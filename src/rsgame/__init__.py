@@ -13,16 +13,14 @@ from .model import (GameModel, LyapunovData, StationaryStrategy,
                     check_irreducibility, check_lyapunov, check_reference_state,
                     make_model, model_from_json, model_to_json, validate_model)
 from .saddle import LocalSaddle, best_response_pure_min, local_payoff, solve_saddle
-from .simulate import (Deviation, EstimatorReport, PathBatch, SimConfig,
-                       estimate_ergodic_cost, simulate_paths, verify_saddle,
-                       verify_stochastic_representation)
+from .simulate import (EstimatorReport, PathBatch, SimConfig, estimate_ergodic_cost,
+                       simulate_paths, verify_saddle, verify_stochastic_representation)
 from .solver import (SolveReport, extract_selectors, residual,
                      solve_ergodic_game, uncontrolled_eigen_oracle)
 
 __all__ = [
     "BirthDeathParams",
     "CollapseToZero",
-    "Deviation",
     "DirichletDomain",
     "EigenPair",
     "EstimatorReport",

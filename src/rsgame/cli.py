@@ -17,9 +17,8 @@ import numpy as np
 
 from . import birth_death as bd
 from . import dirichlet, saddle
-from .model import (GameModel, SchemaError, StationaryStrategy, check_irreducibility,
-                    check_lyapunov, check_reference_state, model_from_json,
-                    validate_model, write_model_json)
+from .model import (GameModel, SchemaError, check_irreducibility, check_lyapunov,
+                    check_reference_state, model_from_json, validate_model, write_model_json)
 from .simulate import (OpenModel, SimConfig, estimate_ergodic_cost,
                        estimate_with_deviations, simulate_paths, verify_saddle,
                        verify_stochastic_representation)
@@ -53,25 +52,6 @@ def _write(text: str, path=None):
 def _load_model(path: str) -> GameModel:
     with open(path) as fh:
         return model_from_json(fh.read())
-
-
-def _load_report(path: str, model: GameModel) -> SolveReport:
-    with open(path) as fh:
-        doc = json.load(fh)
-    pi1 = StationaryStrategy([np.asarray(w, dtype=float) for w in doc["selectors"]["p1"]])
-    pi2 = StationaryStrategy([np.asarray(w, dtype=float) for w in doc["selectors"]["p2"]])
-    return SolveReport(
-        ladder=[],
-        rho_star=float(doc["rho_star"]),
-        log_psi_star=np.asarray(doc["log_psi_star"], dtype=float),
-        domain=np.asarray(doc["domain"], dtype=int),
-        selectors=(pi1, pi2),
-        residual=float(doc["residual"]),
-        bounds=doc.get("bounds"),
-        certified=bool(doc.get("certified", False)),
-        diagnostics=doc.get("diagnostics", {}),
-        warnings=doc.get("warnings", []),
-    )
 
 
 def _parse_ladder(text):
@@ -119,14 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     m = sub.add_parser("simulate", help="estimate the ergodic cost under stored strategies")
     m.add_argument("model")
-    m.add_argument("--strategies", required=True, help="solve report JSON")
+    m.add_argument("--strategies", dest="report", metavar="STRATEGIES", required=True,
+                   help="solve report JSON")
     m.add_argument("--T", type=int, default=1000)
     m.add_argument("--N", type=int, default=1000)
     m.add_argument("--seed", type=int, default=0)
     m.add_argument("--start", type=int, default=0)
     m.add_argument("--deviate", type=str, default=None, help="player:count")
-    m.add_argument("--threads", type=int, default=1,
-                   help="accepted for compatibility; has no effect")
     m.add_argument("--paths-csv", type=str, default=None,
                    help="also write full trajectories (memory scales with T*N)")
 
@@ -214,9 +193,12 @@ def run(argv) -> int:
                     fh.write(report.trace_csv())
             return OK
 
-        if args.command == "simulate":
+        if args.command in ("simulate", "verify"):
             model = _load_model(args.model)
-            report = _load_report(args.strategies, model)
+            with open(args.report) as fh:
+                report = SolveReport.from_dict(json.load(fh), model.n_states)
+
+        if args.command == "simulate":
             pi1, pi2 = report.selectors
             cfg = SimConfig(T=args.T, N=args.N, seed=args.seed, start=args.start)
             if args.deviate:
@@ -236,8 +218,6 @@ def run(argv) -> int:
             return OK
 
         if args.command == "verify":
-            model = _load_model(args.model)
-            report = _load_report(args.report, model)
             doc = {}
             ok = True
             cfg = SimConfig(T=args.T, N=args.N, seed=args.seed)

@@ -42,7 +42,7 @@ and one Philox call per step draws the uniforms of the whole block.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -62,28 +62,11 @@ class OpenModel(RuntimeError):
 
 
 @dataclass
-class Deviation:
-    """Replace one player's rule at selected states (None = every state)."""
-
-    player: int
-    states: list | None
-    weights: list
-
-    def apply(self, model: GameModel, strategy: StationaryStrategy) -> StationaryStrategy:
-        ws = [w.copy() for w in strategy.weights]
-        states = range(model.n_states) if self.states is None else self.states
-        for s, w in zip(states, self.weights):
-            ws[int(s)] = np.asarray(w, dtype=float)
-        return StationaryStrategy(ws)
-
-
-@dataclass
 class SimConfig:
     T: int
     N: int
     seed: int = 0
     start: object = 0  # state index, or a sequence of them where supported
-    deviation: Deviation | None = None
     allow_absorption: bool = False
     hitting_cap: int = HITTING_CAP
 
@@ -286,23 +269,20 @@ class _Uniforms:
         return self._gen.random(hi - base)[lo - base:]
 
 
-def _require_strategies(model, pi1, pi2):
-    p1 = pi1.validate_for(model, 1)
-    p2 = pi2.validate_for(model, 2)
-    if p1 or p2:
-        raise ValueError(f"invalid strategies: {p1 + p2}")
-
-
-def _simulated_pair(model, pi1, pi2, deviation):
-    """The validated strategy pair with the configured deviation applied."""
-    _require_strategies(model, pi1, pi2)
-    if deviation is not None:
-        if deviation.player == 1:
-            pi1 = deviation.apply(model, pi1)
-        else:
-            pi2 = deviation.apply(model, pi2)
-        _require_strategies(model, pi1, pi2)
-    return pi1, pi2
+def _require(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy, states,
+             closed: bool = True):
+    """The input check of every entry point: both strategies valid for the
+    model, every start or target state in 0..n-1 and, when `closed`, no
+    mass leaving the window."""
+    problems = pi1.validate_for(model, 1) + pi2.validate_for(model, 2)
+    if problems:
+        raise ValueError(f"invalid strategies: {problems}")
+    outside = [s for s in map(int, states) if not 0 <= s < model.n_states]
+    if outside:
+        raise ValueError(f"states {outside} lie outside the window 0..{model.n_states - 1}")
+    if closed and not model.is_closed(CLOSED_TOL):
+        raise OpenModel(f"max exit mass {model.max_exit_mass():.3e} leaves the window; only "
+                        "simulate_paths with allow_absorption=True runs on an open model")
 
 
 def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy,
@@ -312,10 +292,7 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     Raises OpenModel on window exit unless cfg.allow_absorption, in which
     case the path parks at state -1 with zero cost afterwards.
     """
-    pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
-    if not model.is_closed(CLOSED_TOL) and not cfg.allow_absorption:
-        raise OpenModel(f"max exit mass {model.max_exit_mass():.3e}; "
-                        "pass allow_absorption=True to park exited paths")
+    _require(model, pi1, pi2, [cfg.start], closed=not cfg.allow_absorption)
     entries = _entries(model)
     tab = _table(entries, pi1, pi2)
     N, T = cfg.N, cfg.T
@@ -348,12 +325,6 @@ def _block_exponents(tab: _Table, seed, start, T, lo, hi):
         expo += tab.cost[e]
         s = tab.j[e]
     return expo
-
-
-def _require_closed(model: GameModel):
-    if not model.is_closed(CLOSED_TOL):
-        raise OpenModel(f"ergodic estimates need a closed model; "
-                        f"max exit mass {model.max_exit_mass():.3e}")
 
 
 def _batch_log_means(terms) -> np.ndarray:
@@ -405,8 +376,7 @@ def estimate_ergodic_cost(model: GameModel, pi1: StationaryStrategy,
     `top_weight_share`. `threads` is accepted for compatibility and has
     no effect: the path blocks run in one thread.
     """
-    pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
-    _require_closed(model)
+    _require(model, pi1, pi2, [cfg.start])
     return _growth_estimate(_table(_entries(model), pi1, pi2), cfg)
 
 
@@ -415,24 +385,17 @@ def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
                              count: int):
     """Plug-in estimates for the pair and for `count` deviations of one player.
 
-    Returns (base, deviation estimates). Deviation k replaces `player`'s
-    rule by the k-th of _deviation_strategies(model, player, count,
-    cfg.seed) and runs on seed cfg.seed + k + 1; each estimate equals the
-    one estimate_ergodic_cost gives for that pair and seed, but the kernel
-    entries are read once for all runs.
+    Returns (base, deviation estimates). Deviation k = 1, 2, ... is the
+    k-th pair of _deviation_pairs and runs on seed cfg.seed + k; each
+    estimate equals the one estimate_ergodic_cost gives for that pair and
+    seed, but the kernel entries are read once for all runs.
     """
-    if player not in (1, 2):
-        raise ValueError(f"deviating player must equal 1 or 2, got {player}")
-    pi1, pi2 = _simulated_pair(model, pi1, pi2, cfg.deviation)
-    _require_closed(model)
+    _require(model, pi1, pi2, [cfg.start])
+    pairs = _deviation_pairs(model, pi1, pi2, [player], count, cfg.seed)
     entries = _entries(model)
     base = _growth_estimate(_table(entries, pi1, pi2), cfg)
-    rows = []
-    for k, dev in enumerate(_deviation_strategies(model, player, count, cfg.seed)):
-        a, b = (dev, pi2) if player == 1 else (pi1, dev)
-        _require_strategies(model, a, b)
-        sub = SimConfig(T=cfg.T, N=cfg.N, seed=cfg.seed + k + 1, start=cfg.start)
-        rows.append(_growth_estimate(_table(entries, a, b), sub))
+    rows = [_growth_estimate(_table(entries, a, b), replace(cfg, seed=cfg.seed + run))
+            for run, (_, a, b) in enumerate(pairs, start=1)]
     return base, rows
 
 
@@ -466,6 +429,10 @@ def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
     A player with singleton action sets everywhere has nothing to deviate
     to; the empty list makes that player's checks vacuous.
     """
+    if player not in (1, 2):
+        raise ValueError(f"deviating player must equal 1 or 2, got {player}")
+    if count < 0:
+        raise ValueError(f"deviation count must be >= 0, got {count}")
     n = model.n_states
     sizes = [model.n_actions(i)[player - 1] for i in range(n)]
     if all(m == 1 for m in sizes):
@@ -486,6 +453,19 @@ def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
             acc[seg[slot == k]] += g[slot == k]
         out.append(StationaryStrategy(np.split(g * (1.0 / acc)[seg], np.cumsum(sizes)[:-1])))
     return out
+
+
+def _deviation_pairs(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy,
+                     players, count: int, seed: int) -> list:
+    """(player, a, b) for each deviation of each of `players` in turn: the
+    pair (pi1, pi2) with that player's rule replaced by one of its
+    _deviation_strategies, validated. Built whole, so a bad player or count
+    is refused before any run."""
+    pairs = [(p, dev, pi2) if p == 1 else (p, pi1, dev)
+             for p in players for dev in _deviation_strategies(model, p, count, seed)]
+    for _, a, b in pairs:
+        _require(model, a, b, [], closed=False)
+    return pairs
 
 
 def _pair_kernel(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy):
@@ -544,13 +524,13 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
     """
     pi1, pi2 = report.selectors
     rho = report.rho_star
-    _require_strategies(model, pi1, pi2)
-    _require_closed(model)
+    start = int(cfg.start)
+    _require(model, pi1, pi2, [start])
+    pairs = _deviation_pairs(model, pi1, pi2, (1, 2), deviations, cfg.seed)
     plain = _entries(model)
     log_psi = _extend_log_psi(report, *_pair_kernel(plain, pi1, pi2))
     tilted = _entries(model, log_psi)
     zero = ~np.isfinite(log_psi)
-    start = int(cfg.start)
     warnings = []
 
     def weighted(label, a, b, run):
@@ -564,31 +544,25 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
                 warnings.append(f"{label}: states {hit.tolist()} are reachable from "
                                 f"state {start} but psi* is zero there, so their paths "
                                 "cannot be weighted")
-        sub = SimConfig(T=cfg.T, N=cfg.N, seed=cfg.seed + run, start=start)
-        return covered, _growth_estimate(_table(tilted, a, b), sub)
+        return covered, _growth_estimate(_table(tilted, a, b), replace(cfg, seed=cfg.seed + run))
 
     covered, base = weighted("selector pair", pi1, pi2, 0)
     equality_ok = covered and abs(base.estimate - rho) <= 3.0 * base.spread + BAND_FLOOR
     results = []
     passed = equality_ok
-    run = 0
-    for player in (1, 2):
-        for dev in _deviation_strategies(model, player, deviations, cfg.seed):
-            run += 1
-            a, b = (dev, pi2) if player == 1 else (pi1, dev)
-            _require_strategies(model, a, b)
-            covered, est = weighted(f"player {player} deviation {run}", a, b, run)
-            if player == 1:
-                ok = covered and est.estimate >= rho - 3.0 * est.spread - BAND_FLOOR
-            else:
-                ok = covered and est.estimate <= rho + 3.0 * est.spread + BAND_FLOOR
-            passed = passed and ok
-            results.append({
-                "player": player,
-                "estimate": float(est.estimate),
-                "spread": float(est.spread),
-                "ok": bool(ok),
-            })
+    for run, (player, a, b) in enumerate(pairs, start=1):
+        covered, est = weighted(f"player {player} deviation {run}", a, b, run)
+        if player == 1:
+            ok = covered and est.estimate >= rho - 3.0 * est.spread - BAND_FLOOR
+        else:
+            ok = covered and est.estimate <= rho + 3.0 * est.spread + BAND_FLOOR
+        passed = passed and ok
+        results.append({
+            "player": player,
+            "estimate": float(est.estimate),
+            "spread": float(est.spread),
+            "ok": bool(ok),
+        })
     return SaddleVerdict(
         passed=bool(passed),
         rho_star=float(rho),
@@ -657,14 +631,14 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
     rho = report.rho_star
     log_psi = np.asarray(report.log_psi_star, dtype=float)
     target = sorted(set(int(b) for b in target_set))
+    starts = [int(s) for s in (cfg.start if isinstance(cfg.start, (list, tuple, np.ndarray))
+                               else [cfg.start])]
+    _require(model, pi1, pi2, starts + target)
     mask = np.zeros(model.n_states, dtype=bool)
     mask[target] = True
-    if not model.is_closed(CLOSED_TOL):
-        raise OpenModel("representation checks need a closed model")
     for b in target:
         if not np.isfinite(log_psi[b]):
             raise ValueError(f"target state {b} lies outside the solved support")
-    starts = cfg.start if isinstance(cfg.start, (list, tuple, np.ndarray)) else [cfg.start]
     warnings = []
     if model.lyapunov is not None and not set(model.lyapunov.K.tolist()) <= set(target):
         # hitting-time integrability is only guaranteed for supersets of the
@@ -676,7 +650,6 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
     all_pass = True
     any_inconclusive = False
     for idx, s0 in enumerate(starts):
-        s0 = int(s0)
         if mask[s0]:
             raise ValueError(f"start state {s0} is inside the target set")
         terms, capped = _hitting_terms(tab, log_psi, rho, mask, cfg.seed + 104729 * idx, s0,

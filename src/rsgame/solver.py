@@ -18,7 +18,7 @@ import numpy as np
 from ._util import NEG_INF
 from .dirichlet import (DEFAULT_MAX_ITER, DEFAULT_TOL, DirichletDomain,
                         EigenPair, NoConvergence, apply_operator, dirichlet_eigenpair)
-from .model import GameModel, StationaryStrategy, eigenvalue_upper_bound
+from .model import GameModel, SchemaError, StationaryStrategy, eigenvalue_upper_bound
 
 DEFAULT_TOL_OUTER = 1e-6
 BOUNDARY_MASS_WARN = 1e-6
@@ -74,6 +74,36 @@ class SolveReport:
             "diagnostics": self.diagnostics,
             "warnings": self.warnings,
         }
+
+    @classmethod
+    def from_dict(cls, doc, n_states: int) -> "SolveReport":
+        """The report to_dict wrote, read back for a model of n_states
+        states; the ladder is not. Raises SchemaError when the document is
+        not an object, misses a key simulation needs, or its log_psi_star or
+        domain does not fit the window."""
+        if not isinstance(doc, dict):
+            raise SchemaError("a solve report is a JSON object")
+        missing = [k for k in ("rho_star", "log_psi_star", "domain", "selectors", "residual")
+                   if k not in doc]
+        if missing:
+            raise SchemaError(f"solve report misses keys {missing}")
+        try:
+            rho, res = float(doc["rho_star"]), float(doc["residual"])
+            log_psi = np.asarray(doc["log_psi_star"], dtype=float)
+            domain = np.asarray(doc["domain"], dtype=int)
+            selectors = tuple(StationaryStrategy(doc["selectors"][p]) for p in ("p1", "p2"))
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise SchemaError(f"malformed solve report: {exc!r}") from None
+        if log_psi.shape != (n_states,):
+            raise SchemaError(f"log_psi_star needs {n_states} entries, one per state")
+        if domain.ndim != 1 or ((domain < 0) | (domain >= n_states)).any():
+            raise SchemaError(f"domain must list states in 0..{n_states - 1}")
+        if any(w.ndim != 1 for pi in selectors for w in pi.weights):
+            raise SchemaError("selector weights must be lists of numbers, one list per state")
+        return cls(ladder=[], rho_star=rho, log_psi_star=log_psi, domain=domain,
+                   selectors=selectors, residual=res, bounds=doc.get("bounds"),
+                   certified=bool(doc.get("certified", False)),
+                   diagnostics=doc.get("diagnostics", {}), warnings=doc.get("warnings", []))
 
     def trace_csv(self) -> str:
         buf = io.StringIO()

@@ -129,13 +129,14 @@ def test_simulate_refuses_nonfinite_strategy_weights(workdir, capsys):
 
 def test_simulate_deviations_build_tables_once(workdir, capsys, monkeypatch):
     from rsgame import simulate
-    from rsgame.cli import _load_model, _load_report
+    from rsgame.cli import _load_model
+    from rsgame.solver import SolveReport
 
     run(["example", "birth-death", "--window", "20", "--out", "m.json"])
     run(["solve", "m.json", "--ladder", "10,20", "--out", "r.json"])
     capsys.readouterr()
     model = _load_model("m.json")
-    pi1, pi2 = _load_report("r.json", model).selectors
+    pi1, pi2 = SolveReport.from_dict(read_json("r.json"), model.n_states).selectors
     T, N, seed = 60, 150, 9
     base = simulate.estimate_ergodic_cost(model, pi1, pi2,
                                           simulate.SimConfig(T=T, N=N, seed=seed)).to_dict()
@@ -156,6 +157,67 @@ def test_simulate_deviations_build_tables_once(workdir, capsys, monkeypatch):
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"base": base, "deviations": {"player": 1, "estimates": rows}}
     assert builds == [None]  # one untilted build serves the pair and every deviation
+
+
+@pytest.fixture(scope="module")
+def bd20(tmp_path_factory):
+    """Paths of the window-20 example and of its solve report."""
+    d = tmp_path_factory.mktemp("bd20")
+    model, report = str(d / "m.json"), str(d / "r.json")
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+        assert run(["example", "birth-death", "--window", "20", "--out", model]) == 0
+        assert run(["solve", model, "--ladder", "10,20", "--out", report]) == 0
+    return model, report
+
+
+def with_key(key, value):
+    """The report with `key` set to `value`, or to `value` of its old value."""
+    return lambda rep: {**rep, key: value(rep[key]) if callable(value) else value}
+
+
+@pytest.mark.parametrize("mutation, message", [
+    (lambda rep: [], "a solve report is a JSON object"),
+    (lambda rep: {}, "solve report misses keys "
+                     "['rho_star', 'log_psi_star', 'domain', 'selectors', 'residual']"),
+    (lambda rep: {k: v for k, v in rep.items() if k != "selectors"},
+     "solve report misses keys ['selectors']"),
+    (with_key("rho_star", None), "malformed solve report"),
+    (with_key("selectors", [1, 2]), "malformed solve report"),
+    (with_key("domain", [1e30]), "malformed solve report"),
+    (with_key("log_psi_star", lambda x: x[:-1]), "log_psi_star needs 20 entries"),
+    (with_key("domain", lambda x: x + [20]), "domain must list states in 0..19"),
+    (with_key("selectors", lambda x: {**x, "p1": [1.0] * 20}),
+     "selector weights must be lists of numbers"),
+], ids=["not-object", "empty", "no-selectors", "rho-null", "selectors-list", "domain-huge",
+        "log-psi-length", "domain-range", "scalar-weights"])
+def test_malformed_reports_are_schema_errors(workdir, capsys, bd20, mutation, message):
+    model, report = bd20
+    with open("r.json", "w") as fh:
+        json.dump(mutation(read_json(report)), fh)
+    for argv in (["simulate", model, "--strategies", "r.json", "--T", "5", "--N", "5"],
+                 ["verify", model, "--report", "r.json", "--saddle", "--T", "5", "--N", "5"]):
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["simulate", "--start", "-1"], "states [-1] lie outside the window 0..19"),
+    (["simulate", "--start", "30"], "states [30] lie outside the window 0..19"),
+    (["verify", "--representation", "B=0..4", "--starts", "30"],
+     "states [30] lie outside the window 0..19"),
+    (["verify", "--representation", "B=0..30", "--starts", "5"],
+     f"states {list(range(20, 31))} lie outside the window 0..19"),
+    (["verify", "--saddle", "--deviations", "-1"], "deviation count must be >= 0, got -1"),
+    (["simulate", "--deviate", "2:-1"], "deviation count must be >= 0, got -1"),
+], ids=["start-negative", "start-30", "starts-30", "target-30", "deviations-negative",
+        "deviate-negative"])
+def test_simulation_inputs_out_of_range_are_usage_errors(capsys, bd20, argv, message):
+    model, report = bd20
+    flag = "--strategies" if argv[0] == "simulate" else "--report"
+    assert run([argv[0], model, flag, report, "--T", "5", "--N", "5", *argv[1:]]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and message in err
 
 
 def test_solve_reports_collapse(workdir, capsys):

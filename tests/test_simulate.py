@@ -9,7 +9,7 @@ from conftest import one_state_two_action, pennies_layer_model, uncontrolled_two
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import StationaryStrategy, make_model
 from rsgame import simulate
-from rsgame.simulate import (Deviation, OpenModel, SimConfig, _alias_rows, _deviation_strategies,
+from rsgame.simulate import (OpenModel, SimConfig, _alias_rows, _deviation_strategies,
                              _entries, _growth_estimate, _step, _table, _Uniforms,
                              estimate_ergodic_cost, simulate_paths,
                              verify_saddle, verify_stochastic_representation)
@@ -123,11 +123,34 @@ def test_estimator_consistency_error_shrinks(two_state):
     assert 1.0 / lo.diagnostics["top_weight_share"] <= lo.diagnostics["ess"] < 5000
 
 
-def test_deviation_replaces_weights(two_state):
-    pi1, _ = pures(two_state)
-    dev = Deviation(player=1, states=[0], weights=[np.array([1.0])])
-    replaced = dev.apply(two_state, pi1)
-    assert replaced.weights[0].tolist() == [1.0]
+def test_entry_points_refuse_states_outside_the_window(two_state):
+    """Start and target states must lie in 0..n-1; a negative one is not
+    read from the end of the window."""
+    pi1, pi2 = pures(two_state)
+    rep = solve_ergodic_game(two_state, ladder=[2])
+    message = r"states \[{}\] lie outside the window 0\.\.1"
+    for start in (-1, 2):
+        cfg = SimConfig(T=5, N=10, seed=0, start=start)
+        for call in (lambda: estimate_ergodic_cost(two_state, pi1, pi2, cfg),
+                     lambda: simulate.estimate_with_deviations(two_state, pi1, pi2, cfg, 1, 1),
+                     lambda: simulate_paths(two_state, pi1, pi2, cfg),
+                     lambda: verify_saddle(two_state, rep, cfg),
+                     lambda: verify_stochastic_representation(
+                         two_state, rep, [0], SimConfig(T=1, N=10, start=[start]))):
+            with pytest.raises(ValueError, match=message.format(start)):
+                call()
+    with pytest.raises(ValueError, match=message.format(-1)):
+        verify_stochastic_representation(two_state, rep, [-1], SimConfig(T=1, N=10, start=[1]))
+
+
+def test_negative_deviation_counts_are_refused(two_state):
+    pi1, pi2 = pures(two_state)
+    rep = solve_ergodic_game(two_state, ladder=[2])
+    cfg = SimConfig(T=5, N=10, seed=0)
+    with pytest.raises(ValueError, match="deviation count must be >= 0, got -1"):
+        simulate.estimate_with_deviations(two_state, pi1, pi2, cfg, 2, -1)
+    with pytest.raises(ValueError, match="deviation count must be >= 0, got -1"):
+        verify_saddle(two_state, rep, cfg, deviations=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -262,6 +285,14 @@ def test_representation_one_step_expansion(rng):
     assert row["ok"]
     assert row["psi"] == pytest.approx(psi[2], abs=1e-12)
     assert hand <= row["psi"]  # the one-step part is part of the whole
+
+
+def test_representation_refuses_nonfinite_selector_weights():
+    m = pennies_layer_model()
+    rep = solve_ergodic_game(m)
+    rep.selectors[0].weights[0] = np.array([np.nan, 1.0])
+    with pytest.raises(ValueError, match="state 0: non-finite weight nan"):
+        verify_stochastic_representation(m, rep, [1], SimConfig(T=1, N=10, start=[0]))
 
 
 def test_representation_cap_inconclusive():
