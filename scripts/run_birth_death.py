@@ -32,7 +32,7 @@ def main():
     params = BirthDeathParams(window=args.window, p_hat=args.p_hat)
     model = build_birth_death(params)
     print(f"model: {model.n_states} states, "
-          f"{model.n_actions(0)[0]}x{model.n_actions(0)[1]} actions per state")
+          f"{model.shapes[0, 0]}x{model.shapes[0, 1]} actions per state")
 
     val = validate_model(model)
     print(f"validate: ok={val.ok} structurally_sound={val.structurally_sound} "

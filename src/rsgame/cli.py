@@ -54,24 +54,30 @@ def _load_model(path: str) -> GameModel:
         return model_from_json(fh.read())
 
 
-def _parse_ladder(text):
-    try:
-        sizes = [int(x) for x in text.split(",") if x.strip()]
-    except ValueError:
-        raise SchemaError(f"bad ladder spec {text!r}; expected comma-separated integers")
-    if not sizes:
-        raise SchemaError("empty ladder spec")
-    return sizes
+def _spec(flag: str, form: str, parse, text: str):
+    """parse(text); an unparsable or empty spec is a SchemaError naming flag and form."""
+    with contextlib.suppress(ValueError):
+        if value := parse(text):
+            return value
+    raise SchemaError(f"bad {flag} spec {text!r}; expected {form}")
 
 
-def _parse_target_set(text):
+def _ints(text: str) -> list:
+    return [int(x) for x in text.split(",") if x.strip()]
+
+
+def _target_set(text: str) -> list:
     """`B=0..4` or `B=0,1,2` forms."""
-    if "=" in text:
-        text = text.split("=", 1)[1]
+    text = text.split("=", 1)[-1]
     if ".." in text:
         lo, hi = text.split("..", 1)
         return list(range(int(lo), int(hi) + 1))
-    return [int(x) for x in text.split(",") if x.strip()]
+    return _ints(text)
+
+
+def _deviation(text: str) -> tuple:
+    player, count = text.split(":")
+    return int(player), int(count)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -178,7 +184,8 @@ def run(argv) -> int:
 
         if args.command == "solve":
             model = _load_model(args.model)
-            ladder = _parse_ladder(args.ladder) if args.ladder else None
+            ladder = (_spec("--ladder", "comma-separated integers", _ints, args.ladder)
+                      if args.ladder else None)
             try:
                 report = solve_ergodic_game(
                     model, ladder=ladder, tol_eig=args.tol, tol_local=args.tol,
@@ -202,8 +209,8 @@ def run(argv) -> int:
             pi1, pi2 = report.selectors
             cfg = SimConfig(T=args.T, N=args.N, seed=args.seed, start=args.start)
             if args.deviate:
-                player_s, count_s = args.deviate.split(":", 1)
-                player, count = int(player_s), int(count_s)
+                player, count = _spec("--deviate", "player:count, e.g. 2:3", _deviation,
+                                      args.deviate)
                 base, rows = estimate_with_deviations(model, pi1, pi2, cfg, player, count)
                 out = {"base": base.to_dict(),
                        "deviations": {"player": player,
@@ -226,11 +233,15 @@ def run(argv) -> int:
                 doc["saddle"] = verdict.to_dict()
                 ok = ok and verdict.passed
             if args.representation:
-                target = _parse_target_set(args.representation)
+                target = _spec("--representation", "B=lo..hi or B=i,j,... (state indices)",
+                               _target_set, args.representation)
                 if args.starts:
-                    starts = [int(x) for x in args.starts.split(",")]
+                    starts = _spec("--starts", "comma-separated state indices", _ints, args.starts)
                 else:
-                    starts = [min(i for i in range(model.n_states) if i not in set(target))]
+                    starts = np.setdiff1d(range(model.n_states), target)[:1].tolist()
+                if not starts:
+                    raise SchemaError("no state lies outside the target set to start from; "
+                                      "give start states with --starts")
                 rcfg = SimConfig(T=1, N=args.N, seed=args.seed, start=starts)
                 verdict = verify_stochastic_representation(model, report, target, rcfg)
                 doc["representation"] = verdict.to_dict()

@@ -10,7 +10,8 @@ Every sweep reads the inner sums L[i,u,v] = log sum_j psi(j) P(j|i,u,v)
 of all its states from one call of GameModel.inner_log_sums, a segment
 log-sum-exp over the model's CSR layout of nonzero transition entries,
 so a sweep costs O(nnz) for the sums instead of O(rows x window). The
-local saddles of the sweep are then solved as one batch by
+sums and the costs (GameModel.row_cost) of the sweep stay flat in kernel
+row order, and its local saddles are solved from them as one batch by
 saddle.solve_saddles: the pure-saddle fast path runs as array operations
 over all states of one action shape, and only the states it cannot
 certify go to the scalar solve_saddle_core, one after another.
@@ -102,11 +103,16 @@ def viable_states(domain: DirichletDomain) -> np.ndarray:
     """
     model = domain.model
     alive = domain.states
+    _, _, v = model.row_actions()
     while True:
         inside = np.full(model.n_states, NEG_INF)
         inside[alive] = 0.0
-        log_mass = model.inner_log_sums(alive, inside)  # per state, (mU, mV)
-        keep = np.array([bool(np.all(L.max(axis=1) > NEG_INF)) for L in log_mass], dtype=bool)
+        rows, _ = model.rows(alive)
+        # max over v per (i, u), then min over u per state
+        per_u = np.maximum.reduceat(model.inner_log_sums(alive, inside),
+                                    np.flatnonzero(v[rows] == 0))
+        mu = model.shapes[alive, 0]
+        keep = np.minimum.reduceat(per_u, np.cumsum(mu) - mu) > NEG_INF
         if keep.all():
             return alive
         alive = alive[keep]
@@ -117,12 +123,10 @@ def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL):
 
     Returns (log_G over the full window with -inf off `states`, saddles).
     """
-    states = [int(i) for i in states]
-    saddles = solve_saddles([model.cost[i] for i in states],
-                            model.inner_log_sums(states, log_psi), tol=tol_local)
+    C, L = model.row_cost[model.rows(states)[0]], model.inner_log_sums(states, log_psi)
+    saddles = solve_saddles(C, L, model.shapes[states], tol=tol_local)
     log_G = np.full(model.n_states, NEG_INF)
-    for i, s in zip(states, saddles):
-        log_G[i] = s.log_value
+    log_G[states] = [s.log_value for s in saddles]
     return log_G, saddles
 
 
@@ -207,7 +211,8 @@ def solve_source_problem(domain: DirichletDomain, cbar, g, tol: float = 1e-10,
     """
     model = domain.model
     states = domain.states
-    cmax = max(float(np.asarray(cbar[i]).max()) for i in states)
+    C = np.concatenate([np.asarray(cbar[i], dtype=float).ravel() for i in states])
+    cmax = float(C.max())
     if cmax >= 0.0:
         raise NotStrictlyNegative(f"max cbar on domain is {cmax}; contraction needs < 0")
     g = np.asarray(g, dtype=float)
@@ -221,11 +226,10 @@ def solve_source_problem(domain: DirichletDomain, cbar, g, tol: float = 1e-10,
     for _ in range(max_iter):
         with np.errstate(divide="ignore"):
             log_phi = np.log(phi)
-        saddles = solve_saddles([cbar[i] for i in states],
-                                model.inner_log_sums(states, log_phi), tol=min(tol, 1e-10))
+        saddles = solve_saddles(C, model.inner_log_sums(states, log_phi), model.shapes[states],
+                                tol=min(tol, 1e-10))
         new = np.zeros(model.n_states)
-        for i, s in zip(states, saddles):
-            new[i] = float(np.exp(s.log_value)) + g[i]
+        new[states] = np.exp([s.log_value for s in saddles]) + g[states]
         step = float(np.max(np.abs(new - phi)))
         phi = new
         if step <= threshold:

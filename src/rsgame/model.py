@@ -148,49 +148,59 @@ class KernelCSR:
 class GameModel:
     """Truncation-window game: states, per-state actions, kernel, costs.
 
-    `kernel` is a KernelCSR of the nonzero transition entries, the only
-    kernel storage; `dense_transition(i)` rebuilds one state's
-    (mU_i, mV_i, n_states) tensor on demand, as a dense reference for
-    tests; no solve or simulation reads it. cost[i] has shape (mU_i, mV_i)
-    and is already scaled by theta. Arrays are frozen after construction;
-    checkers are read-only.
+    Row layout: all per-(i, u, v) data is one flat vector in kernel row
+    order, (i, u, v) at kernel.row_start[i] + u * mV_i + v. `shapes[i]` is
+    (mU_i, mV_i), the one source of action counts; `rows(states)` gives
+    the rows of `states`, state after state, and where each state's rows
+    start among them, so a per-state reduction is one ufunc.reduceat.
+    `row_cost` is c(i, u, v), scaled by theta; `cost[i]` is state i's
+    (mU_i, mV_i) view of it. `inner_log_sums(states, log_psi)` is
+    log sum_j psi(j) P(j|i,u,v) over rows(states), one segment
+    log-sum-exp over their CSR entries, -inf for empty mass; every
+    operator sweep, drift check and local saddle reads it.
 
-    Dynamic programming reads the log kernel through `csr`, which on first
-    use refuses a kernel with a negative or non-finite entry or a row sum
-    above 1 + ROW_SUM_TOL (validate_model's thresholds, under which the log
-    kernel is defined) and then returns `kernel`; construction and
-    ingestion never pay for the check. `inner_log_sums(states, log_psi)`
-    returns the matrices L[u, v] = log sum_j psi(j) P(j|i,u,v) of the
-    requested states from one segment log-sum-exp over those rows, with
-    -inf for empty mass; every operator sweep, drift check and local
-    saddle reads L through it.
+    `kernel` (KernelCSR) is the only kernel storage; `dense_transition(i)`
+    rebuilds one state's (mU_i, mV_i, n_states) tensor as a dense
+    reference for tests. Arrays are frozen after construction. On first
+    use `csr` refuses a state without actions, a negative or non-finite
+    entry and a row sum above 1 + ROW_SUM_TOL (validate_model's
+    thresholds, under which the log kernel is defined), then returns
+    `kernel`; construction and ingestion never pay for the check.
     """
 
     n_states: int
     actions_p1: list
     actions_p2: list
     kernel: KernelCSR
-    cost: list
+    row_cost: np.ndarray
     theta: float
     i0: int
     lyapunov: LyapunovData | None = None
     _sound: bool = field(default=False, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        for i in range(self.n_states):
-            self.cost[i] = np.ascontiguousarray(self.cost[i], dtype=float)
-            self.cost[i].flags.writeable = False
-        for name in ("row_start", "indptr", "indices", "prob", "log_prob"):
-            getattr(self.kernel, name).flags.writeable = False
+        self.shapes = np.array([list(map(len, self.actions_p1)), list(map(len, self.actions_p2))],
+                               dtype=np.int64).T.copy()
+        self.row_cost = np.ascontiguousarray(self.row_cost, dtype=float)
+        k = self.kernel
+        for a in (self.shapes, self.row_cost, k.row_start, k.indptr, k.indices, k.prob,
+                  k.log_prob):
+            a.flags.writeable = False
 
-    def n_actions(self, i: int) -> tuple[int, int]:
-        return len(self.actions_p1[i]), len(self.actions_p2[i])
+    @functools.cached_property
+    def cost(self) -> list:
+        """Per state, its (mU, mV) costs: read-only views of row_cost."""
+        start = self.kernel.row_start.tolist()
+        return [self.row_cost[lo:hi].reshape(shape) for lo, hi, shape
+                in zip(start[:-1], start[1:], self.shapes.tolist())]
 
-    def _rows_of(self, i: int) -> slice:
-        return slice(int(self.kernel.row_start[i]), int(self.kernel.row_start[i + 1]))
+    def rows(self, states) -> tuple[np.ndarray, np.ndarray]:
+        """The kernel rows of `states`, state after state, and where each one's rows start."""
+        states = np.asarray(states, dtype=np.int64)
+        return concat_ranges(self.kernel.row_start[states], self.kernel.row_start[states + 1])
 
     def row_sums(self, i: int) -> np.ndarray:
-        return self.kernel.row_sums[self._rows_of(i)].reshape(self.n_actions(i))
+        return self.kernel.row_sums[self.rows([i])[0]].reshape(self.shapes[i])
 
     def max_exit_mass(self) -> float:
         return float((1.0 - self.kernel.row_sums).max())
@@ -202,28 +212,28 @@ class GameModel:
     def dense_transition(self, i: int) -> np.ndarray:
         """P(.|i, u, v) as a new dense (mU, mV, n_states) array."""
         k = self.kernel
-        rows = self._rows_of(i)
-        lo, hi = k.indptr[rows.start], k.indptr[rows.stop]
-        P = np.zeros((rows.stop - rows.start, self.n_states))
-        P[np.repeat(np.arange(len(P)), np.diff(k.indptr[rows.start:rows.stop + 1])),
-          k.indices[lo:hi]] = k.prob[lo:hi]
-        return P.reshape(*self.n_actions(i), self.n_states)
-
-    def flat_cost(self) -> np.ndarray:
-        """c(i, u, v) of every (i, u, v), in kernel row order."""
-        return _concat([C.ravel() for C in self.cost])
+        rows, _ = self.rows([i])
+        lo, hi = k.indptr[rows], k.indptr[rows + 1]
+        at, _ = concat_ranges(lo, hi)
+        P = np.zeros((len(rows), self.n_states))
+        P[np.repeat(np.arange(len(rows)), hi - lo), k.indices[at]] = k.prob[at]
+        return P.reshape(*self.shapes[i], self.n_states)
 
     def row_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, u, v) of every kernel row, in row order: the (i, u, v) of
         the k-th (u, v) slot of the model, state by state."""
-        mv = np.array([len(a) for a in self.actions_p2], dtype=np.int64)
         state = np.repeat(np.arange(self.n_states), np.diff(self.kernel.row_start))
-        u, v = np.divmod(np.arange(len(state)) - self.kernel.row_start[state], mv[state])
+        u, v = np.divmod(np.arange(len(state)) - self.kernel.row_start[state],
+                         self.shapes[state, 1])
         return state, u, v
 
     @property
     def csr(self) -> KernelCSR:
         if not self._sound:
+            empty = np.argwhere(self.shapes == 0)
+            if len(empty):
+                i, player = empty[0].tolist()
+                raise ModelError(f"state {i} has no player-{player + 1} actions")
             k = self.kernel
             ok = np.isfinite(k.prob) & (k.prob >= 0.0)
             with np.errstate(invalid="ignore"):
@@ -246,24 +256,21 @@ class GameModel:
         return ModelError(f"unsound kernel: P({int(k.indices[at])}|{state},{u},{v}) = "
                           f"{float(k.prob[at])!r} is negative or not finite")
 
-    def inner_log_sums(self, states, log_psi) -> list:
-        """Per state of `states`, the (mU, mV) matrix log sum_j psi(j) P(j|i,u,v).
+    def inner_log_sums(self, states, log_psi) -> np.ndarray:
+        """log sum_j psi(j) P(j|i,u,v) of every row of `states`, in the
+        order of rows(states).
 
-        One _util.segment_logsumexp over the CSR entries of all the states'
-        rows, shifted by each row's max as _util.logsumexp does. A row with
-        no entries, or whose entries all meet log psi = -inf, gives -inf:
+        One _util.segment_logsumexp over the CSR entries of those rows,
+        shifted by each row's max as _util.logsumexp does. A row with no
+        entries, or whose entries all meet log psi = -inf, gives -inf:
         empty mass.
         """
         csr = self.csr
-        states = np.asarray(states, dtype=np.int64)
-        rows, _ = concat_ranges(csr.row_start[states], csr.row_start[states + 1])
+        rows, _ = self.rows(states)
         lo, hi = csr.indptr[rows], csr.indptr[rows + 1]
         at, _ = concat_ranges(lo, hi)
-        flat = segment_logsumexp(
+        return segment_logsumexp(
             csr.log_prob[at] + np.asarray(log_psi, dtype=float)[csr.indices[at]], hi - lo)
-        shapes = [self.n_actions(int(i)) for i in states]
-        cuts = np.cumsum([mu * mv for mu, mv in shapes])[:-1]
-        return [L.reshape(shape) for L, shape in zip(np.split(flat, cuts), shapes)]
 
 
 def make_model(
@@ -280,6 +287,8 @@ def make_model(
 
     `transition` is a KernelCSR whose rows follow the action sets, or one
     dense (mU_i, mV_i, n) array per state, converted state by state.
+    `cost` is one (mU_i, mV_i) array per state, or a 1-D array of c(i, u, v)
+    in kernel row order.
     """
     if theta <= 0:
         raise ModelError(f"theta must be strictly positive, got {theta}")
@@ -289,6 +298,7 @@ def make_model(
     if len(a1) != n or len(a2) != n:
         raise ModelError("actions_p1/actions_p2 must have one entry per state")
     kernel = transition if isinstance(transition, KernelCSR) else None
+    flat = isinstance(cost, np.ndarray) and cost.ndim == 1
     dense, co = [], []
     for i in range(n):
         mu, mv = len(a1[i]), len(a2[i])
@@ -297,21 +307,24 @@ def make_model(
             if P.shape != (mu, mv, n):
                 raise ModelError(f"transition[{i}] must have shape {(mu, mv, n)}, got {P.shape}")
             dense.append(P)
-        C = np.asarray(cost[i], dtype=float)
-        if C.shape != (mu, mv):
-            raise ModelError(f"cost[{i}] must have shape {(mu, mv)}, got {C.shape}")
-        co.append(theta * C)
+        if not flat:
+            C = np.asarray(cost[i], dtype=float)
+            if C.shape != (mu, mv):
+                raise ModelError(f"cost[{i}] must have shape {(mu, mv)}, got {C.shape}")
+            co.append(C.ravel())
+    row_start = np.cumsum([0] + [len(a) * len(b) for a, b in zip(a1, a2)])
     if kernel is None:
         kernel = KernelCSR.from_dense(dense)
-    elif not np.array_equal(kernel.row_start,
-                            np.cumsum([0] + [len(a) * len(b) for a, b in zip(a1, a2)])):
+    elif not np.array_equal(kernel.row_start, row_start):
         raise ModelError("kernel rows must follow the action sets")
+    if flat and cost.shape != (row_start[-1],):
+        raise ModelError(f"cost needs one entry per kernel row, {row_start[-1]}, got {cost.shape}")
     return GameModel(
         n_states=n,
         actions_p1=a1,
         actions_p2=a2,
         kernel=kernel,
-        cost=co,
+        row_cost=theta * (np.asarray(cost, dtype=float) if flat else _concat(co)),
         theta=float(theta),
         i0=int(i0),
         lyapunov=lyapunov,
@@ -329,22 +342,14 @@ class StationaryStrategy:
 
     @staticmethod
     def pure(model: GameModel, player: int, idx) -> "StationaryStrategy":
-        counts = [model.n_actions(i)[player - 1] for i in range(model.n_states)]
-        if np.isscalar(idx):
-            idx = [idx] * model.n_states
-        ws = []
-        for i, m in enumerate(counts):
-            w = np.zeros(m)
-            w[int(idx[i])] = 1.0
-            ws.append(w)
-        return StationaryStrategy(ws)
+        idx = np.broadcast_to(idx, model.n_states).tolist()
+        return StationaryStrategy([np.eye(m)[k] for m, k in
+                                   zip(model.shapes[:, player - 1].tolist(), idx)])
 
     @staticmethod
     def uniform(model: GameModel, player: int) -> "StationaryStrategy":
-        return StationaryStrategy(
-            [np.full(model.n_actions(i)[player - 1], 1.0 / model.n_actions(i)[player - 1])
-             for i in range(model.n_states)]
-        )
+        return StationaryStrategy([np.full(m, 1.0 / m)
+                                   for m in model.shapes[:, player - 1].tolist()])
 
     def validate_for(self, model: GameModel, player: int) -> list[str]:
         """One message per problem, state by state. The sign, finiteness
@@ -355,7 +360,7 @@ class StationaryStrategy:
         from w.sum(), so that filter flags sums off by half the tolerance."""
         if len(self.weights) != model.n_states:
             return [f"strategy has {len(self.weights)} states, model has {model.n_states}"]
-        sizes = np.array([len(a) for a in (model.actions_p1, model.actions_p2)[player - 1]])
+        sizes = model.shapes[:, player - 1]
         ok = np.array([w.shape == (m,) for w, m in zip(self.weights, sizes.tolist())], dtype=bool)
         at = np.flatnonzero(ok)
         if at.size:
@@ -441,21 +446,17 @@ def validate_model(model: GameModel) -> ValidationReport:
     nonfinite = ~np.isfinite(k.prob)
     with np.errstate(invalid="ignore"):
         over = k.row_sums > 1.0 + ROW_SUM_TOL
-    cost = model.flat_cost()
+    cost = model.row_cost
     flagged = over | (cost < 0)
     flagged[k.entry_rows()[negative | nonfinite]] = True
     state, us, vs = model.row_actions()
-    empty = [i for i in range(model.n_states) if 0 in model.n_actions(i)]
+    empty = np.flatnonzero((model.shapes == 0).any(axis=1)).tolist()
     for i, r in sorted([(i, -1) for i in empty]
                        + [(int(state[r]), int(r)) for r in np.flatnonzero(flagged)]):
         if r < 0:
-            mu, mv = model.n_actions(i)
-            if mu == 0:
-                out.append(Violation("empty_actions_p1", (i,), 0.0,
-                                     f"state {i} has no player-1 actions"))
-            if mv == 0:
-                out.append(Violation("empty_actions_p2", (i,), 0.0,
-                                     f"state {i} has no player-2 actions"))
+            for p in np.flatnonzero(model.shapes[i] == 0).tolist():
+                out.append(Violation(f"empty_actions_p{p + 1}", (i,), 0.0,
+                                     f"state {i} has no player-{p + 1} actions"))
             continue
         u, v = int(us[r]), int(vs[r])
         seg = slice(int(k.indptr[r]), int(k.indptr[r + 1]))
@@ -525,11 +526,6 @@ class LyapunovReport:
         }
 
 
-def _max_costs(model: GameModel, states) -> np.ndarray:
-    """max_{u,v} c(i,u,v) for each i of `states`."""
-    return np.array([float(model.cost[i].max()) for i in states])
-
-
 def check_lyapunov(model: GameModel, states=None) -> LyapunovReport:
     """Check the drift inequality sum_j W(j)P(j|i,u,v) <= C 1_K(i) + e^{-rate} W(i),
     rate gamma or ell(i), on `states` (default: the window).
@@ -551,12 +547,13 @@ def check_lyapunov(model: GameModel, states=None) -> LyapunovReport:
         raise MissingLyapunovData("model has no Lyapunov data")
     log_C = ly.log_C
     states = np.arange(model.n_states) if states is None else np.asarray(states, dtype=int)
-    lhs = np.array([float(L.max()) for L in model.inner_log_sums(states, ly.log_W)])
+    rows, at = model.rows(states)
+    lhs = np.maximum.reduceat(model.inner_log_sums(states, ly.log_W), at)
     decay = ly.log_W[states] - (ly.gamma if ly.case == "bounded" else ly.ell[states])
     slack = np.where(np.isin(states, ly.K), np.logaddexp(log_C, decay), decay) - lhs
     worst = int(slack.argmin())
     drift_passed = bool(slack[worst] > LYAPUNOV_SLACK_PASS)
-    cmax = _max_costs(model, states)
+    cmax = np.maximum.reduceat(model.row_cost[rows], at)
 
     norm_like = gamma_check = None
     if ly.case == "unbounded":
@@ -604,7 +601,8 @@ def eigenvalue_upper_bound(model: GameModel) -> dict | None:
     if ly.case == "bounded":
         return {"case": "bounded", "k1": float(ly.gamma), "k2": 0.0, "upper": float(ly.gamma)}
     k1 = max([0.0] + np.logaddexp(0.0, log_C + ly.ell[ly.K] - ly.log_W[ly.K]).tolist())
-    k2 = -float((ly.ell - _max_costs(model, range(model.n_states))).min())
+    # csr refuses a state without actions, whose reduceat segment would be empty
+    k2 = -float((ly.ell - np.maximum.reduceat(model.row_cost, model.csr.row_start[:-1])).min())
     return {"case": "unbounded", "k1": k1, "k2": k2, "upper": k1 + k2}
 
 
@@ -677,9 +675,8 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
         )
     if mode == "sampled":
         rng = np.random.default_rng(seed)
-        mu = np.array([len(a) for a in model.actions_p1], dtype=np.int64)
-        mv = np.array([len(a) for a in model.actions_p2], dtype=np.int64)
-        highs = np.concatenate([mu, mv])
+        mv = model.shapes[:, 1]
+        highs = model.shapes.T.ravel()
         row_len = np.diff(k.indptr)
         # Samples are tested in chunks of 1, 1, 2, 4, ..., so an early
         # failure costs about what it costs one sample at a time. A chunk
@@ -722,12 +719,11 @@ def check_reference_state(model: GameModel) -> bool:
     if model.n_states == 1:
         return True
     k = model.kernel
-    rows = model._rows_of(i0)
-    seg = slice(int(k.indptr[rows.start]), int(k.indptr[rows.stop]))
-    reach = (k.prob[seg] > 0) & (k.indices[seg] != i0)
-    n_rows = rows.stop - rows.start
-    entry_row = np.repeat(np.arange(n_rows), np.diff(k.indptr[rows.start:rows.stop + 1]))
-    per_row = np.bincount(entry_row[reach], minlength=n_rows)
+    rows, _ = model.rows([i0])
+    lo, hi = k.indptr[rows], k.indptr[rows + 1]
+    at, _ = concat_ranges(lo, hi)
+    reach = (k.prob[at] > 0) & (k.indices[at] != i0)
+    per_row = np.bincount(np.repeat(np.arange(len(rows)), hi - lo)[reach], minlength=len(rows))
     return bool((per_row == model.n_states - 1).all())
 
 
@@ -872,10 +868,8 @@ def model_from_json(doc) -> GameModel:
     kernel = KernelCSR.from_entries(slot_start, rows[keep], j[keep], p[keep])
     slots, c = _record_columns(doc, "cost", ("i", "u", "v", "c"), n, mu, mv, slot_start)
     keep = _last_of_runs(slots)
-    flat_cost = np.zeros(int(slot_start[-1]))
-    flat_cost[slots[keep]] = c[keep]
-    cost = [C.reshape(shape) for C, shape in
-            zip(np.split(flat_cost, slot_start[1:-1]), zip(mu.tolist(), mv.tolist()))]
+    cost = np.zeros(int(slot_start[-1]))
+    cost[slots[keep]] = c[keep]
     lyap = None
     if doc.get("lyapunov") is not None:
         lb = doc["lyapunov"]
@@ -926,7 +920,7 @@ def _emitted_columns(model: GameModel):
     k = model.kernel
     state, u, v = model.row_actions()
     rows = k.entry_rows()
-    cost = model.flat_cost()
+    cost = model.row_cost
     slots = np.flatnonzero(cost != 0.0)
     return ((state[rows], u[rows], v[rows], k.indices, k.prob),
             (state[slots], u[slots], v[slots], cost[slots]))

@@ -49,11 +49,12 @@ planar sup_nu L(mu, nu) minus the lower value; it vanishes whenever a
 genuine saddle point exists (pure saddles, constant psi, singleton
 actions) and is diagnostic otherwise.
 
-Batched pure path. An operator sweep solves one local game per state;
-solve_saddles groups them by action shape, stacks their C and L into
-(k, mU, mV) arrays and runs the pure fast path as array operations over
-the batch (_pure_saddles): the row shift and the empty-support and dead
-row tests, the pure candidate v* = argmax_v min_u (C + log Q)[u, v], the
+Batched pure path. An operator sweep solves one local game per state.
+solve_saddles gathers the states of each action shape from the sweep's
+flat C and L (GameModel's row layout) into (k, mU, mV) stacks with one
+index each and runs the pure fast path as array operations over the
+batch (_pure_saddles): the row shift and the empty-support and dead row
+tests, the pure candidate v* = argmax_v min_u (C + log Q)[u, v], the
 single-action supergradient certificate at e_v*, and the best pure
 minimizer by the exact planar sup with its order gap. Its per-state float
 operations do not depend on the batch, so a state it settles gets the
@@ -105,7 +106,7 @@ class LocalSaddle:
 
 def local_matrices(model, i: int, log_psi: np.ndarray):
     """(C, L) for state i: C costs, L[u,v] = log sum_j psi(j) P(j|i,u,v)."""
-    return model.cost[i], model.inner_log_sums([i], log_psi)[0]
+    return model.cost[i], model.inner_log_sums([i], log_psi).reshape(model.shapes[i])
 
 
 def local_payoff_core(C: np.ndarray, L: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
@@ -421,27 +422,25 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
     return saddles, m0, Qs, v_star
 
 
-def solve_saddles(costs, Ls, tol: float = DEFAULT_TOL) -> list:
+def solve_saddles(C, L, shapes, tol: float = DEFAULT_TOL) -> list:
     """Local saddles of many states at once, in input order.
 
-    States are grouped by action shape and settled by the batched pure
-    path (_pure_saddles); only the states it leaves go to
-    solve_saddle_core.
+    C and L are flat in row order (GameModel's row layout): state k's
+    (mU, mV) = shapes[k] games lie one after another, u-major. The states
+    of each action shape are gathered into (k, mU, mV) stacks with one
+    index and settled by the batched pure path (_pure_saddles); only the
+    states it leaves go to solve_saddle_core.
     """
-    costs = [np.asarray(C, dtype=float) for C in costs]
-    Ls = [np.asarray(L, dtype=float) for L in Ls]
-    out = [None] * len(Ls)
-    groups = {}
-    for j, L in enumerate(Ls):
-        groups.setdefault(L.shape, []).append(j)
-    for js in groups.values():
-        batch, _, _, _ = _pure_saddles(np.stack([costs[j] for j in js]),
-                                       np.stack([Ls[j] for j in js]), tol)
-        for j, s in zip(js, batch):
-            out[j] = s
-    for j, s in enumerate(out):
-        if s is None:
-            out[j] = solve_saddle_core(costs[j], Ls[j], tol=tol)
+    shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
+    size = shapes.prod(axis=1)
+    start = np.cumsum(size) - size
+    out = [None] * len(shapes)
+    for mU, mV in np.unique(shapes, axis=0).tolist():
+        js = np.flatnonzero((shapes == (mU, mV)).all(axis=1))
+        at = start[js, None] + np.arange(mU * mV)
+        Cs, Ls = C[at].reshape(-1, mU, mV), L[at].reshape(-1, mU, mV)
+        for j, s, Cj, Lj in zip(js.tolist(), _pure_saddles(Cs, Ls, tol)[0], Cs, Ls):
+            out[j] = s if s is not None else solve_saddle_core(Cj, Lj, tol=tol)
     return out
 
 

@@ -188,10 +188,9 @@ def _entries(model: GameModel, log_psi=None) -> _Entries:
     """
     k = model.csr
     state, u, v = model.row_actions()
-    row, j, p, cost = k.entry_rows(), k.indices, k.prob, model.flat_cost()
+    row, j, p, cost = k.entry_rows(), k.indices, k.prob, model.row_cost.copy()
     if log_psi is not None:
-        log_mass = np.concatenate([L.ravel() for L in
-                                   model.inner_log_sums(np.arange(model.n_states), log_psi)])
+        log_mass = model.inner_log_sums(np.arange(model.n_states), log_psi)
         tilt = np.isfinite(log_psi[state]) & np.isfinite(log_mass)
         at = np.flatnonzero(tilt[row])
         p = p.copy()
@@ -434,15 +433,15 @@ def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
     if count < 0:
         raise ValueError(f"deviation count must be >= 0, got {count}")
     n = model.n_states
-    sizes = [model.n_actions(i)[player - 1] for i in range(n)]
-    if all(m == 1 for m in sizes):
+    sizes = model.shapes[:, player - 1]
+    if (sizes == 1).all():
         return []
-    pure = list(itertools.islice(itertools.product(*map(range, sizes)), count + 1))
+    pure = list(itertools.islice(itertools.product(*map(range, sizes.tolist())), count + 1))
     if len(pure) <= count:
         return [StationaryStrategy.pure(model, player, list(idx)) for idx in pure]
     # one gamma draw for all states, normalized as Generator.dirichlet does:
     # a left-to-right sum per state, then each gamma times the sum's inverse
-    rng = np.random.default_rng(np.uint64(seed) + np.uint64(7919 * player))
+    rng = np.random.default_rng((int(seed) + 7919 * player) % 2**64)
     seg = np.repeat(np.arange(n), sizes)
     slot = np.arange(len(seg)) - np.repeat(np.cumsum(sizes) - sizes, sizes)
     out = []
@@ -633,6 +632,8 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
     target = sorted(set(int(b) for b in target_set))
     starts = [int(s) for s in (cfg.start if isinstance(cfg.start, (list, tuple, np.ndarray))
                                else [cfg.start])]
+    if not starts:
+        raise ValueError("the start list is empty: give at least one start state")
     _require(model, pi1, pi2, starts + target)
     mask = np.zeros(model.n_states, dtype=bool)
     mask[target] = True

@@ -146,21 +146,12 @@ def residual(model: GameModel, rho: float, log_psi, domain, tol_local=DEFAULT_TO
     return float(max(abs(log_G[i] - rho - log_psi[i]) for i in states))
 
 
-def _selectors(model: GameModel, by_state: dict):
-    w1, w2 = [], []
-    for i in range(model.n_states):
-        if i in by_state:
-            w1.append(np.asarray(by_state[i].mu, dtype=float))
-            w2.append(np.asarray(by_state[i].nu, dtype=float))
-        else:
-            mu_len, nu_len = model.n_actions(i)
-            a = np.zeros(mu_len)
-            a[0] = 1.0
-            b = np.zeros(nu_len)
-            b[0] = 1.0
-            w1.append(a)
-            w2.append(b)
-    return StationaryStrategy(w1), StationaryStrategy(w2)
+def _selectors(model: GameModel, states, saddles):
+    """The saddles' (mu, nu) at `states`, the lowest-index pure action elsewhere."""
+    pi1, pi2 = StationaryStrategy.pure(model, 1, 0), StationaryStrategy.pure(model, 2, 0)
+    for i, s in zip(states, saddles):
+        pi1.weights[i], pi2.weights[i] = s.mu, s.nu
+    return pi1, pi2
 
 
 def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL):
@@ -171,7 +162,7 @@ def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL):
     zero-boundary reading, and simulation still needs a defined action.
     """
     states, _, saddles = _domain_sweep(model, np.asarray(log_psi, dtype=float), domain, tol)
-    return _selectors(model, dict(zip(states, saddles)))
+    return _selectors(model, states, saddles)
 
 
 def _boundary_warnings(model: GameModel, domain) -> list:
@@ -180,19 +171,18 @@ def _boundary_warnings(model: GameModel, domain) -> list:
     inside = np.zeros(model.n_states, dtype=bool)
     inside[domain] = True
 
-    def mass_into(states, target) -> list:
-        """Per state of `states`, the (mU, mV) one-step mass into `target`."""
-        log_indicator = np.where(target, 0.0, NEG_INF)
-        return [np.exp(L) for L in model.inner_log_sums(states, log_indicator)]
+    def mass_into(states, target) -> np.ndarray:
+        """The one-step mass of every row of `states` into `target`."""
+        return np.exp(model.inner_log_sums(states, np.where(target, 0.0, NEG_INF)))
 
-    leak = max([0.0] + [float((1.0 - m).max()) for m in mass_into(domain, inside)])
+    leak = float(np.max(1.0 - mass_into(domain, inside), initial=0.0))
     if not inside.all():
         if leak >= BOUNDARY_MASS_WARN:
             out.append(f"one-step mass {leak:.3e} leaves the final domain; truncation suspect")
     else:
         top = model.n_states - 1
         at_top = np.arange(model.n_states) == top
-        into_top = max([0.0] + [float(m.max()) for m in mass_into(domain[domain != top], at_top)])
+        into_top = float(np.max(mass_into(domain[domain != top], at_top), initial=0.0))
         if max(leak, into_top) >= BOUNDARY_MASS_WARN:
             out.append(
                 f"window boundary receives one-step mass {max(leak, into_top):.3e}; "
@@ -258,7 +248,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     final = prev
     states, log_G, saddles = _domain_sweep(model, final.log_psi, final.domain, tol_local)
     res = float(max(abs(log_G[i] - final.rho - final.log_psi[i]) for i in states))
-    selectors = _selectors(model, dict(zip(states, saddles)))
+    selectors = _selectors(model, states, saddles)
     warnings.extend(_boundary_warnings(model, final.domain))
 
     if bounds is not None:
@@ -301,14 +291,14 @@ def uncontrolled_eigen_oracle(model: GameModel, tol: float = 1e-12,
     when max_iter sweeps do not close it.
     """
     n = model.n_states
-    for i in range(n):
-        mu, mv = model.n_actions(i)
-        if mu != 1 or mv != 1:
-            raise NotUncontrolled(f"state {i} has {mu}x{mv} actions")
+    controlled = np.flatnonzero((model.shapes != 1).any(axis=1))
+    if controlled.size:
+        mu, mv = model.shapes[controlled[0]].tolist()
+        raise NotUncontrolled(f"state {controlled[0]} has {mu}x{mv} actions")
     k = model.kernel
     rows = k.entry_rows()  # one row per state
     M = np.zeros((n, n))
-    M[rows, k.indices] = np.exp(model.flat_cost())[rows] * k.prob
+    M[rows, k.indices] = np.exp(model.row_cost)[rows] * k.prob
     v = np.ones(n)
     lo, hi = NEG_INF, np.inf
     for sweep in range(1, max_iter + 1):

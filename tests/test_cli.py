@@ -210,8 +210,17 @@ def test_malformed_reports_are_schema_errors(workdir, capsys, bd20, mutation, me
      f"states {list(range(20, 31))} lie outside the window 0..19"),
     (["verify", "--saddle", "--deviations", "-1"], "deviation count must be >= 0, got -1"),
     (["simulate", "--deviate", "2:-1"], "deviation count must be >= 0, got -1"),
+    (["simulate", "--deviate", "2"], "bad --deviate spec '2'; expected player:count"),
+    (["simulate", "--deviate", "two:3"], "bad --deviate spec 'two:3'; expected player:count"),
+    (["verify", "--representation", "B=0..x", "--starts", "5"],
+     "bad --representation spec 'B=0..x'; expected B=lo..hi or B=i,j,..."),
+    (["verify", "--representation", "B=0..4", "--starts", "5;6"],
+     "bad --starts spec '5;6'; expected comma-separated state indices"),
+    (["verify", "--representation", "B=0..19"],
+     "no state lies outside the target set to start from; give start states with --starts"),
 ], ids=["start-negative", "start-30", "starts-30", "target-30", "deviations-negative",
-        "deviate-negative"])
+        "deviate-negative", "deviate-no-count", "deviate-not-int", "target-malformed",
+        "starts-malformed", "target-whole-window"])
 def test_simulation_inputs_out_of_range_are_usage_errors(capsys, bd20, argv, message):
     model, report = bd20
     flag = "--strategies" if argv[0] == "simulate" else "--report"

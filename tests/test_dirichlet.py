@@ -13,7 +13,7 @@ from rsgame.dirichlet import (CollapseToZero, DirichletDomain, NoConvergence,
                               apply_operator, dirichlet_eigenpair,
                               solve_source_problem, viable_states)
 from rsgame.model import make_model
-from rsgame.saddle import solve_saddle_core
+from rsgame.saddle import local_matrices, solve_saddle_core
 from rsgame.solver import solve_ergodic_game
 
 LOG_1P5 = 0.4054651081081644  # Perron root of [[.5,.5],[1,1]], by char poly
@@ -228,7 +228,7 @@ def test_apply_operator_matches_scalar_solves_on_ragged_actions():
     for log_psi in (np.zeros(2), np.array([0.0, 0.7]), np.array([0.0, -np.inf])):
         log_G, saddles = apply_operator(model, [0, 1], log_psi)
         for i, s in zip([0, 1], saddles):
-            C, L = model.cost[i], model.inner_log_sums([i], log_psi)[0]
+            C, L = local_matrices(model, i, log_psi)
             assert saddle_fields(s) == saddle_fields(solve_saddle_core(C, L))
             assert log_G[i] == s.log_value
 
@@ -239,7 +239,7 @@ def test_apply_operator_matches_scalar_solves_on_mixed_states():
     states = list(range(model.n_states))
     log_G, saddles = apply_operator(model, states, log_psi)
     for i, s in zip(states, saddles):
-        C, L = model.cost[i], model.inner_log_sums([i], log_psi)[0]
+        C, L = local_matrices(model, i, log_psi)
         assert saddle_fields(s) == saddle_fields(solve_saddle_core(C, L))
         assert log_G[i] == s.log_value
     assert any(s.order_gap > 0 for s in saddles)  # mixed states took the cutting planes

@@ -11,12 +11,13 @@ from conftest import (one_state_two_action, pennies_layer_model, random_closed_m
 from rsgame import model as model_module
 from rsgame._util import logsumexp, reachable
 from rsgame.birth_death import BirthDeathParams, build_birth_death
-from rsgame.model import (STRATEGY_TOL, LyapunovData, MissingLyapunovData, SchemaError,
-                          StationaryStrategy, check_irreducibility,
+from rsgame.model import (STRATEGY_TOL, LyapunovData, MissingLyapunovData, ModelError,
+                          SchemaError, StationaryStrategy, check_irreducibility,
                           check_lyapunov, check_reference_state, make_model,
                           model_from_json, model_to_json, validate_model,
                           write_model_json)
 from rsgame.simulate import SimConfig, estimate_ergodic_cost
+from rsgame.solver import solve_ergodic_game
 
 
 def test_validate_well_formed_two_state(two_state):
@@ -61,6 +62,17 @@ def test_validate_negative_probability_and_bad_reference():
     kinds = {v.kind for v in validate_model(m).violations}
     assert "negative_probability" in kinds
     assert "bad_reference_state" in kinds
+
+
+@pytest.mark.parametrize("a1, a2, player", [([[0], [0]], [[0], []], 2),
+                                            ([[0], []], [[0], [0]], 1)], ids=["p2", "p1"])
+def test_solve_refuses_an_empty_action_set(a1, a2, player):
+    """validate reports a state without actions; a solve refuses it by name."""
+    m = make_model(2, a1, a2, [np.full((1, 1, 2), 0.5), np.zeros((len(a1[1]), len(a2[1]), 2))],
+                   [np.zeros((1, 1)), np.zeros((len(a1[1]), len(a2[1])))])
+    assert [v.kind for v in validate_model(m).violations] == [f"empty_actions_p{player}"]
+    with pytest.raises(ModelError, match=f"state 1 has no player-{player} actions"):
+        solve_ergodic_game(m)
 
 
 def test_lyapunov_trivial_bound_passes():
@@ -446,12 +458,15 @@ def assert_matches_dense(model, states, log_psi):
     when the row max and log of the sum nearly cancel, the value is much
     smaller than the terms that were rounded.)
     """
-    got = model.inner_log_sums(states, log_psi)
-    assert len(got) == len(states)
+    flat = model.inner_log_sums(states, log_psi)
+    _, at = model.rows(states)
+    got = [flat[lo:lo + mu * mv].reshape(mu, mv)
+           for lo, (mu, mv) in zip(at.tolist(), model.shapes[states].tolist())]
+    assert len(got) == len(states) and sum(L.size for L in got) == flat.size
     eps = np.finfo(float).eps
     for i, L in zip(states, got):
         ref = dense_inner_sums(model.dense_transition(i), log_psi)
-        assert L.shape == ref.shape == model.n_actions(i)
+        assert L.shape == ref.shape == tuple(model.shapes[i])
         assert np.array_equal(L == -np.inf, ref == -np.inf), i
         terms = ((model.dense_transition(i) > 0) & np.isfinite(log_psi)).sum(axis=2)
         bound = 4 * np.spacing(np.abs(ref)) + np.maximum(terms - 1, 0) * eps
@@ -486,11 +501,11 @@ def test_inner_sums_match_dense_reference(rng):
     # log psi = -inf off the domain {0..4}: state 4's whole support is off it
     on_domain = np.where(np.arange(m.n_states) < 5, rng.normal(size=m.n_states), -np.inf)
     assert_matches_dense(m, every, on_domain)
-    assert np.all(m.inner_log_sums([4], on_domain)[0] == -np.inf)
-    assert m.inner_log_sums([3], on_domain)[0][1, 0] == -np.inf  # all-zero row
+    assert np.all(m.inner_log_sums([4], on_domain) == -np.inf)
+    assert m.inner_log_sums([3], on_domain).reshape(2, 2)[1, 0] == -np.inf  # all-zero row
     # any subset, in any order, reads the same per-state matrices
     assert_matches_dense(m, [5, 2, 0], on_domain)
-    assert m.inner_log_sums([], on_domain) == []
+    assert m.inner_log_sums([], on_domain).shape == (0,)
 
 
 def test_inner_sums_one_state_and_birth_death(rng):

@@ -17,7 +17,7 @@ from oracles import (bilinear_2x2_mixed, lower_value_exact, lower_value_grid,
 from rsgame._util import NEG_INF
 from rsgame.model import make_model
 from rsgame.saddle import (LocalSaddle, best_response_pure_min_core,
-                           local_payoff_core, solve_saddle_core)
+                           local_matrices, local_payoff_core, solve_saddle_core)
 from rsgame.solver import solve_ergodic_game
 
 
@@ -302,9 +302,16 @@ def test_batched_solves_equal_scalar_solves_in_any_order():
     from rsgame.saddle import solve_saddles
     cases = batch_cases()
     scalar = [saddle_fields(solve_saddle_core(C, L)) for C, L in cases]
-    assert [saddle_fields(s) for s in solve_saddles(*zip(*cases))] == scalar
+
+    def batch(games):
+        """solve_saddles on the games laid out flat, one after another."""
+        return solve_saddles(np.concatenate([C.ravel() for C, _ in games]),
+                             np.concatenate([L.ravel() for _, L in games]),
+                             [C.shape for C, _ in games])
+
+    assert [saddle_fields(s) for s in batch(cases)] == scalar
     order = np.random.default_rng(1).permutation(len(cases))
-    shuffled = solve_saddles([cases[k][0] for k in order], [cases[k][1] for k in order])
+    shuffled = batch([cases[k] for k in order])
     assert [saddle_fields(s) for s in shuffled] == [scalar[k] for k in order]
 
 
@@ -455,8 +462,7 @@ def test_mu_and_order_gap_stable_under_last_ulp_changes():
     model = random_closed_model(np.random.default_rng(1), n=8, mu=3, mv=3)
     report = solve_ergodic_game(model)
     states = list(report.domain)
-    games = list(zip([model.cost[i] for i in states],
-                     model.inner_log_sums(states, report.log_psi_star)))
+    games = [local_matrices(model, i, report.log_psi_star) for i in states]
     games += [(C, L) for C, L in pinned_local_games()
               if _pure_saddles(C[None], L[None], 1e-8)[0][0] is None]
     assert len(games) == 8 + 55

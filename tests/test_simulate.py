@@ -295,6 +295,13 @@ def test_representation_refuses_nonfinite_selector_weights():
         verify_stochastic_representation(m, rep, [1], SimConfig(T=1, N=10, start=[0]))
 
 
+def test_representation_refuses_an_empty_start_list():
+    m = pennies_layer_model()
+    rep = solve_ergodic_game(m)
+    with pytest.raises(ValueError, match="the start list is empty"):
+        verify_stochastic_representation(m, rep, [1], SimConfig(T=1, N=10, start=[]))
+
+
 def test_representation_cap_inconclusive():
     m = geometric_model(p_loop=0.95, c1=0.01)
     rep = solve_ergodic_game(m, ladder=[2])
@@ -514,7 +521,7 @@ def test_one_step_frequencies_tilted_birth_death_pair(bd60):
         mass = P @ np.exp(log_psi)
         tilted = P * np.exp(log_psi) / mass[..., None]
         expected = np.einsum("u,v,uvj->uvj", mu, nu, tilted)
-        mU, mV = m.n_actions(i)
+        mU, mV = m.shapes[i]
         state, us, vs = m.row_actions()
         cell = (us[tab.row[e]] * mV + vs[tab.row[e]]) * m.n_states + tab.j[e]
         assert_frequencies(np.bincount(cell, minlength=expected.size), expected.ravel(), N)
@@ -546,6 +553,19 @@ def test_open_model_exit_frequency():
 def bd60():
     model = build_birth_death(BirthDeathParams(window=60))
     return model, solve_ergodic_game(model, ladder=[10, 20, 40, 60])
+
+
+def test_negative_seed_runs_as_its_value_mod_2_64(bd60):
+    """Seed -1 draws the Dirichlet deviations and the paths of seed
+    2**64 - 1, so both give the same verdict."""
+    m, rep = bd60
+    first, last = (_deviation_strategies(m, 2, 3, seed) for seed in (-1, 2**64 - 1))
+    assert len(first) == 3 and not np.isin(first[0].weights[0], [0.0, 1.0]).all()
+    for a, b in zip(first, last):
+        assert all(np.array_equal(x, y) for x, y in zip(a.weights, b.weights))
+    verdicts = [verify_saddle(m, rep, SimConfig(T=20, N=20, seed=seed), deviations=3).to_dict()
+                for seed in (-1, 2**64 - 1)]
+    assert len(verdicts[0]["deviations"]) == 6 and verdicts[0] == verdicts[1]
 
 
 def test_verify_saddle_output_pinned(bd60):

@@ -145,10 +145,7 @@ def test_oracle_two_state(two_state):
 
 def test_oracle_row_stochastic_root_is_one(rng):
     m = random_uncontrolled_chain(rng, 5)
-    for i in range(5):
-        m.cost[i].flags.writeable = True
-        m.cost[i][:] = 0.0
-        m.cost[i].flags.writeable = False
+    m = make_model(5, m.actions_p1, m.actions_p2, m.kernel, np.zeros(5))
     assert uncontrolled_eigen_oracle(m) == pytest.approx(0.0, abs=1e-10)
 
 
