@@ -160,7 +160,7 @@ def run(argv) -> int:
 
         if args.command == "check":
             model = _load_model(args.model)
-            model.csr  # refuses an unsound kernel (ModelError, exit 2)
+            model.csr  # refuses an unsound model (ModelError, exit 2)
             doc = {}
             ok = True
             if model.lyapunov is not None:
@@ -188,8 +188,7 @@ def run(argv) -> int:
                       if args.ladder else None)
             try:
                 report = solve_ergodic_game(
-                    model, ladder=ladder, tol_eig=args.tol, tol_local=args.tol,
-                    tol_outer=args.tol_outer)
+                    model, ladder=ladder, tol_eig=args.tol, tol_outer=args.tol_outer)
             except (dirichlet.CollapseToZero, dirichlet.NoConvergence,
                     saddle.NoConvergence) as exc:
                 print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)

@@ -13,8 +13,8 @@ so a sweep costs O(nnz) for the sums instead of O(rows x window). The
 sums and the costs (GameModel.row_cost) of the sweep stay flat in kernel
 row order, and its local saddles are solved from them as one batch by
 saddle.solve_saddles: the pure-saddle fast path runs as array operations
-over all states of one action shape, and only the states it cannot
-certify go to the scalar solve_saddle_core, one after another.
+over all states of one action shape, once per shape, and only the states
+it cannot certify go to the cutting planes, one after another.
 Both the eigen sweep and the source problem solve their local games
 this way. The viability scan reads "mass inside the surviving set" from
 the same kernel, with log psi the set's log indicator.
@@ -118,13 +118,13 @@ def viable_states(domain: DirichletDomain) -> np.ndarray:
         alive = alive[keep]
 
 
-def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL):
+def apply_operator(model: GameModel, states, log_psi, tol=DEFAULT_TOL):
     """One sweep of the dynamic-programming operator on the given states.
 
     Returns (log_G over the full window with -inf off `states`, saddles).
     """
     C, L = model.row_cost[model.rows(states)[0]], model.inner_log_sums(states, log_psi)
-    saddles = solve_saddles(C, L, model.shapes[states], tol=tol_local)
+    saddles = solve_saddles(C, L, model.shapes[states], tol=tol)
     log_G = np.full(model.n_states, NEG_INF)
     log_G[states] = [s.log_value for s in saddles]
     return log_G, saddles
@@ -132,7 +132,6 @@ def apply_operator(model: GameModel, states, log_psi, tol_local=DEFAULT_TOL):
 
 def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
                         max_iter: int = DEFAULT_MAX_ITER,
-                        tol_local: float = DEFAULT_TOL,
                         warm_start_log_psi=None) -> EigenPair:
     """Principal eigenpair on the domain by nonlinear power iteration.
 
@@ -140,8 +139,9 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
     operator is order preserving and 1-homogeneous, so the per-state
     ratios log G psi(i) - log psi(i) bracket the principal eigenvalue;
     convergence is declared on the bracket width, which bounds the
-    eigenvalue error directly. After DAMP_AFTER undamped sweeps a half-step
-    blend guards against cycling on periodic structures.
+    eigenvalue error directly; tol also bounds every local saddle's gap.
+    After DAMP_AFTER undamped sweeps a half-step blend guards against
+    cycling on periodic structures.
     """
     model = domain.model
     i0 = model.i0
@@ -161,7 +161,7 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
     damping = 0
     bracket = (NEG_INF, np.inf)
     for sweep in range(1, max_iter + 1):
-        log_G, _ = apply_operator(model, alive, log_psi, tol_local=tol_local)
+        log_G, _ = apply_operator(model, alive, log_psi, tol=tol)
         if not np.isfinite(log_G[i0]):
             raise CollapseToZero(f"operator value vanished at the reference state {i0}")
         finite = np.isfinite(log_G[alive]) & np.isfinite(log_psi[alive])

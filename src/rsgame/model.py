@@ -162,10 +162,11 @@ class GameModel:
     `kernel` (KernelCSR) is the only kernel storage; `dense_transition(i)`
     rebuilds one state's (mU_i, mV_i, n_states) tensor as a dense
     reference for tests. Arrays are frozen after construction. On first
-    use `csr` refuses a state without actions, a negative or non-finite
-    entry and a row sum above 1 + ROW_SUM_TOL (validate_model's
-    thresholds, under which the log kernel is defined), then returns
-    `kernel`; construction and ingestion never pay for the check.
+    use `csr` refuses the model with the first error of validate_model's
+    row scan (a state without actions, a negative or non-finite entry, a
+    row sum above 1 + ROW_SUM_TOL, a non-finite cost: the cases where the
+    log kernel or the payoff is not defined), then returns `kernel`;
+    construction and ingestion never pay for the check.
     """
 
     n_states: int
@@ -230,31 +231,11 @@ class GameModel:
     @property
     def csr(self) -> KernelCSR:
         if not self._sound:
-            empty = np.argwhere(self.shapes == 0)
-            if len(empty):
-                i, player = empty[0].tolist()
-                raise ModelError(f"state {i} has no player-{player + 1} actions")
-            k = self.kernel
-            ok = np.isfinite(k.prob) & (k.prob >= 0.0)
-            with np.errstate(invalid="ignore"):
-                bad_rows = ~(k.row_sums <= 1.0 + ROW_SUM_TOL)
-            bad_rows[k.entry_rows()[~ok]] = True
-            if bad_rows.any():
-                raise self._unsound(int(bad_rows.argmax()), ok)
+            bad = next((f for f in _row_findings(self) if f.severity == "error"), None)
+            if bad is not None:
+                raise ModelError(f"unsound model: {bad.message}")
             self._sound = True
         return self.kernel
-
-    def _unsound(self, r: int, ok: np.ndarray) -> ModelError:
-        """The error for kernel row r, the first that csr refuses."""
-        k = self.kernel
-        state, u, v = (int(a[r]) for a in self.row_actions())
-        lo, hi = k.indptr[r], k.indptr[r + 1]
-        if ok[lo:hi].all():
-            return ModelError(f"unsound kernel: sum_j P(j|{state},{u},{v}) = "
-                              f"{float(k.row_sums[r])!r} > 1")
-        at = lo + int((~ok[lo:hi]).argmax())
-        return ModelError(f"unsound kernel: P({int(k.indices[at])}|{state},{u},{v}) = "
-                          f"{float(k.prob[at])!r} is negative or not finite")
 
     def inner_log_sums(self, states, log_psi) -> np.ndarray:
         """log sum_j psi(j) P(j|i,u,v) of every row of `states`, in the
@@ -290,8 +271,8 @@ def make_model(
     `cost` is one (mU_i, mV_i) array per state, or a 1-D array of c(i, u, v)
     in kernel row order.
     """
-    if theta <= 0:
-        raise ModelError(f"theta must be strictly positive, got {theta}")
+    if not 0 < theta < np.inf:
+        raise ModelError(f"theta must be finite and strictly positive, got {theta}")
     n = int(n_states)
     a1 = [list(a) for a in actions_p1]
     a2 = [list(a) for a in actions_p2]
@@ -422,35 +403,33 @@ class ValidationReport:
             "ok": self.ok,
             "structurally_sound": self.structurally_sound,
             "violations": [
-                {"kind": v.kind, "coords": list(v.coords), "value": v.value,
+                {"kind": v.kind, "coords": list(v.coords),
+                 "value": v.value if np.isfinite(v.value) else None,
                  "message": v.message, "severity": v.severity}
                 for v in self.violations
             ],
         }
 
 
-def validate_model(model: GameModel) -> ValidationReport:
-    """Diagnostic sweep over every invariant; never raises.
+def _row_findings(model: GameModel) -> list:
+    """The findings of the action sets, kernel entries, row sums and costs.
 
-    The report names every offending (i, u, v) coordinate so a bad row can
-    be located in the source document directly. The per-entry and per-row
-    tests run as array operations over the kernel; only flagged rows are
-    visited one by one, state by state and u-major, as they are reported.
+    The per-entry and per-row tests run as array operations over the
+    kernel; only flagged rows are visited one by one, state by state and
+    u-major, as they are reported. GameModel.csr refuses a model with the
+    first error-severity finding of this scan.
     """
     out = []
-    if not (0 <= model.i0 < model.n_states):
-        out.append(Violation("bad_reference_state", (model.i0,), float(model.i0),
-                             f"i0={model.i0} outside 0..{model.n_states - 1}"))
     k = model.kernel
     negative = k.prob < 0
     nonfinite = ~np.isfinite(k.prob)
     with np.errstate(invalid="ignore"):
         over = k.row_sums > 1.0 + ROW_SUM_TOL
     cost = model.row_cost
-    flagged = over | (cost < 0)
+    flagged = over | ~np.isfinite(cost) | (cost < 0)
     flagged[k.entry_rows()[negative | nonfinite]] = True
-    state, us, vs = model.row_actions()
     empty = np.flatnonzero((model.shapes == 0).any(axis=1)).tolist()
+    state, us, vs = model.row_actions()
     for i, r in sorted([(i, -1) for i in empty]
                        + [(int(state[r]), int(r)) for r in np.flatnonzero(flagged)]):
         if r < 0:
@@ -465,7 +444,7 @@ def validate_model(model: GameModel) -> ValidationReport:
             at = int(np.where(negative[seg], p, 0.0).argmin())
             j, val = int(cols[at]), float(p[at])
             out.append(Violation("negative_probability", (i, u, v, j), val,
-                                 f"P({j}|{i},{u},{v}) = {val}"))
+                                 f"P({j}|{i},{u},{v}) = {val} is negative"))
         if nonfinite[seg].any():
             at = int(nonfinite[seg].argmax())
             j, val = int(cols[at]), float(p[at])
@@ -475,10 +454,27 @@ def validate_model(model: GameModel) -> ValidationReport:
             s = float(k.row_sums[r])
             out.append(Violation("row_sum_exceeds_one", (i, u, v), s,
                                  f"sum_j P(j|{i},{u},{v}) = {s!r} > 1"))
-        if cost[r] < 0:
-            out.append(Violation("negative_cost", (i, u, v), float(cost[r]),
-                                 f"c({i},{u},{v}) = {float(cost[r])} < 0",
+        c = float(cost[r])
+        if not np.isfinite(c):
+            out.append(Violation("nonfinite_cost", (i, u, v), c,
+                                 f"c({i},{u},{v}) = {c} is not finite"))
+        elif c < 0:
+            out.append(Violation("negative_cost", (i, u, v), c, f"c({i},{u},{v}) = {c} < 0",
                                  severity="warning"))
+    return out
+
+
+def validate_model(model: GameModel) -> ValidationReport:
+    """Diagnostic sweep over every invariant; never raises.
+
+    The report names every offending (i, u, v) coordinate so a bad row can
+    be located in the source document directly.
+    """
+    out = []
+    if not (0 <= model.i0 < model.n_states):
+        out.append(Violation("bad_reference_state", (model.i0,), float(model.i0),
+                             f"i0={model.i0} outside 0..{model.n_states - 1}"))
+    out += _row_findings(model)
     if model.lyapunov is not None:
         ly = model.lyapunov
         if ly.log_W.shape != (model.n_states,):

@@ -23,16 +23,16 @@ bilinear inside the exponent and inside the inner sum. Structure used here:
 The value solved here is sup_nu min_u L(delta_u, nu) = max_nu h(nu),
 h = min_u f_u with f_u(nu) = c_u . nu + log(q_u . nu), the leading form of
 the dynamic-programming display: a concave maximization over the simplex.
-solve_saddle_core has two stages:
+solve_saddles has two stages:
 
-1. the batched pure path below, on a batch of one;
-2. Kelley's cutting planes on h (_lower_solve), started at the pure
-   candidate e_v* of stage 1. Each round adds the supergradient cut of
-   every f_u at the iterate and solves the master, a small matrix game
-   with one row per cut, by a dense simplex whose strategies are solved
-   exactly on its final basis (_matrix_game). If the certificate still
-   misses the tolerance after _MAX_ROUNDS rounds, the solve raises
-   NoConvergence.
+1. the batched pure path below, one pass per action shape;
+2. for each state it leaves, Kelley's cutting planes on h (_lower_solve),
+   started at the pure candidate e_v* of stage 1. Each round adds the
+   supergradient cut of every f_u at the iterate and solves the master,
+   a small matrix game with one row per cut, by a dense simplex whose
+   strategies are solved exactly on its final basis (_matrix_game). If
+   the certificate still misses the tolerance after _MAX_ROUNDS rounds,
+   the solve raises NoConvergence.
 
 Certification. L is concave in BOTH variables, so the two optimization
 orders need not coincide: instances exist (see tests) where
@@ -60,7 +60,9 @@ minimizer by the exact planar sup with its order gap. Its per-state float
 operations do not depend on the batch, so a state it settles gets the
 same LocalSaddle bit for bit whether it is solved alone or in a sweep;
 every other state (a certificate that needs several actions, an order
-gap above max(tol, 1e-9), a mixed saddle) goes to the cutting planes.
+gap above max(tol, 1e-9), a mixed saddle) goes to the cutting planes with
+the pass's row shift, shifted masses and candidate. solve_saddle_core is
+solve_saddles on one state.
 
 All tie-breaks pick the lowest action index.
 """
@@ -215,11 +217,6 @@ def _max_x_plus_log_y(x: np.ndarray, y: np.ndarray):
     return float(val[0]), w[0]
 
 
-def _sup_over_nu(C: np.ndarray, Qs: np.ndarray, mu: np.ndarray):
-    """Exact sup_nu of the log payoff for fixed mu (Q already shifted)."""
-    return _max_x_plus_log_y(C.T @ mu, Qs.T @ mu)
-
-
 # ---------------------------------------------------------------------------
 # lower problem: maximize h(nu) = min_u f_u(nu) over the nu-simplex
 
@@ -348,7 +345,7 @@ def _unit(m: int, k: int) -> np.ndarray:
 
 
 def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
-    """Batched prologue and pure fast path of solve_saddle_core.
+    """Batched prologue and pure fast path of solve_saddles.
 
     C and L have shape (k, mU, mV): k states with the same action shape.
     Per state it applies the empty-support test, the dead player-1 row
@@ -428,8 +425,9 @@ def solve_saddles(C, L, shapes, tol: float = DEFAULT_TOL) -> list:
     C and L are flat in row order (GameModel's row layout): state k's
     (mU, mV) = shapes[k] games lie one after another, u-major. The states
     of each action shape are gathered into (k, mU, mV) stacks with one
-    index and settled by the batched pure path (_pure_saddles); only the
-    states it leaves go to solve_saddle_core.
+    index and settled by one batched pure pass (_pure_saddles); each state
+    it leaves goes to the cutting planes (_lower_solve) from that pass's
+    row shift, shifted masses and pure candidate e_v*.
     """
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
     size = shapes.prod(axis=1)
@@ -438,27 +436,29 @@ def solve_saddles(C, L, shapes, tol: float = DEFAULT_TOL) -> list:
     for mU, mV in np.unique(shapes, axis=0).tolist():
         js = np.flatnonzero((shapes == (mU, mV)).all(axis=1))
         at = start[js, None] + np.arange(mU * mV)
-        Cs, Ls = C[at].reshape(-1, mU, mV), L[at].reshape(-1, mU, mV)
-        for j, s, Cj, Lj in zip(js.tolist(), _pure_saddles(Cs, Ls, tol)[0], Cs, Ls):
-            out[j] = s if s is not None else solve_saddle_core(Cj, Lj, tol=tol)
+        Cs = C[at].reshape(-1, mU, mV)
+        saddles, m0, Qs, v_star = _pure_saddles(Cs, L[at].reshape(-1, mU, mV), tol)
+        for r, (j, s) in enumerate(zip(js.tolist(), saddles)):
+            out[j] = s if s is not None else _mixed_saddle(Cs[r], Qs[r], float(m0[r]),
+                                                           int(v_star[r]), tol)
     return out
 
 
-def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) -> LocalSaddle:
-    C = np.asarray(C, dtype=float)
-    L = np.asarray(L, dtype=float)
-    mV = C.shape[1]
-
-    (settled,), m0, Qs, v_star = _pure_saddles(C[None], L[None], tol)
-    if settled is not None:
-        return settled
-    m0, Qs = float(m0[0]), Qs[0]
-    nu0 = _unit(mV, int(v_star[0]))
+def _mixed_saddle(C, Qs, m0, v, tol):
+    """The cutting planes from e_v (the uniform nu when some q_u . e_v = 0),
+    with the order gap of the returned mu by the exact planar sup over nu."""
+    nu0 = _unit(C.shape[1], v)
     if not (Qs @ nu0 > 0.0).all():
-        nu0 = np.full(mV, 1.0 / mV)
+        nu0 = np.full(C.shape[1], 1.0 / C.shape[1])
     nu, h, gap, mu = _lower_solve(C, Qs, nu0, tol)
-    phi, _ = _sup_over_nu(C, Qs, mu)
+    phi, _ = _max_x_plus_log_y(C.T @ mu, Qs.T @ mu)
     return LocalSaddle(h + m0, mu, nu, gap, order_gap=max(phi - h, 0.0))
+
+
+def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) -> LocalSaddle:
+    """solve_saddles on the one game (C, L)."""
+    C = np.asarray(C, dtype=float)
+    return solve_saddles(C.ravel(), np.asarray(L, dtype=float).ravel(), [C.shape], tol)[0]
 
 
 def solve_saddle(model, i: int, log_psi, tol: float = DEFAULT_TOL) -> LocalSaddle:

@@ -127,31 +127,36 @@ def default_ladder(model: GameModel) -> list:
     return sizes
 
 
-def _domain_sweep(model: GameModel, log_psi: np.ndarray, domain, tol_local):
-    """apply_operator over the domain states with finite log psi: (states, log_G, saddles)."""
-    states = [int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])]
-    return (states, *apply_operator(model, states, log_psi, tol_local=tol_local))
+def _final_sweep(model: GameModel, rho: float, log_psi, domain, tol):
+    """One operator sweep over the domain states with finite log psi.
 
-
-def residual(model: GameModel, rho: float, log_psi, domain, tol_local=DEFAULT_TOL) -> float:
-    """max over the domain of |log G psi(i) - rho - log psi(i)|.
-
-    Zero exactly when (rho, psi) solves the equation on the domain under
-    the zero-outside convention. Each call runs one operator sweep;
-    solve_ergodic_game does not call it, because its final sweep gives the
-    residual and the selectors together.
+    Returns (residual, selectors, saddles). The residual is
+    max |log G psi(i) - rho - log psi(i)| over those states, None when
+    there are none. The selectors are the saddles' (mu, nu) there and the
+    lowest-index pure action elsewhere.
     """
     log_psi = np.asarray(log_psi, dtype=float)
-    states, log_G, _ = _domain_sweep(model, log_psi, domain, tol_local)
-    return float(max(abs(log_G[i] - rho - log_psi[i]) for i in states))
-
-
-def _selectors(model: GameModel, states, saddles):
-    """The saddles' (mu, nu) at `states`, the lowest-index pure action elsewhere."""
+    states = [int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])]
+    log_G, saddles = apply_operator(model, states, log_psi, tol=tol)
     pi1, pi2 = StationaryStrategy.pure(model, 1, 0), StationaryStrategy.pure(model, 2, 0)
     for i, s in zip(states, saddles):
         pi1.weights[i], pi2.weights[i] = s.mu, s.nu
-    return pi1, pi2
+    res = float(np.abs(log_G[states] - rho - log_psi[states]).max()) if states else None
+    return res, (pi1, pi2), saddles
+
+
+def residual(model: GameModel, rho: float, log_psi, domain, tol=DEFAULT_TOL) -> float:
+    """max over the domain of |log G psi(i) - rho - log psi(i)|.
+
+    Zero exactly when (rho, psi) solves the equation on the domain under
+    the zero-outside convention. Each call runs one operator sweep, the
+    same sweep that ends solve_ergodic_game. Raises ValueError when no
+    domain state has finite log psi.
+    """
+    res, _, _ = _final_sweep(model, rho, log_psi, domain, tol)
+    if res is None:
+        raise ValueError("no domain state has finite log psi; the residual is undefined")
+    return res
 
 
 def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL):
@@ -161,8 +166,7 @@ def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL):
     pure action: play there never returns to the supported region under the
     zero-boundary reading, and simulation still needs a defined action.
     """
-    states, _, saddles = _domain_sweep(model, np.asarray(log_psi, dtype=float), domain, tol)
-    return _selectors(model, states, saddles)
+    return _final_sweep(model, 0.0, log_psi, domain, tol)[1]
 
 
 def _boundary_warnings(model: GameModel, domain) -> list:
@@ -192,14 +196,15 @@ def _boundary_warnings(model: GameModel, domain) -> list:
 
 def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_TOL,
                        tol_outer: float = DEFAULT_TOL_OUTER,
-                       tol_local: float = DEFAULT_TOL,
                        max_iter: int = DEFAULT_MAX_ITER,
                        threads: int = 1) -> SolveReport:
     """Ladder solve: Dirichlet eigenpairs on growing domains until stable.
 
     Stops once consecutive rungs agree in eigenvalue (tol_outer) and in
-    eigenfunction (log domain, on the smaller domain). One more operator
-    sweep over the final domain, at the final eigenfunction, gives the
+    eigenfunction (log domain, on the smaller domain). tol_eig bounds each
+    rung's eigenvalue bracket and every local saddle's gap. One more
+    operator sweep over the final domain (the sweep of residual and
+    extract_selectors), at the final eigenfunction, gives the
     residual, the selectors and the diagnostics, so a solve runs
     sum(rung.iterations) + 1 sweeps. The report carries the full rung
     trace, selectors, residual and, when drift data exists, the eigenvalue
@@ -227,7 +232,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     for k, size in enumerate(sizes, start=1):
         dom = DirichletDomain.prefix(model, size)
         eig = dirichlet_eigenpair(
-            dom, tol=tol_eig, max_iter=max_iter, tol_local=tol_local,
+            dom, tol=tol_eig, max_iter=max_iter,
             warm_start_log_psi=None if prev is None else prev.log_psi)
         rungs.append(LadderRung(k, size, eig.rho, eig.bracket[1] - eig.bracket[0],
                                 eig.iterations))
@@ -246,9 +251,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
             "ladder exhausted before the outer criterion was met; result is window-limited")
 
     final = prev
-    states, log_G, saddles = _domain_sweep(model, final.log_psi, final.domain, tol_local)
-    res = float(max(abs(log_G[i] - final.rho - final.log_psi[i]) for i in states))
-    selectors = _selectors(model, states, saddles)
+    res, selectors, saddles = _final_sweep(model, final.rho, final.log_psi, final.domain, tol_eig)
     warnings.extend(_boundary_warnings(model, final.domain))
 
     if bounds is not None:

@@ -400,8 +400,7 @@ def test_validate_flags_structural_break(workdir, capsys):
     for doc, message, kind in [
             (one_state, "sum_j P(j|0,0,0) = 1.5 > 1", "row_sum_exceeds_one"),
             (two_state, "P(1|0,0,0) = -0.5 is negative", "negative_probability"),
-            (two_state_nan, "P(1|0,0,0) = nan is negative or not finite",
-             "nonfinite_probability")]:
+            (two_state_nan, "P(1|0,0,0) = nan is not finite", "nonfinite_probability")]:
         with open("broken.json", "w") as fh:
             json.dump(doc, fh)
         assert run(["validate", "broken.json"]) == 1
@@ -413,7 +412,7 @@ def test_validate_flags_structural_break(workdir, capsys):
                 warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
                 assert run([command, "broken.json"]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: unsound kernel: ") and message in err
+            assert err.startswith("error: unsound model: ") and message in err
 
 
 def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
@@ -443,6 +442,63 @@ def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
                 assert run([command, "bad_c.json"]) == 2
             err = capsys.readouterr().err
             assert err.startswith("error: Lyapunov constant C = ") and "finite and > 0" in err
+
+
+def two_state_doc(theta=1.0, c=0.5):
+    return {"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]],
+            "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 0.5},
+                           {"i": 0, "u": 0, "v": 0, "j": 1, "p": 0.5},
+                           {"i": 1, "u": 0, "v": 0, "j": 0, "p": 1.0}],
+            "cost": [{"i": 0, "u": 0, "v": 0, "c": c}], "theta": theta, "i0": 0}
+
+
+@pytest.mark.parametrize("field, value", [("theta", float("nan")), ("theta", float("inf")),
+                                          ("c", float("nan")), ("c", float("inf"))])
+def test_nonfinite_theta_and_costs_are_refused_by_name(workdir, capsys, field, value):
+    """A non-finite theta is an input error for every command. A non-finite
+    cost is a validate finding, and every command that solves or samples
+    refuses it by name instead of blaming the game."""
+    with open("good.json", "w") as fh:
+        json.dump(two_state_doc(), fh)
+    assert run(["solve", "good.json", "--out", "r.json"]) == 0
+    with open("bad.json", "w") as fh:
+        json.dump(two_state_doc(**{field: value}), fh)
+    capsys.readouterr()
+    commands = [["check", "bad.json"], ["solve", "bad.json"],
+                ["simulate", "bad.json", "--strategies", "r.json", "--T", "5", "--N", "5"],
+                ["verify", "bad.json", "--report", "r.json", "--saddle", "--T", "5", "--N", "5"]]
+    if field == "theta":
+        for argv in [["validate", "bad.json"]] + commands:
+            assert run(argv) == 2
+            assert capsys.readouterr().err == (f"error: theta must be finite and strictly "
+                                               f"positive, got {value}\n")
+        return
+    assert run(["validate", "bad.json"]) == 1
+    out = json.loads(capsys.readouterr().out)
+    assert [(v["kind"], v["value"], v["severity"]) for v in out["violations"]] == [
+        ("nonfinite_cost", None, "error")]
+    for argv in commands:
+        assert run(argv) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: unsound model: c(0,0,0) = {value} is not finite\n"
+
+
+def test_validate_output_is_strict_json(workdir, capsys):
+    """Non-finite finding values are written as null, not NaN or Infinity."""
+    doc = two_state_doc(c=float("-inf"))
+    doc["transition"][1]["p"] = float("nan")
+    doc["lyapunov"] = {"logW": [0.0, 1.0], "ell": [0.5, 0.5], "K": [0, 1], "C": float("inf")}
+    with open("bad.json", "w") as fh:
+        json.dump(doc, fh)
+    assert run(["validate", "bad.json"]) == 1
+
+    def refuse(name):
+        raise AssertionError(f"validate wrote the non-JSON constant {name}")
+
+    out = json.loads(capsys.readouterr().out, parse_constant=refuse)
+    assert [(v["kind"], v["value"]) for v in out["violations"]] == [
+        ("nonfinite_probability", None), ("nonfinite_cost", None),
+        ("lyapunov_C_nonpositive", None)]
 
 
 # ---------------------------------------------------------------------------

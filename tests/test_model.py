@@ -75,6 +75,36 @@ def test_solve_refuses_an_empty_action_set(a1, a2, player):
         solve_ergodic_game(m)
 
 
+def unsound_models():
+    """The broken kernels of the CLI's structural-break test, an empty action
+    set and a NaN cost."""
+    one_state = {"states": 1, "actions_p1": [[0]], "actions_p2": [[0]],
+                 "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 1.5}], "cost": [], "i0": 0}
+    yield model_from_json(one_state)
+    two_state = {"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]],
+                 "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 1.5},
+                                {"i": 0, "u": 0, "v": 0, "j": 1, "p": -0.5},
+                                {"i": 1, "u": 0, "v": 0, "j": 0, "p": 1.0}],
+                 "cost": [], "i0": 0}
+    yield model_from_json(two_state)
+    two_state["transition"][:2] = [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 0.5},
+                                   {"i": 0, "u": 0, "v": 0, "j": 1, "p": float("nan")}]
+    yield model_from_json(two_state)
+    yield make_model(2, [[0], []], [[0], [0]], [np.full((1, 1, 2), 0.5), np.zeros((0, 1, 2))],
+                     [np.zeros((1, 1)), np.zeros((0, 1))])
+    yield make_model(2, [[0], [0]], [[0], [0]], [np.full((1, 1, 2), 0.5)] * 2,
+                     [np.zeros((1, 1)), np.full((1, 1), np.nan)])
+
+
+def test_csr_refuses_with_the_first_error_finding_of_validate():
+    """One soundness rule: csr's message is validate_model's first error."""
+    for m in unsound_models():
+        first = next(v for v in validate_model(m).violations if v.severity == "error")
+        with pytest.raises(ModelError) as exc:
+            m.csr
+        assert str(exc.value) == "unsound model: " + first.message
+
+
 def test_lyapunov_trivial_bound_passes():
     # W = 1, ell = 0, K = everything, C = 1: the inequality reads sum P <= 2
     P = np.full((1, 1, 2), 0.5)

@@ -329,6 +329,36 @@ def test_batched_path_settles_pure_states_and_leaves_mixed_ones():
         assert s is not None and s.order_gap == 0.0 and s.gap <= 1e-8
 
 
+def test_one_pure_pass_per_action_shape(monkeypatch):
+    """solve_saddles runs the batched pure path once per action shape; the
+    states it leaves go to the cutting planes without a second pass."""
+    from rsgame import saddle
+    batches = []
+
+    def counted(C, L, tol):
+        batches.append(len(C))
+        return pure_saddles(C, L, tol)
+
+    pure_saddles = saddle._pure_saddles
+    monkeypatch.setattr(saddle, "_pure_saddles", counted)
+    model = random_closed_model(np.random.default_rng(1), n=8, mu=3, mv=3)
+    report = solve_ergodic_game(model)
+    states = report.domain
+    batches.clear()
+    out = saddle.solve_saddles(model.row_cost[model.rows(states)[0]],
+                               model.inner_log_sums(states, report.log_psi_star),
+                               model.shapes[states])
+    assert batches == [8]
+    assert sum(s.mu.max() < 1.0 for s in out) == 6  # mixed states: the cutting planes
+    cases = batch_cases()
+    batches.clear()
+    saddle.solve_saddles(np.concatenate([C.ravel() for C, _ in cases]),
+                         np.concatenate([L.ravel() for _, L in cases]),
+                         [C.shape for C, _ in cases])
+    assert len(batches) == len({C.shape for C, _ in cases})
+    assert sum(batches) == len(cases)
+
+
 def reference_planar_sup(x, y):
     """The one-row loop that _max_x_plus_log_y_rows replaced, kept as the reference."""
     k = len(x)

@@ -107,6 +107,17 @@ def test_selectors_pennies_layer_under_flat_psi():
     assert pi2.weights[0] == pytest.approx([0.5, 0.5], abs=1e-9)
 
 
+def test_final_sweep_on_a_domain_without_finite_log_psi():
+    """Selectors fall back to the lowest-index pure pair; the residual is a
+    named error, not an empty max."""
+    m = pennies_layer_model()
+    log_psi = np.array([0.0, -np.inf])
+    pi1, pi2 = extract_selectors(m, log_psi, [1])
+    assert [w.tolist() for w in pi1.weights + pi2.weights] == [[1.0, 0.0], [1.0]] * 2
+    with pytest.raises(ValueError, match="no domain state has finite log psi"):
+        residual(m, 0.0, log_psi, [1])
+
+
 def test_selectors_deterministic_across_resolves():
     m = build_birth_death(BirthDeathParams(window=30))
     r1 = solve_ergodic_game(m, ladder=[10, 20, 30])
