@@ -1,11 +1,13 @@
 #!/usr/bin/env python3
 """sha256 of the solver's and verifiers' outputs on fixed inputs.
 
-Prints one `name sha256` line per output: the solve reports of the
-birth-death windows 60 and 200, of window 1000 under the three ladder
-schedules of scripts/ladder_study.py, of the seeded random 40-state 3x3
-game on seeds 1 and 2 and of the pennies model; the check_lyapunov and
-verify_stability_estimates documents; and `rsgame verify --saddle` and
+Prints one `name sha256` line for each of 14 outputs: the solve reports
+of the birth-death windows 60 and 200, of window 1000 under the three
+ladder schedules of scripts/ladder_study.py, of the seeded random
+40-state 3x3 game on seeds 1 and 2 and of the pennies model; the
+check_lyapunov and verify_stability_estimates documents; the model text
+that `rsgame example birth-death` writes for window 200 and for window
+1000 with --p-hat 0.1; and `rsgame verify --saddle` and
 `rsgame verify --representation` on window 200. Run it against two
 source trees and diff the outputs to check that a change keeps them bit
 for bit:
@@ -93,6 +95,7 @@ def main():
     with tempfile.TemporaryDirectory() as tmp:
         model, report = Path(tmp) / "model.json", Path(tmp) / "report.json"
         cli("example", "birth-death", "--window", 200, "--out", model)
+        show("example-bd200", model.read_text())
         cli("solve", model, "--ladder", "25,50,100,200", "--out", report)
         show("verify-saddle-bd200", cli(
             "verify", model, "--report", report, "--saddle", "--T", 1000, "--N", 4096,
@@ -100,6 +103,8 @@ def main():
         show("verify-representation-bd200", cli(
             "verify", model, "--report", report, "--representation", "B=1..4",
             "--starts", "5,6", "--N", 3000, "--seed", 1))
+        cli("example", "birth-death", "--window", 1000, "--p-hat", 0.1, "--out", model)
+        show("example-bd1000", model.read_text())
 
 
 if __name__ == "__main__":

@@ -107,7 +107,8 @@ def drift_constant() -> float:
     """max of the two constants in the stability estimate (exact sums)."""
     j = np.arange(1, 400)
     series = float(np.exp(-2.0) * np.sum(np.exp(-j * j / 6.0) - np.exp(-j * j / 3.0)) + np.e)
-    m = exception_set(10**6)
+    # 4 - (i+3)/6 > 0 iff i < 21, so a window of 24 holds all of M
+    m = exception_set(24)
     peak = float(np.exp(log_weight(m[-1]) + 4.0))
     return max(peak, series)
 

@@ -17,6 +17,8 @@ from __future__ import annotations
 import functools
 import json
 from dataclasses import dataclass, field
+from itertools import repeat
+from operator import itemgetter
 
 import numpy as np
 
@@ -784,17 +786,26 @@ def _record_columns(doc: dict, key: str, fields: tuple, n: int, mu: np.ndarray,
     other ints, then one float), as columns: the (i, u, v) slot of each
     record in kernel row order, then the columns after v.
 
-    Each column is cast with int/float as a record-by-record reader casts
-    each value. A value that fails its cast or any record outside the
-    window or its state's action sets makes the whole document fail with
-    the error of the first bad record.
+    Records are read and each column is cast with int/float in C-level
+    passes. A record that is not an object with exactly `fields`, a value
+    that fails its cast or any record outside the window or its state's
+    action sets makes the whole document fail with the error of the first
+    bad record, which _records and _first_bad_record find.
     """
-    recs = _records(doc, key, set(fields))
+    recs = doc[key]
     kinds = [int] * (len(fields) - 1) + [float]
+    sizes = {len(fields)}
     try:
-        cols = [np.fromiter(map(kind, [rec[f] for rec in recs]), dtype=kind, count=len(recs))
+        if not (isinstance(recs, list) and all(map(isinstance, recs, repeat(dict)))
+                and set(map(len, recs)) <= sizes):
+            raise KeyError(key)
+        cols = [np.fromiter(map(kind, map(itemgetter(f), recs)), dtype=kind, count=len(recs))
                 for f, kind in zip(fields, kinds)]
-    except (TypeError, ValueError, OverflowError):
+        # a dict subclass may add the keys it misses on lookup
+        if not set(map(len, recs)) <= sizes:
+            raise KeyError(key)
+    except (KeyError, TypeError, ValueError, OverflowError):
+        recs = _records(doc, key, set(fields))
         raise _first_bad_record(key, recs, fields, n, mu, mv) from None
     i, u, v = cols[:3]
     bad = np.zeros(len(recs), dtype=bool)
@@ -960,29 +971,36 @@ def model_to_json(model: GameModel) -> dict:
         [{"i": i, "u": u, "v": v, "c": c} for i, u, v, c in zip(ci, cu, cv, cc)])
 
 
-def _json_floats(a: np.ndarray) -> list:
-    """The entries of a float array as json.dumps writes them."""
-    return json.dumps(a.tolist())[1:-1].split(", ") if a.size else []
+def _json_float_codes(a: np.ndarray) -> tuple[list, np.ndarray]:
+    """(texts, codes): texts[codes[k]] is a[k] as json.dumps writes it,
+    each distinct bit pattern (so -0.0 is not 0.0) formatted once."""
+    bits, codes = np.unique(a.view(np.int64), return_inverse=True)
+    texts = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ") if a.size else []
+    return texts, codes
 
 
 def write_model_json(model: GameModel, fh) -> None:
     """Write model_to_json(model) as JSON text with one record per line.
 
     The records are formatted straight from the kernel's columns, so the
-    text costs O(nnz) string work and no dict per record, and they are
-    written RECORD_CHUNK at a time, so no more than one chunk of text is
-    held; json.loads of the text gives the same value as model_to_json.
+    text costs O(nnz) string work and no dict per record, and each
+    distinct probability or cost is formatted once. They are written
+    RECORD_CHUNK at a time, so no more than one chunk of text is held;
+    json.loads of the text gives the same value as model_to_json.
     """
     (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = _emitted_columns(model)
+    tp_text, tp_code = _json_float_codes(tp)
+    cc_text, cc_code = _json_float_codes(cc)
 
     def transition(at):
         return [f'{{"i": {i}, "u": {u}, "v": {v}, "j": {j}, "p": {p}}}' for i, u, v, j, p
                 in zip(ti[at].tolist(), tu[at].tolist(), tv[at].tolist(), tj[at].tolist(),
-                       _json_floats(tp[at]))]
+                       map(tp_text.__getitem__, tp_code[at].tolist()))]
 
     def cost(at):
         return [f'{{"i": {i}, "u": {u}, "v": {v}, "c": {c}}}' for i, u, v, c
-                in zip(ci[at].tolist(), cu[at].tolist(), cv[at].tolist(), _json_floats(cc[at]))]
+                in zip(ci[at].tolist(), cu[at].tolist(), cv[at].tolist(),
+                       map(cc_text.__getitem__, cc_code[at].tolist()))]
 
     sep = "{\n"
     for key, value in _document(model, (transition, len(tp)), (cost, len(cc))).items():

@@ -6,6 +6,7 @@ solvers it checks.
 """
 
 import itertools
+import json
 
 import numpy as np
 
@@ -126,3 +127,19 @@ def bilinear_2x2_mixed(A):
     q = (d - b) / den
     value = (a * d - b * c) / den
     return np.array([p, 1 - p]), np.array([q, 1 - q]), value
+
+
+def model_json_text(doc: dict) -> str:
+    """The text write_model_json writes for the model document `doc`
+    (model_to_json's dict), built one record at a time: every record is
+    json.dumps of its own dict on its own line, every other value
+    json.dumps of itself."""
+    parts = []
+    for key, value in doc.items():
+        if key in ("transition", "cost"):
+            lines = ",\n    ".join(json.dumps(rec) for rec in value)
+            text = f"[\n    {lines}\n  ]" if value else "[]"
+        else:
+            text = json.dumps(value)
+        parts.append(f'  "{key}": {text}')
+    return "{\n" + ",\n".join(parts) + "\n}"

@@ -1,10 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from rsgame._util import logsumexp
 from rsgame.birth_death import (BirthDeathParams, ParamError, WindowTooSmall,
                                 affine_state_cost, build_birth_death,
-                                build_info, exception_set, linear_cost,
+                                build_info, drift_constant, exception_set, linear_cost,
                                 verify_stability_estimates)
 from rsgame.model import (check_irreducibility, check_lyapunov,
                           check_reference_state, validate_model)
@@ -141,3 +143,17 @@ def test_cost_family_helpers():
 def test_exception_set_definition():
     M = exception_set(100)
     assert M.tolist() == [i for i in range(100) if 4 - (i + 3) / 6 > 0]
+
+
+def test_drift_constant_is_pinned_and_the_build_stays_small():
+    """C = exp(log W(20) + 4), 20 being the last state of M, bit for bit;
+    and the window-200 build allocates about what its own model needs
+    (1.5 MB traced, where a million-state grid for the end of M took 24 MB)."""
+    assert drift_constant() == 1.3317965015749146e+31
+    tracemalloc.start()
+    try:
+        build_birth_death(BirthDeathParams(window=200))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4e6

@@ -1,5 +1,7 @@
 import io
 import json
+import struct
+from collections import OrderedDict, defaultdict
 
 import numpy as np
 import pytest
@@ -8,11 +10,12 @@ from hypothesis import strategies as st
 
 from conftest import (one_state_two_action, pennies_layer_model, random_closed_model,
                       scalar_self_loop, uncontrolled_two_state)
+from oracles import model_json_text
 from rsgame import model as model_module
 from rsgame._util import logsumexp, reachable
 from rsgame.birth_death import BirthDeathParams, build_birth_death
-from rsgame.model import (STRATEGY_TOL, LyapunovData, MissingLyapunovData, ModelError,
-                          SchemaError, StationaryStrategy, check_irreducibility,
+from rsgame.model import (STRATEGY_TOL, KernelCSR, LyapunovData, MissingLyapunovData,
+                          ModelError, SchemaError, StationaryStrategy, check_irreducibility,
                           check_lyapunov, check_reference_state, make_model,
                           model_from_json, model_to_json, validate_model,
                           write_model_json)
@@ -367,17 +370,70 @@ def test_strategy_validation_matches_per_state_checks(rng):
     assert strategy.validate_for(m, 1) == expected
 
 
+def emitted_text(m) -> str:
+    buf = io.StringIO()
+    write_model_json(m, buf)
+    return buf.getvalue()
+
+
 def test_emission_chunking_changes_no_byte(monkeypatch):
     """Records written a few at a time give the text written in one chunk."""
     m = build_birth_death(BirthDeathParams(window=12))
     texts = []
     for chunk in (1 << 16, 7, 1):
         monkeypatch.setattr(model_module, "RECORD_CHUNK", chunk)
-        buf = io.StringIO()
-        write_model_json(m, buf)
-        texts.append(buf.getvalue())
+        texts.append(emitted_text(m))
     assert texts[0] == texts[1] == texts[2]
     assert json.loads(texts[0]) == json.loads(json.dumps(model_to_json(m)))
+
+
+def odd_floats_model():
+    """Kernel entries that repeat with both signs, NaN (two payloads),
+    +-inf, +-0.0 and the subnormal +-5e-324; every cost zero, so the
+    document has no cost records."""
+    nan2 = struct.unpack("<d", struct.pack("<Q", 0x7FF8000000000001))[0]
+    prob = [0.5, -0.25, 0.5, -0.25, float("nan"), nan2, float("inf"), -float("inf"),
+            5e-324, -5e-324, 0.0, -0.0, 0.5, 5e-324]
+    rows = [0, 0, 1, 1, 1, 1, 2, 2, 2, 2, 3, 3, 3, 4]
+    cols = [0, 1, 0, 1, 2, 0, 1, 2, 0, 1, 2, 0, 1, 2]
+    return make_model(3, [[0, 1], [0.5], [-1.0]], [[0.0], [1, 2], [3]],
+                      KernelCSR.from_entries([0, 2, 4, 5], rows, cols, prob), np.zeros(5))
+
+
+@pytest.mark.parametrize("build", [lambda: build_birth_death(BirthDeathParams(window=60)),
+                                   lambda: build_birth_death(BirthDeathParams(window=200)),
+                                   odd_floats_model],
+                         ids=["birth-death-60", "birth-death-200", "odd-floats"])
+def test_emission_matches_the_per_record_reference(build):
+    """write_model_json formats each distinct value once; its text is byte
+    for byte the text of one json.dumps per record."""
+    m = build()
+    text = emitted_text(m)
+    assert text == model_json_text(model_to_json(m))
+    if build is odd_floats_model:
+        assert '"cost": []' in text
+        assert '"p": -0.0}' in text and '"p": 0.0}' in text
+
+
+def test_records_may_be_dict_subclasses():
+    """Records given through the API as dict subclasses are read as dicts;
+    one that makes up the keys it misses is refused for its own keys."""
+    doc = json.loads(emitted_text(build_birth_death(BirthDeathParams(window=8))))
+    want = model_from_json(doc)
+    got = model_from_json({**doc, "transition": [OrderedDict(r) for r in doc["transition"]],
+                           "cost": [defaultdict(float, r) for r in doc["cost"]]})
+    for name in ("indptr", "indices", "prob"):
+        assert np.array_equal(getattr(got.kernel, name), getattr(want.kernel, name))
+    assert np.array_equal(got.row_cost, want.row_cost)
+    renamed = defaultdict(float, {**doc["cost"][1], "x": 1.0})
+    del renamed["c"]
+    short = defaultdict(float, doc["cost"][2])
+    del short["c"]
+    for rec, message in ((renamed, "unknown keys in cost record: ['x']"),
+                         (short, f"cost record misses keys ['c']: {short}")):
+        with pytest.raises(SchemaError) as refused:
+            model_from_json({**doc, "cost": doc["cost"][:1] + [rec]})
+        assert str(refused.value) == message
 
 
 def test_json_round_trip(rng):
@@ -637,9 +693,5 @@ def test_columnar_ingestion_matches_dense_reference(doc):
     for name in ("row_start", "indptr", "indices", "prob", "log_prob"):
         assert np.array_equal(getattr(m.kernel, name), getattr(want, name), equal_nan=True), name
     assert not (m.kernel.prob == 0).any()
-    # emission from the columns: the text and the dict are the same JSON value
-    buf = io.StringIO()
-    write_model_json(m, buf)
-    text = buf.getvalue()
-    assert (json.dumps(json.loads(text), sort_keys=True)
-            == json.dumps(model_to_json(m), sort_keys=True))
+    # emission from the columns: the text is the per-record reference's
+    assert emitted_text(m) == model_json_text(model_to_json(m))
