@@ -7,16 +7,14 @@ assumption checkers and Monte Carlo simulation.
 """
 
 from .birth_death import BirthDeathParams, build_birth_death, verify_stability_estimates
-from .dirichlet import (CollapseToZero, DirichletDomain, EigenPair,
-                        dirichlet_eigenpair, solve_source_problem)
+from .dirichlet import CollapseToZero, DirichletDomain, EigenPair, dirichlet_eigenpair
 from .model import (GameModel, LyapunovData, StationaryStrategy,
                     check_irreducibility, check_lyapunov, check_reference_state,
                     make_model, model_from_json, model_to_json, validate_model)
-from .saddle import LocalSaddle, best_response_pure_min, local_payoff, solve_saddle
+from .saddle import LocalSaddle
 from .simulate import (EstimatorReport, PathBatch, SimConfig, estimate_ergodic_cost,
                        simulate_paths, verify_saddle, verify_stochastic_representation)
-from .solver import (SolveReport, extract_selectors, residual,
-                     solve_ergodic_game, uncontrolled_eigen_oracle)
+from .solver import SolveReport, extract_selectors, residual, solve_ergodic_game
 
 __all__ = [
     "BirthDeathParams",
@@ -31,7 +29,6 @@ __all__ = [
     "SimConfig",
     "SolveReport",
     "StationaryStrategy",
-    "best_response_pure_min",
     "build_birth_death",
     "check_irreducibility",
     "check_lyapunov",
@@ -39,16 +36,12 @@ __all__ = [
     "dirichlet_eigenpair",
     "estimate_ergodic_cost",
     "extract_selectors",
-    "local_payoff",
     "make_model",
     "model_from_json",
     "model_to_json",
     "residual",
     "simulate_paths",
     "solve_ergodic_game",
-    "solve_saddle",
-    "solve_source_problem",
-    "uncontrolled_eigen_oracle",
     "validate_model",
     "verify_stability_estimates",
     "verify_saddle",

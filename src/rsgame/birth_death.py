@@ -36,11 +36,6 @@ def linear_cost(coef: float = 1.0):
     return lambda i, a: coef * a
 
 
-def affine_state_cost(coef: float = 1.0, slope: float = 0.0):
-    """Action cost with population-dependent weight: (i, a) -> a*(coef + slope*i)."""
-    return lambda i, a: a * (coef + slope * i)
-
-
 @dataclass
 class BirthDeathParams:
     p_hat: float = 0.1

@@ -1,10 +1,9 @@
-"""Finite-domain problems under the absorbed-at-zero boundary convention.
+"""The finite-domain eigenproblem under the absorbed-at-zero boundary convention.
 
 A DirichletDomain restricts the game to a subset D of the window with
 psi = 0 outside; one-step mass leaving D (including mass leaving the
-window) contributes nothing. Provides the discounted-type source fixed
-point and the principal eigenpair by nonlinear power iteration with a
-Collatz-Wielandt bracket.
+window) contributes nothing. Provides the principal eigenpair by
+nonlinear power iteration with a Collatz-Wielandt bracket.
 
 Every sweep reads the inner sums L[i,u,v] = log sum_j psi(j) P(j|i,u,v)
 of all its states from one call of GameModel.inner_log_sums, a segment
@@ -14,10 +13,9 @@ sums and the costs (GameModel.row_cost) of the sweep stay flat in kernel
 row order, and its local saddles are solved from them as one batch by
 saddle.solve_saddles: the pure-saddle fast path runs as array operations
 over all states of one action shape, once per shape, and only the states
-it cannot certify go to the cutting planes, one after another.
-Both the eigen sweep and the source problem solve their local games
-this way. The viability scan reads "mass inside the surviving set" from
-the same kernel, with log psi the set's log indicator.
+it cannot certify go to the cutting planes, one after another. The
+viability scan reads "mass inside the surviving set" from the same
+kernel, with log psi the set's log indicator.
 """
 
 from __future__ import annotations
@@ -37,14 +35,6 @@ DAMP_AFTER = 200
 
 class CollapseToZero(RuntimeError):
     """The iteration kills the reference state: value mass cannot persist."""
-
-
-class NotStrictlyNegative(ValueError):
-    pass
-
-
-class NonnegativeSourceRequired(ValueError):
-    pass
 
 
 class NoConvergence(RuntimeError):
@@ -194,44 +184,4 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
             new_log_psi[blend] -= new_log_psi[i0]
             damping += 1
         log_psi = new_log_psi
-    raise NoConvergence(bracket, max_iter)
-
-
-def solve_source_problem(domain: DirichletDomain, cbar, g, tol: float = 1e-10,
-                         max_iter: int = 100000) -> np.ndarray:
-    """Unique fixed point of phi = saddle[e^{cbar} sum phi P] + g on the domain.
-
-    cbar is a per-state list of (mU, mV) arrays and must be strictly
-    negative on the domain, making the map a sup-norm contraction with
-    factor alpha = max e^{cbar}. g must be nonnegative on the domain: the
-    iterates then stay nonnegative, which keeps every local game in the
-    sign-definite regime where pure minimizers are guaranteed (general
-    signed iterates admit interior mixed minima and are out of scope).
-    Iterates from zero until the step is below tol * (1 - alpha) / alpha.
-    """
-    model = domain.model
-    states = domain.states
-    C = np.concatenate([np.asarray(cbar[i], dtype=float).ravel() for i in states])
-    cmax = float(C.max())
-    if cmax >= 0.0:
-        raise NotStrictlyNegative(f"max cbar on domain is {cmax}; contraction needs < 0")
-    g = np.asarray(g, dtype=float)
-    if min(float(g[i]) for i in states) < 0.0:
-        raise NonnegativeSourceRequired("source term must be nonnegative on the domain")
-    alpha = float(np.exp(cmax))
-    threshold = tol * (1.0 - alpha) / alpha
-
-    phi = np.zeros(model.n_states)
-    step = np.inf  # the bracket (0, step) reported when no sweep runs
-    for _ in range(max_iter):
-        with np.errstate(divide="ignore"):
-            log_phi = np.log(phi)
-        saddles = solve_saddles(C, model.inner_log_sums(states, log_phi), model.shapes[states],
-                                tol=min(tol, 1e-10))
-        new = np.zeros(model.n_states)
-        new[states] = np.exp([s.log_value for s in saddles]) + g[states]
-        step = float(np.max(np.abs(new - phi)))
-        phi = new
-        if step <= threshold:
-            return phi
-    raise NoConvergence((0.0, step), max(max_iter, 0))
+    raise NoConvergence(bracket, max(max_iter, 0))

@@ -80,6 +80,18 @@ class LyapunovData:
             raise ModelError(f"Lyapunov constant C = {self.C!r} must be finite and > 0")
         return float(np.log(self.C))
 
+    def require_finite(self) -> None:
+        """Refuse a log W, ell or gamma that is not finite (ModelError): NaN
+        fails every comparison of the drift check, and W <= 0 has no log."""
+        for name, values in (("log W", self.log_W), ("ell", self.ell), ("gamma", self.gamma)):
+            if values is None:
+                continue
+            flat = np.atleast_1d(values)
+            bad = np.flatnonzero(~np.isfinite(flat))
+            if bad.size:
+                at = f"({bad[0]})" if np.ndim(values) else ""
+                raise ModelError(f"Lyapunov {name}{at} = {float(flat[bad[0]])!r} is not finite")
+
 
 def _concat(parts: list, dtype=float) -> np.ndarray:
     """np.concatenate that also takes no parts."""
@@ -161,14 +173,13 @@ class GameModel:
     log-sum-exp over their CSR entries, -inf for empty mass; every
     operator sweep, drift check and local saddle reads it.
 
-    `kernel` (KernelCSR) is the only kernel storage; `dense_transition(i)`
-    rebuilds one state's (mU_i, mV_i, n_states) tensor as a dense
-    reference for tests. Arrays are frozen after construction. On first
-    use `csr` refuses the model with the first error of validate_model's
-    row scan (a state without actions, a negative or non-finite entry, a
-    row sum above 1 + ROW_SUM_TOL, a non-finite cost: the cases where the
-    log kernel or the payoff is not defined), then returns `kernel`;
-    construction and ingestion never pay for the check.
+    `kernel` (KernelCSR) is the only kernel storage. Arrays are frozen
+    after construction. On first use `csr` refuses the model with the
+    first error of validate_model's row scan (a state without actions, a
+    negative or non-finite entry, a row sum above 1 + ROW_SUM_TOL, a
+    non-finite cost: the cases where the log kernel or the payoff is not
+    defined), then returns `kernel`; construction and ingestion never pay
+    for the check.
     """
 
     n_states: int
@@ -202,25 +213,12 @@ class GameModel:
         states = np.asarray(states, dtype=np.int64)
         return concat_ranges(self.kernel.row_start[states], self.kernel.row_start[states + 1])
 
-    def row_sums(self, i: int) -> np.ndarray:
-        return self.kernel.row_sums[self.rows([i])[0]].reshape(self.shapes[i])
-
     def max_exit_mass(self) -> float:
         return float((1.0 - self.kernel.row_sums).max())
 
     def is_closed(self, tol: float = CLOSED_TOL) -> bool:
         exit_mass = 1.0 - self.kernel.row_sums
         return bool(exit_mass.max() <= tol and exit_mass.min() >= -tol)
-
-    def dense_transition(self, i: int) -> np.ndarray:
-        """P(.|i, u, v) as a new dense (mU, mV, n_states) array."""
-        k = self.kernel
-        rows, _ = self.rows([i])
-        lo, hi = k.indptr[rows], k.indptr[rows + 1]
-        at, _ = concat_ranges(lo, hi)
-        P = np.zeros((len(rows), self.n_states))
-        P[np.repeat(np.arange(len(rows)), hi - lo), k.indices[at]] = k.prob[at]
-        return P.reshape(*self.shapes[i], self.n_states)
 
     def row_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, u, v) of every kernel row, in row order: the (i, u, v) of
@@ -482,12 +480,21 @@ def validate_model(model: GameModel) -> ValidationReport:
         if ly.log_W.shape != (model.n_states,):
             out.append(Violation("lyapunov_shape", (), 0.0, "W must have one entry per state"))
         else:
-            for i in range(model.n_states):
-                if ly.log_W[i] < -1e-15:  # W >= 1  <=>  log W >= 0
-                    out.append(Violation("lyapunov_W_below_one", (i,), float(np.exp(ly.log_W[i])),
-                                         f"W({i}) = {np.exp(ly.log_W[i])} < 1"))
+            # W >= 1  <=>  log W >= 0; a NaN log W (W <= 0 or NaN) fails it too
+            low = np.flatnonzero(~(ly.log_W >= -1e-15))
+            out += [Violation("lyapunov_W_below_one", (i,), W, f"W({i}) = {W} is not >= 1")
+                    for i, W in zip(low.tolist(), np.exp(ly.log_W[low]).tolist())]
+            out += [Violation("lyapunov_not_finite", (i,), np.inf, f"W({i}) is not finite")
+                    for i in np.flatnonzero(ly.log_W == np.inf).tolist()]
         if ly.ell is not None and ly.ell.shape != (model.n_states,):
             out.append(Violation("lyapunov_shape", (), 0.0, "ell must have one entry per state"))
+        elif ly.ell is not None:
+            out += [Violation("lyapunov_not_finite", (i,), float(ly.ell[i]),
+                              f"ell({i}) = {ly.ell[i]} is not finite")
+                    for i in np.flatnonzero(~np.isfinite(ly.ell)).tolist()]
+        if ly.gamma is not None and not np.isfinite(ly.gamma):
+            out.append(Violation("lyapunov_not_finite", (), float(ly.gamma),
+                                 f"gamma = {ly.gamma} is not finite"))
         if not (np.isfinite(ly.C) and ly.C > 0):
             out.append(Violation("lyapunov_C_nonpositive", (), float(ly.C),
                                  "C must be finite and > 0"))
@@ -544,6 +551,7 @@ def check_lyapunov(model: GameModel, states=None) -> LyapunovReport:
     if ly is None:
         raise MissingLyapunovData("model has no Lyapunov data")
     log_C = ly.log_C
+    ly.require_finite()
     states = np.arange(model.n_states) if states is None else np.asarray(states, dtype=int)
     rows, at = model.rows(states)
     lhs = np.maximum.reduceat(model.inner_log_sums(states, ly.log_W), at)
@@ -596,6 +604,7 @@ def eigenvalue_upper_bound(model: GameModel) -> dict | None:
     if ly is None:
         return None
     log_C = ly.log_C  # refuses an invalid C in either case
+    ly.require_finite()
     if ly.case == "bounded":
         return {"case": "bounded", "k1": float(ly.gamma), "k2": 0.0, "upper": float(ly.gamma)}
     k1 = max([0.0] + np.logaddexp(0.0, log_C + ly.ell[ly.K] - ly.log_W[ly.K]).tolist())

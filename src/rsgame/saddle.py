@@ -106,49 +106,11 @@ class LocalSaddle:
     empty_support: bool = False
 
 
-def local_matrices(model, i: int, log_psi: np.ndarray):
-    """(C, L) for state i: C costs, L[u,v] = log sum_j psi(j) P(j|i,u,v)."""
-    return model.cost[i], model.inner_log_sums([i], log_psi).reshape(model.shapes[i])
-
-
-def local_payoff_core(C: np.ndarray, L: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
-    """mu' C nu + log(mu' Q nu) with Q = exp(L), computed shift-stably."""
-    finite = np.isfinite(L)
-    if not finite.any():
-        return NEG_INF
-    m0 = float(L[finite].max())
-    Q = np.exp(L - m0)
-    y = float(mu @ Q @ nu)
-    if y <= 0.0:
-        return NEG_INF
-    return float(mu @ C @ nu) + m0 + float(np.log(y))
-
-
-def local_payoff(model, i: int, log_psi, mu, nu) -> float:
-    C, L = local_matrices(model, i, log_psi)
-    return local_payoff_core(C, L, np.asarray(mu, float), np.asarray(nu, float))
-
-
 def _pure_values(C: np.ndarray, Qs: np.ndarray, nu: np.ndarray) -> np.ndarray:
     """f_u(nu) = c_u . nu + log(q_u . nu) for every pure u (shifted Q)."""
     y = Qs @ nu
     with np.errstate(divide="ignore"):
         return C @ nu + np.log(np.maximum(y, 0.0))
-
-
-def best_response_pure_min_core(C: np.ndarray, L: np.ndarray, nu: np.ndarray):
-    finite = np.isfinite(L)
-    if not finite.any():
-        return 0, NEG_INF
-    m0 = float(L[finite].max())
-    f = _pure_values(C, np.exp(L - m0), nu) + m0
-    u = int(np.argmin(f))  # argmin takes the first minimizer: lowest index
-    return u, float(f[u])
-
-
-def best_response_pure_min(model, i: int, log_psi, nu):
-    C, L = local_matrices(model, i, log_psi)
-    return best_response_pure_min_core(C, L, np.asarray(nu, float))
 
 
 # ---------------------------------------------------------------------------
@@ -459,8 +421,3 @@ def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) ->
     """solve_saddles on the one game (C, L)."""
     C = np.asarray(C, dtype=float)
     return solve_saddles(C.ravel(), np.asarray(L, dtype=float).ravel(), [C.shape], tol)[0]
-
-
-def solve_saddle(model, i: int, log_psi, tol: float = DEFAULT_TOL) -> LocalSaddle:
-    C, L = local_matrices(model, i, log_psi)
-    return solve_saddle_core(C, L, tol=tol)

@@ -17,15 +17,11 @@ import numpy as np
 
 from ._util import NEG_INF
 from .dirichlet import (DEFAULT_MAX_ITER, DEFAULT_TOL, DirichletDomain,
-                        EigenPair, NoConvergence, apply_operator, dirichlet_eigenpair)
+                        EigenPair, apply_operator, dirichlet_eigenpair)
 from .model import GameModel, SchemaError, StationaryStrategy, eigenvalue_upper_bound
 
 DEFAULT_TOL_OUTER = 1e-6
 BOUNDARY_MASS_WARN = 1e-6
-
-
-class NotUncontrolled(ValueError):
-    pass
 
 
 @dataclass
@@ -281,44 +277,3 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
         },
         warnings=warnings,
     )
-
-
-def uncontrolled_eigen_oracle(model: GameModel, tol: float = 1e-12,
-                              max_iter: int = 200000) -> float:
-    """log spectral radius of M(i,j) = e^{c(i)} P(j|i) for singleton actions.
-
-    Dense power iteration with max normalization and a ratio bracket;
-    half-step damping guards periodic chains. Independent of the saddle
-    machinery on purpose: it exists to cross-check the solver. Raises
-    dirichlet.NoConvergence with the last ratio bracket (linear scale)
-    when max_iter sweeps do not close it.
-    """
-    n = model.n_states
-    controlled = np.flatnonzero((model.shapes != 1).any(axis=1))
-    if controlled.size:
-        mu, mv = model.shapes[controlled[0]].tolist()
-        raise NotUncontrolled(f"state {controlled[0]} has {mu}x{mv} actions")
-    k = model.kernel
-    rows = k.entry_rows()  # one row per state
-    M = np.zeros((n, n))
-    M[rows, k.indices] = np.exp(model.row_cost)[rows] * k.prob
-    v = np.ones(n)
-    lo, hi = NEG_INF, np.inf
-    for sweep in range(1, max_iter + 1):
-        w = M @ v
-        pos = (v > 0) & (w > 0)
-        if not pos.any():
-            return NEG_INF
-        ratios = w[pos] / v[pos]
-        lo, hi = float(ratios.min()), float(ratios.max())
-        if hi - lo <= tol * max(1.0, hi):
-            return float(np.log(0.5 * (lo + hi)))
-        scale = w.max()
-        if scale <= 0:
-            return NEG_INF
-        w = w / scale
-        if sweep > 200:
-            w = 0.5 * (w + v)
-            w = w / w.max()
-        v = w
-    raise NoConvergence((lo, hi), max(max_iter, 0))

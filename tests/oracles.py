@@ -1,14 +1,20 @@
 """Independent reference computations for the test suite.
 
 Everything here is deliberately mechanical (enumeration, section search,
-dense linear algebra, closed forms) and shares no code path with the
-solvers it checks.
+dense linear algebra, power iteration, closed forms) and shares no code
+path with the solvers it checks. The readers at the end are the one
+exception: they take one state's transition tensor, costs and inner sums
+through the model's own accessors, for tests that compare the batched
+code with scalar references.
 """
 
 import itertools
 import json
 
 import numpy as np
+
+from rsgame._util import NEG_INF, concat_ranges
+from rsgame.dirichlet import NoConvergence
 
 
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
@@ -143,3 +149,110 @@ def model_json_text(doc: dict) -> str:
             text = json.dumps(value)
         parts.append(f'  "{key}": {text}')
     return "{\n" + ",\n".join(parts) + "\n}"
+
+
+# ---------------------------------------------------------------------------
+# a birth-death cost family
+
+
+def affine_state_cost(coef: float = 1.0, slope: float = 0.0):
+    """Action cost with population-dependent weight: (i, a) -> a*(coef + slope*i)."""
+    return lambda i, a: a * (coef + slope * i)
+
+
+# ---------------------------------------------------------------------------
+# scalar local-game references
+
+
+def local_payoff_core(C: np.ndarray, L: np.ndarray, mu: np.ndarray, nu: np.ndarray) -> float:
+    """mu' C nu + log(mu' Q nu) with Q = exp(L), computed shift-stably."""
+    finite = np.isfinite(L)
+    if not finite.any():
+        return NEG_INF
+    m0 = float(L[finite].max())
+    Q = np.exp(L - m0)
+    y = float(mu @ Q @ nu)
+    if y <= 0.0:
+        return NEG_INF
+    return float(mu @ C @ nu) + m0 + float(np.log(y))
+
+
+def best_response_pure_min_core(C: np.ndarray, L: np.ndarray, nu: np.ndarray):
+    """Player 1's best pure reply u to nu and its payoff; ties go to the lowest u."""
+    finite = np.isfinite(L)
+    if not finite.any():
+        return 0, NEG_INF
+    m0 = float(L[finite].max())
+    y = np.exp(L - m0) @ nu
+    with np.errstate(divide="ignore"):
+        f = C @ nu + np.log(np.maximum(y, 0.0)) + m0
+    u = int(np.argmin(f))  # argmin takes the first minimizer: lowest index
+    return u, float(f[u])
+
+
+# ---------------------------------------------------------------------------
+# the criterion-2 Perron oracle
+
+
+class NotUncontrolled(ValueError):
+    pass
+
+
+def uncontrolled_eigen_oracle(model, tol: float = 1e-12, max_iter: int = 200000) -> float:
+    """log spectral radius of M(i,j) = e^{c(i)} P(j|i) for singleton actions.
+
+    Dense power iteration with max normalization and a ratio bracket;
+    half-step damping guards periodic chains. Independent of the saddle
+    machinery on purpose: it exists to cross-check the solver. Raises
+    dirichlet.NoConvergence with the last ratio bracket (linear scale)
+    when max_iter sweeps do not close it.
+    """
+    n = model.n_states
+    controlled = np.flatnonzero((model.shapes != 1).any(axis=1))
+    if controlled.size:
+        mu, mv = model.shapes[controlled[0]].tolist()
+        raise NotUncontrolled(f"state {controlled[0]} has {mu}x{mv} actions")
+    k = model.kernel
+    rows = k.entry_rows()  # one row per state
+    M = np.zeros((n, n))
+    M[rows, k.indices] = np.exp(model.row_cost)[rows] * k.prob
+    v = np.ones(n)
+    lo, hi = NEG_INF, np.inf
+    for sweep in range(1, max_iter + 1):
+        w = M @ v
+        pos = (v > 0) & (w > 0)
+        if not pos.any():
+            return NEG_INF
+        ratios = w[pos] / v[pos]
+        lo, hi = float(ratios.min()), float(ratios.max())
+        if hi - lo <= tol * max(1.0, hi):
+            return float(np.log(0.5 * (lo + hi)))
+        scale = w.max()
+        if scale <= 0:
+            return NEG_INF
+        w = w / scale
+        if sweep > 200:
+            w = 0.5 * (w + v)
+            w = w / w.max()
+        v = w
+    raise NoConvergence((lo, hi), max(max_iter, 0))
+
+
+# ---------------------------------------------------------------------------
+# dense readers of one state of a GameModel
+
+
+def dense_transition(model, i: int) -> np.ndarray:
+    """P(.|i, u, v) as a new dense (mU, mV, n_states) array."""
+    k = model.kernel
+    rows, _ = model.rows([i])
+    lo, hi = k.indptr[rows], k.indptr[rows + 1]
+    at, _ = concat_ranges(lo, hi)
+    P = np.zeros((len(rows), model.n_states))
+    P[np.repeat(np.arange(len(rows)), hi - lo), k.indices[at]] = k.prob[at]
+    return P.reshape(*model.shapes[i], model.n_states)
+
+
+def local_matrices(model, i: int, log_psi: np.ndarray):
+    """(C, L) for state i: C costs, L[u,v] = log sum_j psi(j) P(j|i,u,v)."""
+    return model.cost[i], model.inner_log_sums([i], log_psi).reshape(model.shapes[i])

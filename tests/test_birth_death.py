@@ -1,13 +1,14 @@
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
 
+from oracles import affine_state_cost, dense_transition
 from rsgame._util import logsumexp
 from rsgame.birth_death import (BirthDeathParams, ParamError, WindowTooSmall,
-                                affine_state_cost, build_birth_death,
-                                build_info, drift_constant, exception_set, linear_cost,
-                                verify_stability_estimates)
+                                build_birth_death, build_info, drift_constant,
+                                exception_set, linear_cost, verify_stability_estimates)
 from rsgame.model import (check_irreducibility, check_lyapunov,
                           check_reference_state, validate_model)
 
@@ -19,7 +20,7 @@ def model40():
 
 def test_state0_row_values(model40):
     # mass to j >= 1 decays like a squared exponential
-    P0 = model40.dense_transition(0)
+    P0 = dense_transition(model40, 0)
     assert P0[0, 0, 1] == pytest.approx(np.exp(-1.0 / 3.0 - 3.0), abs=1e-15)
     for j in range(1, 40):
         expected = np.exp(-j * j / 3.0 - 3.0)
@@ -29,14 +30,14 @@ def test_state0_row_values(model40):
 
 def test_interior_row_values(model40):
     # i = 2, u = v = 1 (top of the default grids), L1 = L2 = 1
-    P = model40.dense_transition(2)
+    P = dense_transition(model40, 2)
     assert P[4, 4, 1] == pytest.approx(np.exp(-2.0) / 4.0, abs=1e-15)
     assert P[4, 4, 3] == pytest.approx(np.exp(-4.0) / 4.0, abs=1e-15)
     assert P[4, 4, 2] == pytest.approx((np.exp(-2.0) + np.exp(-4.0)) / 4.0, abs=1e-15)
 
 
 def test_state1_row_depends_only_on_v(model40):
-    P = model40.dense_transition(1)
+    P = dense_transition(model40, 1)
     U, V = model40.actions_p1[1], model40.actions_p2[1]
     for b, v in enumerate(V):
         mass = np.exp(-2.0) * v / 4.0
@@ -56,8 +57,7 @@ def test_lyapunov_data_values(model40):
 
 
 def test_rows_exactly_stochastic(model40):
-    for i in range(model40.n_states):
-        assert np.max(np.abs(model40.row_sums(i) - 1.0)) <= 1e-12
+    assert np.max(np.abs(model40.kernel.row_sums - 1.0)) <= 1e-12
 
 
 def test_cost_combination_and_sign_surfacing(model40):
@@ -69,6 +69,17 @@ def test_cost_combination_and_sign_surfacing(model40):
     report = validate_model(model40)
     assert report.structurally_sound
     assert not report.ok
+
+
+def test_validate_takes_no_exp_of_large_weights():
+    """log W(i) = i^2/6 + 1 passes log(float max) at i = 66; validate reads
+    W itself only where it is below one, so it warns nothing here."""
+    model = build_birth_death(BirthDeathParams(window=100))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        report = validate_model(model)
+    assert report.structurally_sound
+    assert not any(v.kind.startswith("lyapunov") for v in report.violations)
 
 
 def test_fold_masses_logged(model40):
@@ -92,7 +103,7 @@ def test_drift_chain_intermediate_bound():
     ly = m.lyapunov
     for i in range(2, 201):
         with np.errstate(divide="ignore"):
-            lt = np.log(m.dense_transition(i))
+            lt = np.log(dense_transition(m, i))
         lhs = logsumexp(lt + ly.log_W[None, None, :], axis=2).max()
         bound = np.log(4.0) + (i * i / 6.0 + 1.0) + (-i / 3.0 + 1.0 / 6.0)
         assert lhs <= bound + 1e-12

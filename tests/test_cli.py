@@ -444,6 +444,34 @@ def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
             assert err.startswith("error: Lyapunov constant C = ") and "finite and > 0" in err
 
 
+@pytest.mark.parametrize("lyapunov, kind, message", [
+    ({"W": [-1.0, 2.0], "ell": [1, 1], "K": [0], "C": 5}, "lyapunov_W_below_one",
+     "error: Lyapunov log W(0) = nan is not finite\n"),
+    ({"W": [1.0, 2.0], "ell": [float("nan"), 1], "K": [0], "C": 5}, "lyapunov_not_finite",
+     "error: Lyapunov ell(0) = nan is not finite\n"),
+    ({"W": [1.0, 2.0], "gamma": float("inf"), "K": [0], "C": 5}, "lyapunov_not_finite",
+     "error: Lyapunov gamma = inf is not finite\n"),
+])
+def test_nonfinite_lyapunov_data_is_refused(workdir, capsys, lyapunov, kind, message):
+    """A W whose log is NaN, or a non-finite rate, is a validate finding,
+    and check and solve refuse it by name instead of writing NaN slacks
+    or bounds (or skipping them in a max)."""
+    with open("bad.json", "w") as fh:
+        json.dump(dict(two_state_doc(), lyapunov=lyapunov), fh)
+    assert run(["validate", "bad.json"]) == 1
+    out = json.loads(capsys.readouterr().out,
+                     parse_constant=lambda name: pytest.fail(f"validate wrote {name}"))
+    assert [(v["kind"], v["coords"], v["value"]) for v in out["violations"]] == [
+        (kind, [] if "gamma" in lyapunov else [0], None)]
+    for command in ("check", "solve"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run([command, "bad.json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == message
+        assert "NaN" not in captured.out
+
+
 def two_state_doc(theta=1.0, c=0.5):
     return {"states": 2, "actions_p1": [[0], [0]], "actions_p2": [[0], [0]],
             "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 0.5},

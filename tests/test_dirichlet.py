@@ -6,73 +6,15 @@ import pytest
 
 from conftest import (pennies_layer_model, random_closed_model, scalar_self_loop,
                       uncontrolled_two_state)
-from oracles import perron_log_radius
+from oracles import local_matrices, perron_log_radius
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.dirichlet import (CollapseToZero, DirichletDomain, NoConvergence,
-                              NonnegativeSourceRequired, NotStrictlyNegative,
-                              apply_operator, dirichlet_eigenpair,
-                              solve_source_problem, viable_states)
+                              apply_operator, dirichlet_eigenpair, viable_states)
 from rsgame.model import make_model
-from rsgame.saddle import local_matrices, solve_saddle_core
+from rsgame.saddle import solve_saddle_core
 from rsgame.solver import solve_ergodic_game
 
 LOG_1P5 = 0.4054651081081644  # Perron root of [[.5,.5],[1,1]], by char poly
-
-
-# ---------------------------------------------------------------------------
-# source problem
-
-
-def test_source_zero_g_gives_zero(two_state):
-    dom = DirichletDomain.prefix(two_state, 2)
-    cbar = [np.full((1, 1), -0.3)] * 2
-    phi = solve_source_problem(dom, cbar, np.zeros(2))
-    assert np.all(phi == 0.0)
-
-
-def test_source_scalar_fixed_point():
-    # phi = e^{-1} phi + 1  =>  phi = 1/(1 - e^{-1})
-    m = scalar_self_loop(p=1.0, c=0.0)
-    dom = DirichletDomain.prefix(m, 1)
-    phi = solve_source_problem(dom, [np.full((1, 1), -1.0)], np.array([1.0]), tol=1e-12)
-    assert phi[0] == pytest.approx(1.5819767068693265, abs=1e-9)
-
-
-def test_source_matches_dense_linear_solve(rng):
-    # uncontrolled: the fixed point solves (I - e^{cbar} P) phi = g
-    P = rng.uniform(0.1, 1.0, (2, 2))
-    P /= P.sum(axis=1, keepdims=True)
-    m = make_model(2, [[0], [0]], [[0], [0]],
-                   [P[0].reshape(1, 1, 2), P[1].reshape(1, 1, 2)],
-                   [np.zeros((1, 1))] * 2, i0=0)
-    dom = DirichletDomain.prefix(m, 2)
-    g = np.array([1.0, 0.0])
-    phi = solve_source_problem(dom, [np.full((1, 1), -0.5)] * 2, g, tol=1e-12)
-    exact = np.linalg.solve(np.eye(2) - np.exp(-0.5) * P, g)
-    assert phi[:2] == pytest.approx(exact, abs=1e-10)
-
-
-def test_source_without_sweeps_reports_its_bracket(two_state):
-    dom = DirichletDomain.prefix(two_state, 2)
-    cbar = [np.full((1, 1), -0.3)] * 2
-    for max_iter in (0, -3):
-        with pytest.raises(NoConvergence) as exc:
-            solve_source_problem(dom, cbar, np.ones(2), max_iter=max_iter)
-        assert exc.value.bracket == (0.0, np.inf)
-        assert exc.value.iterations == 0
-        assert "after 0 sweeps" in str(exc.value)
-
-
-def test_source_requires_strictly_negative_exponent(two_state):
-    dom = DirichletDomain.prefix(two_state, 2)
-    with pytest.raises(NotStrictlyNegative):
-        solve_source_problem(dom, [np.zeros((1, 1))] * 2, np.zeros(2))
-
-
-def test_source_requires_nonnegative_g(two_state):
-    dom = DirichletDomain.prefix(two_state, 2)
-    with pytest.raises(NonnegativeSourceRequired):
-        solve_source_problem(dom, [np.full((1, 1), -0.5)] * 2, np.array([1.0, -0.1]))
 
 
 # ---------------------------------------------------------------------------
@@ -179,12 +121,23 @@ def test_domain_validation(two_state):
 
 
 def test_no_convergence_reports_bracket(two_state):
-    from rsgame.dirichlet import NoConvergence
     with pytest.raises(NoConvergence) as exc:
         dirichlet_eigenpair(DirichletDomain.prefix(two_state, 2), tol=1e-10, max_iter=1)
     assert exc.value.iterations == 1
     lo, hi = exc.value.bracket
     assert lo <= LOG_1P5 <= hi
+
+
+def test_eigenpair_without_sweeps_reports_its_bracket(two_state):
+    """No sweep runs for max_iter <= 0: the bracket is the unclosed start
+    and the sweep count is 0, not the negative max_iter."""
+    dom = DirichletDomain.prefix(two_state, 2)
+    for max_iter in (0, -3):
+        with pytest.raises(NoConvergence) as exc:
+            dirichlet_eigenpair(dom, max_iter=max_iter)
+        assert exc.value.bracket == (-np.inf, np.inf)
+        assert exc.value.iterations == 0
+        assert "after 0 sweeps" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

@@ -1,11 +1,13 @@
 """Module boundaries: no rsgame module imports another one's private names,
-and none imports scipy."""
+and none imports scipy; every public definition has a caller outside the
+tests or is an export, and every export is documented."""
 
 import ast
 import json
 import os
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import rsgame
@@ -74,3 +76,44 @@ def test_no_scipy_is_loaded_by_the_pipeline(tmp_path):
     selectors, loaded = proc.stdout.splitlines()
     assert "0.5" in selectors  # the pennies state took the mixed solve
     assert loaded == "[]"
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def names_used(tree) -> Counter:
+    """How often `tree` uses each name: loaded or imported names, attribute
+    names, and identifier strings (a tracer binds by name)."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used[node.id] += 1
+        elif isinstance(node, ast.Attribute):
+            used[node.attr] += 1
+        elif isinstance(node, ast.alias):
+            used[node.name.rsplit(".", 1)[-1]] += 1
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used[node.value] += node.value.isidentifier()
+    return used
+
+
+def test_every_public_definition_has_a_caller_or_is_exported():
+    """A public top-level function or class of rsgame is used outside its
+    own definition by rsgame, scripts/ or perfbench/ (its tests aside), or
+    is exported in __all__: code that only tests run belongs in tests/."""
+    callers = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+               + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                  if p.name != "test_perfbench.py"])
+    used = sum((names_used(ast.parse(path.read_text())) for path in callers), Counter())
+    unused = [f"{path.name}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
+              for node in ast.parse(path.read_text()).body
+              if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+              and not node.name.startswith("_") and node.name not in rsgame.__all__
+              and used[node.name] <= names_used(node)[node.name]]
+    assert unused == []
+
+
+def test_every_exported_name_resolves_and_is_documented():
+    docs = (ROOT / "README.md").read_text() + (ROOT / "docs" / "formats.md").read_text()
+    assert [name for name in rsgame.__all__ if not hasattr(rsgame, name)] == []
+    assert [name for name in rsgame.__all__ if f"`{name}" not in docs] == []

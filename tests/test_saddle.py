@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 import rsgame
 from conftest import random_closed_model
-from oracles import (bilinear_2x2_mixed, lower_value_exact, lower_value_grid,
-                     simplex_grid)
+from oracles import (best_response_pure_min_core, bilinear_2x2_mixed, local_matrices,
+                     local_payoff_core, lower_value_exact, lower_value_grid, simplex_grid)
 from rsgame._util import NEG_INF
 from rsgame.model import make_model
-from rsgame.saddle import (LocalSaddle, best_response_pure_min_core,
-                           local_matrices, local_payoff_core, solve_saddle_core)
+from rsgame.saddle import LocalSaddle, solve_saddle_core
 from rsgame.solver import solve_ergodic_game
 
 
@@ -229,14 +228,14 @@ def test_solver_never_fails_on_random_sweep(rng):
         assert np.isfinite(s.log_value)
 
 
-def test_model_level_wrappers(two_state):
-    from rsgame.saddle import best_response_pure_min, local_payoff, solve_saddle
+def test_local_games_read_from_a_model(two_state):
     log_psi = np.zeros(2)
-    val = local_payoff(two_state, 1, log_psi, [1.0], [1.0])
+    C, L = local_matrices(two_state, 1, log_psi)
+    val = local_payoff_core(C, L, np.ones(1), np.ones(1))
     assert val == pytest.approx(np.log(2.0), abs=1e-12)
-    u, bv = best_response_pure_min(two_state, 1, log_psi, [1.0])
+    u, bv = best_response_pure_min_core(C, L, np.ones(1))
     assert (u, bv) == (0, pytest.approx(np.log(2.0), abs=1e-12))
-    s = solve_saddle(two_state, 0, log_psi)
+    s = solve_saddle_core(*local_matrices(two_state, 0, log_psi))
     assert s.log_value == pytest.approx(0.0, abs=1e-12)
 
 

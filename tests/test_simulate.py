@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import one_state_two_action, pennies_layer_model, uncontrolled_two_state
+from oracles import dense_transition
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import StationaryStrategy, make_model
 from rsgame import simulate
@@ -331,40 +332,6 @@ def test_logsumexp_handles_huge_exponents():
     assert est.estimate == pytest.approx(5.0, abs=1e-12)
 
 
-def test_source_fixed_point_matches_exit_time_functional(rng):
-    """Monte Carlo spot check of the discounted exit-time representation:
-    phi(i) = E[ sum_{t < tau} exp(sum_{s<t} cbar(X_s)) g(X_t) ], with tau
-    the first exit from the domain. The sampler below is written directly
-    from that formula, independent of the fixed-point solver."""
-    from rsgame.dirichlet import DirichletDomain, solve_source_problem
-
-    P = np.zeros((3, 3))
-    P[0] = [0.4, 0.4, 0.2]
-    P[1] = [0.3, 0.3, 0.4]
-    P[2] = [0.0, 0.0, 1.0]  # outside the domain; absorbing
-    m = make_model(3, [[0]] * 3, [[0]] * 3,
-                   [P[i].reshape(1, 1, 3) for i in range(3)],
-                   [np.zeros((1, 1))] * 3, i0=0)
-    dom = DirichletDomain(m, [0, 1])
-    cbar_val = -0.5
-    g = np.array([1.0, 0.5, 0.0])
-    phi = solve_source_problem(dom, [np.full((1, 1), cbar_val)] * 3, g, tol=1e-12)
-
-    n_paths = 40000
-    totals = np.empty(n_paths)
-    for k in range(n_paths):
-        s = 0
-        disc = 1.0
-        acc = 0.0
-        while s in (0, 1):
-            acc += disc * g[s]
-            disc *= np.exp(cbar_val)
-            s = rng.choice(3, p=P[s])
-        totals[k] = acc
-    se = totals.std(ddof=1) / np.sqrt(n_paths)
-    assert abs(totals.mean() - phi[0]) <= 3.0 * se
-
-
 # ---------------------------------------------------------------------------
 # samplers: reference alias build and outputs pinned bit for bit
 
@@ -500,7 +467,7 @@ def test_one_step_frequencies_mixed_pennies_pair():
     N = 40000
     batch = simulate_paths(m, pi1, pi2, SimConfig(T=1, N=N, seed=4))
     cell = (batch.u_idx[:, 0] * 2 + batch.v_idx[:, 0]) * 2 + batch.states[:, 1]
-    expected = np.einsum("u,v,uvj->uvj", mu, nu, m.dense_transition(0)).ravel()
+    expected = np.einsum("u,v,uvj->uvj", mu, nu, dense_transition(m, 0)).ravel()
     assert_frequencies(np.bincount(cell, minlength=8), expected, N)
     assert np.array_equal(batch.costs[:, 0], m.cost[0][batch.u_idx[:, 0], batch.v_idx[:, 0]])
 
@@ -517,7 +484,7 @@ def test_one_step_frequencies_tilted_birth_death_pair(bd60):
     for i in (0, 3, 7):
         e = _step(tab, np.full(N, i), np.random.default_rng(i).random(N))
         mu, nu = pi1.weights[i], pi2.weights[i]
-        P = m.dense_transition(i)
+        P = dense_transition(m, i)
         mass = P @ np.exp(log_psi)
         tilted = P * np.exp(log_psi) / mass[..., None]
         expected = np.einsum("u,v,uvj->uvj", mu, nu, tilted)
