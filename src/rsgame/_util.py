@@ -1,5 +1,5 @@
 """Shared numeric helpers: stable log-sum-exp, whole and by segment,
-concatenated index ranges and graph reachability."""
+concatenated index ranges, graph reachability and unit vectors."""
 
 from __future__ import annotations
 
@@ -21,6 +21,13 @@ def logsumexp(a, axis=None):
         s = np.sum(np.exp(a - amax_safe), axis=axis)
         res = np.squeeze(amax_safe, axis=axis) + np.log(s)
     return float(res) if scalar else res
+
+
+def unit(m: int, k: int) -> np.ndarray:
+    """The k-th unit vector of length m: pure action k as mixed weights."""
+    e = np.zeros(m)
+    e[k] = 1.0
+    return e
 
 
 def concat_ranges(lo, hi):

@@ -22,7 +22,7 @@ from operator import itemgetter
 
 import numpy as np
 
-from ._util import concat_ranges, reachable, segment_logsumexp
+from ._util import concat_ranges, reachable, segment_logsumexp, unit
 
 ROW_SUM_TOL = 1e-12
 CLOSED_TOL = 1e-12
@@ -30,7 +30,9 @@ STRATEGY_TOL = 1e-12
 # Drift inequality must hold strictly; slack at or below this fails the check.
 LYAPUNOV_SLACK_PASS = 1e-14
 # records formatted and written at a time by write_model_json
-RECORD_CHUNK = 1 << 16
+RECORD_CHUNK = 1 << 12
+# characters of record-array text that model_from_json parses at a time
+RECORD_SLICE = 1 << 18
 
 
 class ModelError(ValueError):
@@ -324,8 +326,7 @@ class StationaryStrategy:
     @staticmethod
     def pure(model: GameModel, player: int, idx) -> "StationaryStrategy":
         idx = np.broadcast_to(idx, model.n_states).tolist()
-        return StationaryStrategy([np.eye(m)[k] for m, k in
-                                   zip(model.shapes[:, player - 1].tolist(), idx)])
+        return StationaryStrategy(list(map(unit, model.shapes[:, player - 1].tolist(), idx)))
 
     @staticmethod
     def uniform(model: GameModel, player: int) -> "StationaryStrategy":
@@ -789,41 +790,125 @@ def _first_bad_record(key: str, recs: list, fields: tuple, n: int, mu: np.ndarra
     return SchemaError(f"{key} records do not fit the window")
 
 
+def _cast_columns(recs, fields: tuple) -> list:
+    """The columns of the record list `recs`: each field of `fields` cast
+    with int (float for the last) in C-level passes. Raises KeyError,
+    TypeError, ValueError or OverflowError when recs is not a list of
+    objects with exactly `fields` or a cast fails."""
+    sizes = {len(fields)}
+    if not (isinstance(recs, list) and all(map(isinstance, recs, repeat(dict)))
+            and set(map(len, recs)) <= sizes):
+        raise KeyError(fields)
+    kinds = [int] * (len(fields) - 1) + [float]
+    cols = [np.fromiter(map(kind, map(itemgetter(f), recs)), dtype=kind, count=len(recs))
+            for f, kind in zip(fields, kinds)]
+    # a dict subclass may add the keys it misses on lookup
+    if not set(map(len, recs)) <= sizes:
+        raise KeyError(fields)
+    return cols
+
+
+class _Columns(tuple):
+    """A record array that _scan_document read slice by slice: the
+    columns _cast_columns gives for the whole array."""
+
+
 def _record_columns(doc: dict, key: str, fields: tuple, n: int, mu: np.ndarray,
                     mv: np.ndarray, slot_start: np.ndarray) -> list:
     """The records of doc[key], whose keys are `fields` (i, u, v, then
     other ints, then one float), as columns: the (i, u, v) slot of each
     record in kernel row order, then the columns after v.
 
-    Records are read and each column is cast with int/float in C-level
-    passes. A record that is not an object with exactly `fields`, a value
-    that fails its cast or any record outside the window or its state's
-    action sets makes the whole document fail with the error of the first
-    bad record, which _records and _first_bad_record find.
+    A record that is not an object with exactly `fields`, a value that
+    fails its cast or any record outside the window or its state's action
+    sets makes the whole document fail with the error of the first bad
+    record, which _records and _first_bad_record find. doc[key] may also
+    be _Columns read from text; a record outside the window is then
+    refused without naming it, and model_from_json reads the text again
+    as a dict to name it.
     """
     recs = doc[key]
-    kinds = [int] * (len(fields) - 1) + [float]
-    sizes = {len(fields)}
-    try:
-        if not (isinstance(recs, list) and all(map(isinstance, recs, repeat(dict)))
-                and set(map(len, recs)) <= sizes):
-            raise KeyError(key)
-        cols = [np.fromiter(map(kind, map(itemgetter(f), recs)), dtype=kind, count=len(recs))
-                for f, kind in zip(fields, kinds)]
-        # a dict subclass may add the keys it misses on lookup
-        if not set(map(len, recs)) <= sizes:
-            raise KeyError(key)
-    except (KeyError, TypeError, ValueError, OverflowError):
-        recs = _records(doc, key, set(fields))
-        raise _first_bad_record(key, recs, fields, n, mu, mv) from None
+    if isinstance(recs, _Columns):
+        cols, recs = list(recs), []
+    else:
+        try:
+            cols = _cast_columns(recs, fields)
+        except (KeyError, TypeError, ValueError, OverflowError):
+            recs = _records(doc, key, set(fields))
+            raise _first_bad_record(key, recs, fields, n, mu, mv) from None
     i, u, v = cols[:3]
-    bad = np.zeros(len(recs), dtype=bool)
+    bad = np.zeros(len(i), dtype=bool)
     for s in [i] + cols[3:-1]:
         bad |= (s < 0) | (s >= n)
     ic = np.where(bad, 0, i)
     if (bad | (u < 0) | (u >= mu[ic]) | (v < 0) | (v >= mv[ic])).any():
         raise _first_bad_record(key, recs, fields, n, mu, mv)
     return [slot_start[i] + u * mv[i] + v] + cols[3:]
+
+
+_RECORD_FIELDS = {"transition": ("i", "u", "v", "j", "p"), "cost": ("i", "u", "v", "c")}
+_SCAN = json.JSONDecoder().scan_once
+_WS = json.decoder.WHITESPACE.match
+
+
+def _sliced_columns(text: str, at: int, fields: tuple) -> tuple:
+    """(_Columns, end) for the record array whose '[' is text[at].
+
+    The array body, up to the first ']', is cut right after a '},' about
+    every RECORD_SLICE characters, and each slice is parsed on its own
+    with json.loads, so one slice of records at a time is held as Python
+    objects. Raises ValueError unless every slice holds at least one
+    record: then the slices and the commas between them are the body,
+    and the array is json.loads of the text up to that ']'.
+    """
+    close = text.find("]", at)
+    if close < 0:
+        raise ValueError("record array without ']'")
+    parts = [_cast_columns([], fields)]
+    # a body of whitespace only is the empty array
+    end = at if _WS(text, at + 1).end() < close else close
+    while end < close:
+        start = end + 1
+        cut = text.find("},", start + RECORD_SLICE, close)
+        end = cut + 1 if cut >= 0 else close
+        recs = json.loads("[" + text[start:end] + "]")
+        if not recs:
+            raise ValueError("empty slice of a record array")
+        parts.append(_cast_columns(recs, fields))
+    return _Columns(np.concatenate(c) for c in zip(*parts)), close + 1
+
+
+def _scan_document(text) -> dict:
+    """json.loads(text) for a model document (str or bytes), except that
+    the transition and cost arrays are read by _sliced_columns. Raises
+    (ValueError, or what json's scanner raises) on any document where the
+    result might differ from json.loads: invalid text, a duplicate
+    top-level key, or a record array _sliced_columns refuses."""
+    if isinstance(text, bytes):
+        text = text.decode(json.detect_encoding(text), "surrogatepass")
+    pos = _WS(text, 0).end()
+    if text[pos:pos + 1] != "{":
+        raise ValueError("not a JSON object")
+    doc = {}
+    sep = ","
+    while sep == ",":
+        pos = _WS(text, pos + 1).end()
+        if text[pos:pos + 1] != '"':
+            raise ValueError("expected a key")
+        key, pos = _SCAN(text, pos)
+        pos = _WS(text, pos).end()
+        if key in doc or text[pos:pos + 1] != ":":
+            raise ValueError("duplicate key or missing ':'")
+        pos = _WS(text, pos + 1).end()
+        if key in _RECORD_FIELDS and text[pos:pos + 1] == "[":
+            doc[key], pos = _sliced_columns(text, pos, _RECORD_FIELDS[key])
+        else:
+            doc[key], pos = _SCAN(text, pos)
+        pos = _WS(text, pos).end()
+        sep = text[pos:pos + 1]
+    if sep != "}" or _WS(text, pos + 1).end() != len(text):
+        raise ValueError("expected ',' or '}' closing the document")
+    return doc
 
 
 def _last_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -838,6 +923,13 @@ def _last_of_runs(keys: np.ndarray) -> np.ndarray:
 def model_from_json(doc) -> GameModel:
     """Build a model from the interchange document (dict or JSON text).
 
+    JSON text (str or bytes) is read one slice of about RECORD_SLICE
+    characters of records at a time (_scan_document), so the records are
+    never all held as Python objects. Text that this reading refuses,
+    valid or not, is read again with json.loads, so every document gives
+    the same model, or the same exception and message, as
+    model_from_json(json.loads(text)).
+
     Transition records are {i,u,v,j,p} with u,v as 0-based indices into the
     state's action lists; missing records mean zero mass / zero cost. The
     Lyapunov block accepts exactly one of `W` (linear) or `logW`; the log
@@ -849,7 +941,16 @@ def model_from_json(doc) -> GameModel:
     (signs, row sums) are left to validate_model.
     """
     if isinstance(doc, (str, bytes)):
+        try:
+            return _model_from_doc(_scan_document(doc))
+        except (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError):
+            pass  # read again below, so the refusal is the dict path's
         doc = json.loads(doc)
+    return _model_from_doc(doc)
+
+
+def _model_from_doc(doc) -> GameModel:
+    """model_from_json on a parsed document."""
     if not isinstance(doc, dict):
         raise SchemaError(f"a model document is a JSON object, got {type(doc).__name__}")
     unknown = set(doc) - _TOP_KEYS
@@ -877,12 +978,12 @@ def model_from_json(doc) -> GameModel:
     slot_start = np.concatenate([[0], np.cumsum(mu * mv)])
     # the kernel's entries in (row, j) order: the last record of each
     # (i, u, v, j) wins, as in a record-by-record fill, and zeros go
-    rows, j, p = _record_columns(doc, "transition", ("i", "u", "v", "j", "p"), n, mu, mv,
+    rows, j, p = _record_columns(doc, "transition", _RECORD_FIELDS["transition"], n, mu, mv,
                                  slot_start)
     keep = _last_of_runs(rows * n + j)
     keep = keep[p[keep] != 0.0]
     kernel = KernelCSR.from_entries(slot_start, rows[keep], j[keep], p[keep])
-    slots, c = _record_columns(doc, "cost", ("i", "u", "v", "c"), n, mu, mv, slot_start)
+    slots, c = _record_columns(doc, "cost", _RECORD_FIELDS["cost"], n, mu, mv, slot_start)
     keep = _last_of_runs(slots)
     cost = np.zeros(int(slot_start[-1]))
     cost[slots[keep]] = c[keep]
@@ -994,8 +1095,9 @@ def write_model_json(model: GameModel, fh) -> None:
     The records are formatted straight from the kernel's columns, so the
     text costs O(nnz) string work and no dict per record, and each
     distinct probability or cost is formatted once. They are written
-    RECORD_CHUNK at a time, so no more than one chunk of text is held;
-    json.loads of the text gives the same value as model_to_json.
+    RECORD_CHUNK (4096) at a time, so no more than one chunk of records
+    is held as text; json.loads of the text gives the same value as
+    model_to_json.
     """
     (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = _emitted_columns(model)
     tp_text, tp_code = _json_float_codes(tp)

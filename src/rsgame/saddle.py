@@ -74,7 +74,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import NEG_INF
+from ._util import NEG_INF, unit
 
 DEFAULT_TOL = 1e-8
 _ACTIVE_TOL = 1e-9
@@ -150,7 +150,7 @@ def _max_x_plus_log_y_rows(x: np.ndarray, y: np.ndarray):
         dead = (y <= 0.0).all(axis=1)
         if dead.any():
             best_val[dead] = NEG_INF
-            best_w[dead] = _unit(k, 0)
+            best_w[dead] = unit(k, 0)
         # every segment's stationary point at once; the incumbent rule is
         # sequential, so only the columns with a feasible segment are scanned
         xp, yp = x[:, p], y[:, p]
@@ -221,9 +221,9 @@ def _matrix_game(M: np.ndarray):
     T[:V, -1] = 1.0
     T[V, :K] = -scale
     basis = np.arange(K, K + V)
-    unit = np.concatenate([scale, np.ones(V)])  # reduced costs compare unscaled
+    cost_scale = np.concatenate([scale, np.ones(V)])  # reduced costs compare unscaled
     for _ in range(10 * (K + V)):
-        enter = np.flatnonzero(T[V, :-1] < -1e-14 * unit)
+        enter = np.flatnonzero(T[V, :-1] < -1e-14 * cost_scale)
         if not len(enter):
             break
         j = enter[0]
@@ -300,12 +300,6 @@ def _lower_solve(C, Qs, nu, tol):
     return best_nu, best_h, max(gap, 0.0), mu / mu.sum()
 
 
-def _unit(m: int, k: int) -> np.ndarray:
-    e = np.zeros(m)
-    e[k] = 1.0
-    return e
-
-
 def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
     """Batched prologue and pure fast path of solve_saddles.
 
@@ -337,7 +331,7 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         # no mass at all, or player 1 owns an action that sends all mass
         # outside the domain: the multiplicative payoff collapses to zero
         u = int(dead[j].argmax()) if collapsed[j] else 0
-        saddles[j] = LocalSaddle(NEG_INF, _unit(mU, u), _unit(mV, 0), 0.0, empty_support=True)
+        saddles[j] = LocalSaddle(NEG_INF, unit(mU, u), unit(mV, 0), 0.0, empty_support=True)
     settled = empty | collapsed
     if mU == 1 and mV == 1:
         for j in np.nonzero(~settled)[0]:
@@ -376,8 +370,8 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         order1 = max(float(phi[r, u_best[r]]) - h_r, 0.0)
         if order1 > order_tol:
             continue  # mixing may be required: the cutting planes decide
-        saddles[j] = LocalSaddle(h_r + float(m0[j]), _unit(mU, int(u_best[r])),
-                                 _unit(mV, int(vs[r])), float(cert[r]), order_gap=order1)
+        saddles[j] = LocalSaddle(h_r + float(m0[j]), unit(mU, int(u_best[r])),
+                                 unit(mV, int(vs[r])), float(cert[r]), order_gap=order1)
     return saddles, m0, Qs, v_star
 
 
@@ -409,7 +403,7 @@ def solve_saddles(C, L, shapes, tol: float = DEFAULT_TOL) -> list:
 def _mixed_saddle(C, Qs, m0, v, tol):
     """The cutting planes from e_v (the uniform nu when some q_u . e_v = 0),
     with the order gap of the returned mu by the exact planar sup over nu."""
-    nu0 = _unit(C.shape[1], v)
+    nu0 = unit(C.shape[1], v)
     if not (Qs @ nu0 > 0.0).all():
         nu0 = np.full(C.shape[1], 1.0 / C.shape[1])
     nu, h, gap, mu = _lower_solve(C, Qs, nu0, tol)

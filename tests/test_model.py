@@ -1,6 +1,7 @@
 import io
 import json
 import struct
+import tracemalloc
 from collections import OrderedDict, defaultdict
 
 import numpy as np
@@ -370,6 +371,16 @@ def test_strategy_validation_matches_per_state_checks(rng):
     assert strategy.validate_for(m, 1) == expected
 
 
+def test_pure_strategy_weights_are_identity_rows(rng):
+    """StationaryStrategy.pure gives row k of the identity for every state."""
+    m = ragged_open_model(rng)
+    for player in (1, 2):
+        sizes = m.shapes[:, player - 1].tolist()
+        idx = [int(rng.integers(size)) for size in sizes]
+        weights = StationaryStrategy.pure(m, player, idx).weights
+        assert all(np.array_equal(w, np.eye(size)[k]) for w, size, k in zip(weights, sizes, idx))
+
+
 def emitted_text(m) -> str:
     buf = io.StringIO()
     write_model_json(m, buf)
@@ -695,3 +706,139 @@ def test_columnar_ingestion_matches_dense_reference(doc):
     assert not (m.kernel.prob == 0).any()
     # emission from the columns: the text is the per-record reference's
     assert emitted_text(m) == model_json_text(model_to_json(m))
+
+
+# ---------------------------------------------------------------------------
+# the sliced reader of JSON text against json.loads and the dict path
+
+
+def assert_reads_as_json_loads(text):
+    """model_from_json(text) raises the exception type and message that
+    json.loads(text) and the dict path raise, or gives their model."""
+    try:
+        want = model_from_json(json.loads(text))
+    except Exception as exc:
+        with pytest.raises(Exception) as refused:
+            model_from_json(text)
+        assert type(refused.value) is type(exc)
+        assert str(refused.value) == str(exc)
+        return
+    got = model_from_json(text)
+    pairs = [(got.kernel.indptr, want.kernel.indptr), (got.kernel.indices, want.kernel.indices),
+             (got.kernel.prob, want.kernel.prob), (got.row_cost, want.row_cost)]
+    assert (got.lyapunov is None) == (want.lyapunov is None)
+    if want.lyapunov is not None:
+        pairs += [(getattr(got.lyapunov, name), getattr(want.lyapunov, name))
+                  for name in ("log_W", "K", "ell", "C", "gamma")]
+    for a, b in pairs:
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert np.asarray(a).dtype == np.asarray(b).dtype
+            assert np.array_equal(a, b, equal_nan=True)
+    assert (got.n_states, got.i0, got.actions_p1, got.actions_p2) == \
+        (want.n_states, want.i0, want.actions_p1, want.actions_p2)
+
+
+def reader_documents():
+    """(name, text) pairs: valid documents in several layouts, and
+    documents that json.loads or the dict path refuse."""
+    mixed = model_to_json(random_closed_model(np.random.default_rng(3), n=3, mu=2, mv=3))
+    mixed["lyapunov"] = {"W": [1.0, 2.0, 4.0], "ell": [0.5, 0.25, 0.125], "K": [0], "C": 2.0}
+    emitted = emitted_text(model_from_json(mixed))
+    out = [("emitted", emitted), ("dumps", json.dumps(mixed)),
+           ("compact", json.dumps(mixed, separators=(",", ":"))),
+           ("indent-2", json.dumps(mixed, indent=2)),
+           ("odd-floats", emitted_text(odd_floats_model()))]
+    rng = np.random.default_rng(4)
+    shuffled = {**mixed, "transition": [dict(sorted(r.items(), key=lambda kv: rng.random()))
+                                        for r in mixed["transition"]]}
+    shuffled["cost"] = mixed["cost"] + [{**mixed["cost"][0], "c": 9.5}]
+    shuffled["transition"] += [{**r, "p": 0.0} for r in mixed["transition"][:3]]
+    out.append(("permuted-keys-and-duplicates", json.dumps(shuffled, indent=1)))
+    out.append(("duplicate-top-level-key", emitted[:-2] + ',\n  "cost": []\n}'))
+    out.append(("escaped-key", emitted.replace('"transition"', '"\\u0074ransition"')))
+    labels = {**mixed, "actions_p1": [["]", "},"], [0.0, "a]},{"], ["[", 1.0]]}
+    out.append(("bracket-in-label", json.dumps(labels)))
+    for key, value in (("p", "]"), ("p", "},"), ("c", "0.5]"), ("j", [1]), ("p", [0.5, [1]])):
+        records = "transition" if key in "pj" else "cost"
+        doc = {**mixed, records: [dict(r) for r in mixed[records]]}
+        doc[records][1][key] = value
+        out.append((f"{records}-{key}-{value}", json.dumps(doc)))
+    outside = {**mixed, "transition": mixed["transition"] + [{**mixed["transition"][0], "j": 9}]}
+    out.append(("record-outside-window", json.dumps(outside)))
+    renamed = {**mixed, "cost": [{"x" if k == "c" else k: x for k, x in r.items()}
+                                 for r in mixed["cost"]]}
+    out.append(("record-key-renamed", json.dumps(renamed)))
+    out.append(("leading-comma", emitted.replace('"transition": [\n', '"transition": [,\n')))
+    out.append(("trailing-comma", emitted.replace("}\n  ],\n  \"cost\"", "},\n  ],\n  \"cost\"")))
+    out.append(("trailing-comma-compact",
+                json.dumps(mixed).replace('}], "cost"', '},], "cost"')))
+    out.append(("empty-slot", emitted.replace("},\n", "},\n ,\n", 1)))
+    empty = {**mixed, "transition": [], "cost": []}
+    out.append(("empty-records", json.dumps(empty, indent=2).replace("[]", "[ \n ]")))
+    out.append(("extra-data", emitted + " {}"))
+    out.append(("bom", "\ufeff" + emitted))
+    out.append(("not-an-object", json.dumps([mixed])))
+    return out
+
+
+READER_DOCUMENTS = reader_documents()
+
+
+@pytest.mark.parametrize("name, text", READER_DOCUMENTS, ids=[n for n, _ in READER_DOCUMENTS])
+def test_sliced_reader_matches_json_loads(monkeypatch, name, text):
+    """With slices of 40 characters, every document gives the model or the
+    refusal of json.loads and the dict path, also as bytes and cut short
+    at every record boundary; the valid layouts are read without
+    json.loads of the whole text."""
+    monkeypatch.setattr(model_module, "RECORD_SLICE", 40)
+    assert_reads_as_json_loads(text)
+    for encoding in ("utf-8", "utf-8-sig", "utf-16"):
+        assert_reads_as_json_loads(text.encode(encoding))
+    cuts = {k + d for k in range(len(text)) if text.startswith("},", k) for d in (1, 2)}
+    for cut in sorted(cuts):
+        assert_reads_as_json_loads(text[:cut])
+    if name in ("emitted", "dumps", "compact", "indent-2", "odd-floats",
+                "permuted-keys-and-duplicates", "escaped-key", "bracket-in-label",
+                "empty-records"):
+        doc = model_module._scan_document(text)
+        assert all(isinstance(doc[key], model_module._Columns) for key in ("transition", "cost"))
+
+
+@pytest.fixture(scope="module")
+def birth_death_400():
+    return build_birth_death(BirthDeathParams(window=400))
+
+
+def traced_peak(fn, *args) -> int:
+    tracemalloc.start()
+    try:
+        fn(*args)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_text_holds_one_slice_of_records(birth_death_400):
+    """Reading the 3.2 MB window-400 text peaks at about 1.4 times its
+    length; one dict per record (json.loads of the whole text) took 4.7."""
+    text = emitted_text(birth_death_400)
+    assert traced_peak(model_from_json, text) < 2 * len(text)
+
+
+class CharCount:
+    """A text sink that only counts what it is given."""
+
+    def __init__(self):
+        self.chars = 0
+
+    def write(self, text):
+        self.chars += len(text)
+
+
+def test_writing_text_holds_one_chunk_of_records(birth_death_400):
+    """Writing the 3.2 MB window-400 text peaks at about 3.2 MiB, mostly
+    the record columns; chunks of 65536 records took 10.3 MiB."""
+    sink = CharCount()
+    assert traced_peak(write_model_json, birth_death_400, sink) < 5 * 2**20
+    assert sink.chars == len(emitted_text(birth_death_400))
