@@ -8,19 +8,14 @@ import numpy as np
 NEG_INF = float("-inf")
 
 
-def logsumexp(a, axis=None):
-    """log(sum(exp(a))) that tolerates -inf entries (empty mass)."""
-    a = np.asarray(a, dtype=float)
-    scalar = axis is None
-    if scalar:
-        a = a.ravel()
-        axis = 0
+def logsumexp(a) -> float:
+    """log(sum(exp(a))) over the whole array, shifted by its max, that
+    tolerates -inf entries (empty mass)."""
+    a = np.asarray(a, dtype=float).ravel()
     with np.errstate(all="ignore"):
-        amax = np.max(a, axis=axis, keepdims=True)
-        amax_safe = np.where(np.isfinite(amax), amax, 0.0)
-        s = np.sum(np.exp(a - amax_safe), axis=axis)
-        res = np.squeeze(amax_safe, axis=axis) + np.log(s)
-    return float(res) if scalar else res
+        amax = a.max()
+        shift = amax if np.isfinite(amax) else 0.0
+        return float(shift + np.log(np.exp(a - shift).sum()))
 
 
 def unit(m: int, k: int) -> np.ndarray:

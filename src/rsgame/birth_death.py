@@ -31,22 +31,14 @@ class ParamError(ValueError):
     pass
 
 
-def linear_cost(coef: float = 1.0):
-    """Action-proportional cost family: (i, a) -> coef * a."""
-    return lambda i, a: coef * a
-
-
 @dataclass
 class BirthDeathParams:
     p_hat: float = 0.1
     delta: float = 0.1
     L1: float = 1.0
     L2: float = 1.0
-    grid_u: int = 5
-    grid_v: int = 5
+    grid: int = 5  # points of each player's action grid
     window: int = 60
-    cost_c1: object = None  # callable (i, u) -> float; default linear in u
-    cost_c2: object = None  # callable (i, v) -> float; default linear in v
     allow_p_hat_violation: bool = False
 
     def __post_init__(self):
@@ -58,14 +50,10 @@ class BirthDeathParams:
             raise ParamError(
                 f"p_hat={self.p_hat} violates p_hat < 1/6; pass allow_p_hat_violation=True "
                 "to build anyway (stability checks will fail)")
-        if self.grid_u < 1 or self.grid_v < 1:
+        if self.grid < 1:
             raise ParamError("action grids need at least one point")
         if self.window < 4:
             raise WindowTooSmall("window must cover states 0..3 for the state-1 row")
-        if self.cost_c1 is None:
-            self.cost_c1 = linear_cost(1.0)
-        if self.cost_c2 is None:
-            self.cost_c2 = linear_cost(1.0)
 
 
 @dataclass
@@ -77,8 +65,8 @@ class BuildInfo:
 
 
 def action_grids(params: BirthDeathParams):
-    U = np.linspace(params.delta, params.L1, params.grid_u)
-    V = np.linspace(params.delta, params.L2, params.grid_v)
+    U = np.linspace(params.delta, params.L1, params.grid)
+    V = np.linspace(params.delta, params.L2, params.grid)
     return U, V
 
 
@@ -108,15 +96,10 @@ def drift_constant() -> float:
     return max(peak, series)
 
 
-def _costs(params: BirthDeathParams) -> list:
-    """Per-state (mU, mV) costs p_hat * i + c1(i, u) - c2(i, v)."""
+def _costs(params: BirthDeathParams) -> np.ndarray:
+    """The (window, mU, mV) costs p_hat * i + u - v."""
     U, V = action_grids(params)
-    cost = []
-    for i in range(params.window):
-        c1 = np.array([params.cost_c1(i, u) for u in U], dtype=float)
-        c2 = np.array([params.cost_c2(i, v) for v in V], dtype=float)
-        cost.append(params.p_hat * i + c1[:, None] - c2)
-    return cost
+    return params.p_hat * np.arange(params.window)[:, None, None] + U[:, None] - V
 
 
 def build_info(params: BirthDeathParams) -> BuildInfo:
@@ -133,8 +116,8 @@ def build_info(params: BirthDeathParams) -> BuildInfo:
     return BuildInfo(
         fold_mass_state0=float(np.sum(np.exp(-jj * jj / 3.0 - 3.0))),
         fold_mass_top=float(max(0.0, *(v * np.exp(-2.0 * float(n - 1)) / denom for v in V))),
-        negative_cost_entries=sum(int((C < 0).sum()) for C in cost),
-        min_cost=min(float(C.min()) for C in cost),
+        negative_cost_entries=int((cost < 0).sum()),
+        min_cost=float(cost.min()),
     )
 
 
@@ -206,7 +189,7 @@ def build_birth_death(params: BirthDeathParams) -> GameModel:
         actions_p1=[U.tolist()] * n,
         actions_p2=[V.tolist()] * n,
         transition=_kernel(params),
-        cost=_costs(params),
+        cost=_costs(params).ravel(),
         theta=1.0,
         i0=0,
         lyapunov=lyap,

@@ -253,7 +253,7 @@ def run(argv) -> int:
         if args.command == "example":
             params = bd.BirthDeathParams(
                 p_hat=args.p_hat, delta=args.delta, L1=args.L1, L2=args.L2,
-                grid_u=args.grid, grid_v=args.grid, window=args.window)
+                grid=args.grid, window=args.window)
             model = bd.build_birth_death(params)
             with open(args.out, "w") if args.out else contextlib.nullcontext(sys.stdout) as fh:
                 write_model_json(model, fh)

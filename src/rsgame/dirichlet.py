@@ -121,7 +121,6 @@ def apply_operator(model: GameModel, states, log_psi, tol=DEFAULT_TOL):
 
 
 def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
-                        max_iter: int = DEFAULT_MAX_ITER,
                         warm_start_log_psi=None) -> EigenPair:
     """Principal eigenpair on the domain by nonlinear power iteration.
 
@@ -130,7 +129,8 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
     ratios log G psi(i) - log psi(i) bracket the principal eigenvalue;
     convergence is declared on the bracket width, which bounds the
     eigenvalue error directly; tol also bounds every local saddle's gap.
-    After DAMP_AFTER undamped sweeps a half-step blend guards against
+    NoConvergence is raised after DEFAULT_MAX_ITER sweeps, read at call
+    time. After DAMP_AFTER undamped sweeps a half-step blend guards against
     cycling on periodic structures.
     """
     model = domain.model
@@ -150,7 +150,7 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
 
     damping = 0
     bracket = (NEG_INF, np.inf)
-    for sweep in range(1, max_iter + 1):
+    for sweep in range(1, DEFAULT_MAX_ITER + 1):
         log_G, _ = apply_operator(model, alive, log_psi, tol=tol)
         if not np.isfinite(log_G[i0]):
             raise CollapseToZero(f"operator value vanished at the reference state {i0}")
@@ -184,4 +184,4 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
             new_log_psi[blend] -= new_log_psi[i0]
             damping += 1
         log_psi = new_log_psi
-    raise NoConvergence(bracket, max(max_iter, 0))
+    raise NoConvergence(bracket, DEFAULT_MAX_ITER)

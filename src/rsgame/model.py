@@ -15,6 +15,7 @@ The risk parameter theta is folded into the cost tensor at construction
 from __future__ import annotations
 
 import functools
+import io
 import json
 from dataclasses import dataclass, field
 from itertools import repeat
@@ -169,11 +170,10 @@ class GameModel:
     (mU_i, mV_i), the one source of action counts; `rows(states)` gives
     the rows of `states`, state after state, and where each state's rows
     start among them, so a per-state reduction is one ufunc.reduceat.
-    `row_cost` is c(i, u, v), scaled by theta; `cost[i]` is state i's
-    (mU_i, mV_i) view of it. `inner_log_sums(states, log_psi)` is
-    log sum_j psi(j) P(j|i,u,v) over rows(states), one segment
-    log-sum-exp over their CSR entries, -inf for empty mass; every
-    operator sweep, drift check and local saddle reads it.
+    `row_cost` is c(i, u, v), scaled by theta.
+    `inner_log_sums(states, log_psi)` is log sum_j psi(j) P(j|i,u,v) over
+    rows(states), one segment log-sum-exp over their CSR entries, -inf for
+    empty mass; every operator sweep, drift check and local saddle reads it.
 
     `kernel` (KernelCSR) is the only kernel storage. Arrays are frozen
     after construction. On first use `csr` refuses the model with the
@@ -203,13 +203,6 @@ class GameModel:
                   k.log_prob):
             a.flags.writeable = False
 
-    @functools.cached_property
-    def cost(self) -> list:
-        """Per state, its (mU, mV) costs: read-only views of row_cost."""
-        start = self.kernel.row_start.tolist()
-        return [self.row_cost[lo:hi].reshape(shape) for lo, hi, shape
-                in zip(start[:-1], start[1:], self.shapes.tolist())]
-
     def rows(self, states) -> tuple[np.ndarray, np.ndarray]:
         """The kernel rows of `states`, state after state, and where each one's rows start."""
         states = np.asarray(states, dtype=np.int64)
@@ -218,9 +211,10 @@ class GameModel:
     def max_exit_mass(self) -> float:
         return float((1.0 - self.kernel.row_sums).max())
 
-    def is_closed(self, tol: float = CLOSED_TOL) -> bool:
+    def is_closed(self) -> bool:
+        """Whether every row's exit mass lies within CLOSED_TOL of zero."""
         exit_mass = 1.0 - self.kernel.row_sums
-        return bool(exit_mass.max() <= tol and exit_mass.min() >= -tol)
+        return bool(exit_mass.max() <= CLOSED_TOL and exit_mass.min() >= -CLOSED_TOL)
 
     def row_actions(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """(i, u, v) of every kernel row, in row order: the (i, u, v) of
@@ -327,11 +321,6 @@ class StationaryStrategy:
     def pure(model: GameModel, player: int, idx) -> "StationaryStrategy":
         idx = np.broadcast_to(idx, model.n_states).tolist()
         return StationaryStrategy(list(map(unit, model.shapes[:, player - 1].tolist(), idx)))
-
-    @staticmethod
-    def uniform(model: GameModel, player: int) -> "StationaryStrategy":
-        return StationaryStrategy([np.full(m, 1.0 / m)
-                                   for m in model.shapes[:, player - 1].tolist()])
 
     def validate_for(self, model: GameModel, player: int) -> list[str]:
         """One message per problem, state by state. The sign, finiteness
@@ -662,7 +651,8 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
     sufficient: keep edge i->j only when P(j|i,u,v) > 0 for every pure
     (u,v); strong connectivity of that graph implies irreducibility under
     every strategy pair. sampled: falsifier only, checks strong connectivity
-    of the support graph under `samples` random pure stationary pairs.
+    of the support graph under `samples` random pure stationary pairs, and
+    raises ValueError for samples < 1, which would pass without a test.
     Both read the support from the kernel's positive entries.
     """
     n = model.n_states
@@ -682,6 +672,8 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
                        if ok else "sufficient condition failed; no conclusion"),
         )
     if mode == "sampled":
+        if samples < 1:
+            raise ValueError(f"samples (--samples) must be >= 1, got {samples}")
         rng = np.random.default_rng(seed)
         mv = model.shapes[:, 1]
         highs = model.shapes.T.ravel()
@@ -1030,57 +1022,6 @@ def _model_from_doc(doc) -> GameModel:
     )
 
 
-def _emitted_columns(model: GameModel):
-    """Columns (i, u, v, j, p) of the transition records and (i, u, v, c)
-    of the cost records the interchange document carries: every stored
-    kernel entry and every nonzero cost, in (i, u, v[, j]) order."""
-    k = model.kernel
-    state, u, v = model.row_actions()
-    rows = k.entry_rows()
-    cost = model.row_cost
-    slots = np.flatnonzero(cost != 0.0)
-    return ((state[rows], u[rows], v[rows], k.indices, k.prob),
-            (state[slots], u[slots], v[slots], cost[slots]))
-
-
-def _document(model: GameModel, transition, cost) -> dict:
-    """The interchange document around the given transition and cost
-    records (or stand-ins for them)."""
-    doc = {
-        "states": model.n_states,
-        "actions_p1": [list(map(float, a)) for a in model.actions_p1],
-        "actions_p2": [list(map(float, a)) for a in model.actions_p2],
-        "transition": transition,
-        "cost": cost,
-        "theta": 1.0,
-        "i0": model.i0,
-    }
-    if model.lyapunov is not None:
-        ly = model.lyapunov
-        block = {
-            "logW": [float(x) for x in ly.log_W],
-            "K": [int(k) for k in ly.K],
-            "C": float(ly.C),
-        }
-        if ly.gamma is not None:
-            block["gamma"] = float(ly.gamma)
-        else:
-            block["ell"] = [float(x) for x in ly.ell]
-        doc["lyapunov"] = block
-    return doc
-
-
-def model_to_json(model: GameModel) -> dict:
-    """Emit the interchange document. Costs are written already theta-scaled
-    with theta set to 1 so a round trip reproduces the internal tensors."""
-    (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = (
-        [col.tolist() for col in cols] for cols in _emitted_columns(model))
-    return _document(
-        model,
-        [{"i": i, "u": u, "v": v, "j": j, "p": p} for i, u, v, j, p in zip(ti, tu, tv, tj, tp)],
-        [{"i": i, "u": u, "v": v, "c": c} for i, u, v, c in zip(ci, cu, cv, cc)])
-
-
 def _json_float_codes(a: np.ndarray) -> tuple[list, np.ndarray]:
     """(texts, codes): texts[codes[k]] is a[k] as json.dumps writes it,
     each distinct bit pattern (so -0.0 is not 0.0) formatted once."""
@@ -1090,18 +1031,25 @@ def _json_float_codes(a: np.ndarray) -> tuple[list, np.ndarray]:
 
 
 def write_model_json(model: GameModel, fh) -> None:
-    """Write model_to_json(model) as JSON text with one record per line.
+    """Write the interchange document as JSON text with one record per line.
 
-    The records are formatted straight from the kernel's columns, so the
-    text costs O(nnz) string work and no dict per record, and each
-    distinct probability or cost is formatted once. They are written
-    RECORD_CHUNK (4096) at a time, so no more than one chunk of records
-    is held as text; json.loads of the text gives the same value as
-    model_to_json.
+    Costs are written already theta-scaled with theta set to 1, so a round
+    trip reproduces the internal tensors. The transition records are every
+    stored kernel entry and the cost records every nonzero cost, in
+    (i, u, v[, j]) order. They are formatted straight from the kernel's
+    columns, so the text costs O(nnz) string work and no dict per record,
+    and each distinct probability or cost is formatted once. They are
+    written RECORD_CHUNK (4096) at a time, so no more than one chunk of
+    records is held as text.
     """
-    (ti, tu, tv, tj, tp), (ci, cu, cv, cc) = _emitted_columns(model)
-    tp_text, tp_code = _json_float_codes(tp)
-    cc_text, cc_code = _json_float_codes(cc)
+    k = model.kernel
+    state, u, v = model.row_actions()
+    rows = k.entry_rows()
+    slots = np.flatnonzero(model.row_cost != 0.0)
+    ti, tu, tv, tj = state[rows], u[rows], v[rows], k.indices
+    ci, cu, cv = state[slots], u[slots], v[slots]
+    tp_text, tp_code = _json_float_codes(k.prob)
+    cc_text, cc_code = _json_float_codes(model.row_cost[slots])
 
     def transition(at):
         return [f'{{"i": {i}, "u": {u}, "v": {v}, "j": {j}, "p": {p}}}' for i, u, v, j, p
@@ -1113,8 +1061,29 @@ def write_model_json(model: GameModel, fh) -> None:
                 in zip(ci[at].tolist(), cu[at].tolist(), cv[at].tolist(),
                        map(cc_text.__getitem__, cc_code[at].tolist()))]
 
+    doc = {
+        "states": model.n_states,
+        "actions_p1": [list(map(float, a)) for a in model.actions_p1],
+        "actions_p2": [list(map(float, a)) for a in model.actions_p2],
+        "transition": (transition, len(rows)),
+        "cost": (cost, len(slots)),
+        "theta": 1.0,
+        "i0": model.i0,
+    }
+    if model.lyapunov is not None:
+        ly = model.lyapunov
+        block = {
+            "logW": [float(x) for x in ly.log_W],
+            "K": [int(s) for s in ly.K],
+            "C": float(ly.C),
+        }
+        if ly.gamma is not None:
+            block["gamma"] = float(ly.gamma)
+        else:
+            block["ell"] = [float(x) for x in ly.ell]
+        doc["lyapunov"] = block
     sep = "{\n"
-    for key, value in _document(model, (transition, len(tp)), (cost, len(cc))).items():
+    for key, value in doc.items():
         fh.write(f'{sep}  "{key}": ')
         sep = ",\n"
         if key not in ("transition", "cost"):
@@ -1127,3 +1096,11 @@ def write_model_json(model: GameModel, fh) -> None:
             lead = ",\n    "
         fh.write("[]" if not total else "\n  ]")
     fh.write("\n}")
+
+
+def model_to_json(model: GameModel) -> dict:
+    """The interchange document as a dict: json.loads of the text that
+    write_model_json writes."""
+    buf = io.StringIO()
+    write_model_json(model, buf)
+    return json.loads(buf.getvalue())

@@ -69,7 +69,6 @@ All tie-breaks pick the lowest action index.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -117,14 +116,6 @@ def _pure_values(C: np.ndarray, Qs: np.ndarray, nu: np.ndarray) -> np.ndarray:
 # exact inner maximization over nu for a fixed mu
 
 
-@functools.lru_cache(maxsize=None)
-def _pairs(k: int):
-    """Index pairs p < q of k columns in the order (0, 1), (0, 2), ..., (1, 2), ..."""
-    p, q = np.triu_indices(k, 1)
-    p.flags.writeable = q.flags.writeable = False
-    return p, q
-
-
 def _max_x_plus_log_y_rows(x: np.ndarray, y: np.ndarray):
     """Maximize x.w + log(y.w) over the simplex, exactly, row by row.
 
@@ -141,7 +132,8 @@ def _max_x_plus_log_y_rows(x: np.ndarray, y: np.ndarray):
     has value -inf at the lowest index vertex.
     """
     r, k = x.shape
-    p, q = _pairs(k)
+    # the column pairs p < q in the order (0, 1), (0, 2), ..., (1, 2), ...
+    p, q = np.triu_indices(k, 1)
     with np.errstate(all="ignore"):
         vertex_vals = x + np.log(np.maximum(y, 0.0))
         best_v = vertex_vals.argmax(axis=1)

@@ -47,7 +47,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from ._util import concat_ranges, logsumexp, reachable, segment_logsumexp
-from .model import CLOSED_TOL, GameModel, StationaryStrategy
+from .model import GameModel, StationaryStrategy
 from .solver import SolveReport
 
 BLOCK_PATHS = 4096
@@ -68,7 +68,6 @@ class SimConfig:
     seed: int = 0
     start: object = 0  # state index, or a sequence of them where supported
     allow_absorption: bool = False
-    hitting_cap: int = HITTING_CAP
 
     def __post_init__(self):
         if self.T < 1 or self.N < 1:
@@ -196,7 +195,7 @@ def _entries(model: GameModel, log_psi=None) -> _Entries:
         p = p.copy()
         p[at] = np.exp(k.log_prob[at] + log_psi[j[at]] - log_mass[row[at]])
         cost[tilt] += log_mass[tilt] - log_psi[state[tilt]]
-    elif not model.is_closed(CLOSED_TOL):
+    elif not model.is_closed():
         row = np.concatenate([row, np.arange(len(state))])
         order = np.argsort(row, kind="stable")  # each exit after its row's entries
         row = row[order]
@@ -279,7 +278,7 @@ def _require(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy,
     outside = [s for s in map(int, states) if not 0 <= s < model.n_states]
     if outside:
         raise ValueError(f"states {outside} lie outside the window 0..{model.n_states - 1}")
-    if closed and not model.is_closed(CLOSED_TOL):
+    if closed and not model.is_closed():
         raise OpenModel(f"max exit mass {model.max_exit_mass():.3e} leaves the window; only "
                         "simulate_paths with allow_absorption=True runs on an open model")
 
@@ -588,8 +587,9 @@ class RepresentationVerdict:
                 "per_start": self.per_start, "warnings": self.warnings}
 
 
-def _hitting_terms(tab: _Table, log_psi, rho, target_mask, seed, start, N, cap):
-    """Per-path log of exp(sum_{t<tau} (c - rho)) * psi(X_tau); NaN when capped.
+def _hitting_terms(tab: _Table, log_psi, rho, target_mask, seed, start, N):
+    """Per-path log of exp(sum_{t<tau} (c - rho)) * psi(X_tau); NaN when
+    capped, that is, still outside the target after HITTING_CAP steps.
 
     Paths run in blocks of BLOCK_PATHS; the live paths of a block step
     together and leave the live set on entering the target. Each step
@@ -604,7 +604,7 @@ def _hitting_terms(tab: _Table, log_psi, rho, target_mask, seed, start, N, cap):
         s = np.full(live.size, start, dtype=np.int64)
         acc = np.zeros(live.size)
         t = 0
-        while live.size and t < cap:
+        while live.size and t < HITTING_CAP:
             e = _step(tab, s, draws.row(t, live[0], live[-1] + 1)[live - live[0]])
             acc += tab.cost[e] - rho
             s = tab.j[e]
@@ -623,7 +623,7 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
 
     tau is the first entry time into the target set, paths run under the
     selector pair from each requested start state outside the set. Paths
-    that exceed cfg.hitting_cap are dropped and counted; more than 1% of
+    that exceed HITTING_CAP steps are dropped and counted; more than 1% of
     them makes the verdict INCONCLUSIVE rather than a pass or fail.
     """
     pi1, pi2 = report.selectors
@@ -654,7 +654,7 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
         if mask[s0]:
             raise ValueError(f"start state {s0} is inside the target set")
         terms, capped = _hitting_terms(tab, log_psi, rho, mask, cfg.seed + 104729 * idx, s0,
-                                       cfg.N, cfg.hitting_cap)
+                                       cfg.N)
         good = terms[~np.isnan(terms)]
         frac_capped = capped / cfg.N
         estimate = float(np.exp(logsumexp(good) - np.log(len(good)))) if len(good) else np.nan

@@ -16,8 +16,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._util import NEG_INF
-from .dirichlet import (DEFAULT_MAX_ITER, DEFAULT_TOL, DirichletDomain,
-                        EigenPair, apply_operator, dirichlet_eigenpair)
+from .dirichlet import (DEFAULT_TOL, DirichletDomain, EigenPair, apply_operator,
+                        dirichlet_eigenpair)
 from .model import GameModel, SchemaError, StationaryStrategy, eigenvalue_upper_bound
 
 DEFAULT_TOL_OUTER = 1e-6
@@ -141,28 +141,29 @@ def _final_sweep(model: GameModel, rho: float, log_psi, domain, tol):
     return res, (pi1, pi2), saddles
 
 
-def residual(model: GameModel, rho: float, log_psi, domain, tol=DEFAULT_TOL) -> float:
+def residual(model: GameModel, rho: float, log_psi, domain) -> float:
     """max over the domain of |log G psi(i) - rho - log psi(i)|.
 
     Zero exactly when (rho, psi) solves the equation on the domain under
     the zero-outside convention. Each call runs one operator sweep, the
-    same sweep that ends solve_ergodic_game. Raises ValueError when no
-    domain state has finite log psi.
+    same sweep that ends solve_ergodic_game, with every local gap bounded
+    by DEFAULT_TOL. Raises ValueError when no domain state has finite
+    log psi.
     """
-    res, _, _ = _final_sweep(model, rho, log_psi, domain, tol)
+    res, _, _ = _final_sweep(model, rho, log_psi, domain, DEFAULT_TOL)
     if res is None:
         raise ValueError("no domain state has finite log psi; the residual is undefined")
     return res
 
 
-def extract_selectors(model: GameModel, log_psi, domain, tol=DEFAULT_TOL):
+def extract_selectors(model: GameModel, log_psi, domain):
     """Per-state saddle strategies for the given eigenfunction.
 
     States outside the domain (or killed by the game) get the lowest-index
     pure action: play there never returns to the supported region under the
     zero-boundary reading, and simulation still needs a defined action.
     """
-    return _final_sweep(model, 0.0, log_psi, domain, tol)[1]
+    return _final_sweep(model, 0.0, log_psi, domain, DEFAULT_TOL)[1]
 
 
 def _boundary_warnings(model: GameModel, domain) -> list:
@@ -192,7 +193,6 @@ def _boundary_warnings(model: GameModel, domain) -> list:
 
 def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_TOL,
                        tol_outer: float = DEFAULT_TOL_OUTER,
-                       max_iter: int = DEFAULT_MAX_ITER,
                        threads: int = 1) -> SolveReport:
     """Ladder solve: Dirichlet eigenpairs on growing domains until stable.
 
@@ -208,9 +208,13 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     worst certified gap, the worst order gap and the number of states where
     both selectors are pure.
 
+    Raises ValueError unless tol_eig and tol_outer are finite and > 0.
     `threads` is accepted for compatibility and has no effect: the local
     solves hold the interpreter lock, so threads cannot speed them up.
     """
+    for name, value in (("tol_eig (--tol)", tol_eig), ("tol_outer (--tol-outer)", tol_outer)):
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value!r}")
     sizes = list(ladder) if ladder is not None else default_ladder(model)
     if not sizes or any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError(f"ladder must be strictly increasing, got {sizes}")
@@ -228,8 +232,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     for k, size in enumerate(sizes, start=1):
         dom = DirichletDomain.prefix(model, size)
         eig = dirichlet_eigenpair(
-            dom, tol=tol_eig, max_iter=max_iter,
-            warm_start_log_psi=None if prev is None else prev.log_psi)
+            dom, tol=tol_eig, warm_start_log_psi=None if prev is None else prev.log_psi)
         rungs.append(LadderRung(k, size, eig.rho, eig.bracket[1] - eig.bracket[0],
                                 eig.iterations))
         total_damping += eig.damping_events

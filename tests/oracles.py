@@ -15,6 +15,7 @@ import numpy as np
 
 from rsgame._util import NEG_INF, concat_ranges
 from rsgame.dirichlet import NoConvergence
+from rsgame.model import StationaryStrategy
 
 
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
@@ -135,6 +136,16 @@ def bilinear_2x2_mixed(A):
     return np.array([p, 1 - p]), np.array([q, 1 - q]), value
 
 
+def logsumexp_last_axis(a) -> np.ndarray:
+    """log sum exp over the last axis, shifted by each max: -inf where
+    every entry is -inf (empty mass)."""
+    a = np.asarray(a, dtype=float)
+    with np.errstate(all="ignore"):
+        amax = a.max(axis=-1, keepdims=True)
+        shift = np.where(np.isfinite(amax), amax, 0.0)
+        return shift[..., 0] + np.log(np.exp(a - shift).sum(axis=-1))
+
+
 def model_json_text(doc: dict) -> str:
     """The text write_model_json writes for the model document `doc`
     (model_to_json's dict), built one record at a time: every record is
@@ -149,15 +160,6 @@ def model_json_text(doc: dict) -> str:
             text = json.dumps(value)
         parts.append(f'  "{key}": {text}')
     return "{\n" + ",\n".join(parts) + "\n}"
-
-
-# ---------------------------------------------------------------------------
-# a birth-death cost family
-
-
-def affine_state_cost(coef: float = 1.0, slope: float = 0.0):
-    """Action cost with population-dependent weight: (i, a) -> a*(coef + slope*i)."""
-    return lambda i, a: a * (coef + slope * i)
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +241,7 @@ def uncontrolled_eigen_oracle(model, tol: float = 1e-12, max_iter: int = 200000)
 
 
 # ---------------------------------------------------------------------------
-# dense readers of one state of a GameModel
+# dense readers of one state of a GameModel, and a strategy
 
 
 def dense_transition(model, i: int) -> np.ndarray:
@@ -253,6 +255,17 @@ def dense_transition(model, i: int) -> np.ndarray:
     return P.reshape(*model.shapes[i], model.n_states)
 
 
+def state_cost(model, i: int) -> np.ndarray:
+    """c(i, u, v) of state i as a read-only (mU, mV) view of row_cost."""
+    lo, hi = model.kernel.row_start[i:i + 2]
+    return model.row_cost[lo:hi].reshape(model.shapes[i])
+
+
 def local_matrices(model, i: int, log_psi: np.ndarray):
     """(C, L) for state i: C costs, L[u,v] = log sum_j psi(j) P(j|i,u,v)."""
-    return model.cost[i], model.inner_log_sums([i], log_psi).reshape(model.shapes[i])
+    return state_cost(model, i), model.inner_log_sums([i], log_psi).reshape(model.shapes[i])
+
+
+def uniform_strategy(model, player: int):
+    """The player's uniform mixed action at every state."""
+    return StationaryStrategy([np.full(m, 1.0 / m) for m in model.shapes[:, player - 1].tolist()])

@@ -19,7 +19,7 @@ import pytest
 from conftest import (one_state_two_action, random_uncontrolled_chain,
                       uncontrolled_two_state)
 from oracles import (dense_transition, lower_value_exact, lower_value_grid,
-                     perron_log_radius, uncontrolled_eigen_oracle)
+                     perron_log_radius, state_cost, uncontrolled_eigen_oracle)
 from rsgame.birth_death import BirthDeathParams, build_birth_death, verify_stability_estimates
 from rsgame.dirichlet import apply_operator
 from rsgame.model import StationaryStrategy
@@ -80,7 +80,8 @@ def test_criterion_2_perron_oracle_equivalence():
         oracle = uncontrolled_eigen_oracle(m, tol=1e-13)
         worst = max(worst, abs(rep.rho_star - oracle))
         # independent cross-check: dense eigenvalues of the weighted kernel
-        M = np.array([np.exp(m.cost[i][0, 0]) * dense_transition(m, i)[0, 0] for i in range(n)])
+        M = np.array([np.exp(state_cost(m, i)[0, 0]) * dense_transition(m, i)[0, 0]
+                      for i in range(n)])
         assert abs(oracle - perron_log_radius(M)) <= 1e-9
     report(2, worst <= 1e-8, f"worst |rho* - oracle| = {worst:.3e} over 20 chains")
     assert worst <= 1e-8

@@ -4,11 +4,10 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import affine_state_cost, dense_transition
-from rsgame._util import logsumexp
+from oracles import dense_transition, logsumexp_last_axis, state_cost
 from rsgame.birth_death import (BirthDeathParams, ParamError, WindowTooSmall,
                                 build_birth_death, build_info, drift_constant,
-                                exception_set, linear_cost, verify_stability_estimates)
+                                exception_set, verify_stability_estimates)
 from rsgame.model import (check_irreducibility, check_lyapunov,
                           check_reference_state, validate_model)
 
@@ -63,7 +62,7 @@ def test_rows_exactly_stochastic(model40):
 def test_cost_combination_and_sign_surfacing(model40):
     info = build_info(BirthDeathParams(window=40))
     # u - v < 0 wherever the per-capita term is too small: surfaced, not hidden
-    assert model40.cost[0][0, 4] == pytest.approx(0.1 - 1.0)
+    assert state_cost(model40, 0)[0, 4] == pytest.approx(0.1 - 1.0)
     assert info.min_cost == pytest.approx(-0.9)
     assert info.negative_cost_entries > 0
     report = validate_model(model40)
@@ -104,7 +103,7 @@ def test_drift_chain_intermediate_bound():
     for i in range(2, 201):
         with np.errstate(divide="ignore"):
             lt = np.log(dense_transition(m, i))
-        lhs = logsumexp(lt + ly.log_W[None, None, :], axis=2).max()
+        lhs = logsumexp_last_axis(lt + ly.log_W[None, None, :]).max()
         bound = np.log(4.0) + (i * i / 6.0 + 1.0) + (-i / 3.0 + 1.0 / 6.0)
         assert lhs <= bound + 1e-12
 
@@ -137,18 +136,6 @@ def test_param_validation():
     with pytest.raises(ParamError):
         BirthDeathParams(p_hat=0.2)
     BirthDeathParams(p_hat=0.2, allow_p_hat_violation=True)
-
-
-def test_cost_family_helpers():
-    lin = linear_cost(2.0)
-    aff = affine_state_cost(1.0, 0.5)
-    assert lin(7, 0.3) == pytest.approx(0.6)
-    assert aff(4, 0.2) == pytest.approx(0.2 * 3.0)
-    params = BirthDeathParams(window=10, cost_c1=aff, cost_c2=lin)
-    m = build_birth_death(params)
-    u0, v0 = m.actions_p1[4][0], m.actions_p2[4][0]
-    expected = 0.1 * 4 + u0 * (1.0 + 0.5 * 4) - 2.0 * v0
-    assert m.cost[4][0, 0] == pytest.approx(expected)
 
 
 def test_exception_set_definition():

@@ -261,6 +261,40 @@ def test_solve_reports_no_convergence(workdir, capsys, monkeypatch, exc):
     assert err == f"error: NoConvergence: {exc}\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--tol", "nan"), ("--tol", "-1"), ("--tol", "0"),
+                                         ("--tol", "inf"), ("--tol-outer", "nan"),
+                                         ("--tol-outer", "-1"), ("--tol-outer", "inf")])
+def test_solve_refuses_invalid_tolerances(workdir, capsys, flag, value):
+    run(["example", "birth-death", "--window", "12", "--out", "m.json"])
+    capsys.readouterr()
+    code = run(["solve", "m.json", flag, value])
+    err = capsys.readouterr().err
+    assert code == 2
+    assert err.startswith("error: ") and f"({flag}) must be finite and > 0, got" in err
+
+
+def test_check_refuses_fewer_than_one_sample(workdir, capsys):
+    """State 1 never returns to itself, so one sampled pair already shows
+    the chain reducible; zero or negative samples would test nothing."""
+    doc = {
+        "states": 2,
+        "actions_p1": [[0], [0]],
+        "actions_p2": [[0], [0]],
+        "transition": [{"i": 0, "u": 0, "v": 0, "j": 0, "p": 1.0},
+                       {"i": 1, "u": 0, "v": 0, "j": 0, "p": 1.0}],
+        "cost": [],
+        "i0": 0,
+    }
+    with open("reducible.json", "w") as fh:
+        json.dump(doc, fh)
+    assert run(["check", "reducible.json", "--samples", "1"]) == 1
+    capsys.readouterr()
+    for samples in ("0", "-5"):
+        assert run(["check", "reducible.json", "--samples", samples]) == 2
+        err = capsys.readouterr().err
+        assert err == f"error: samples (--samples) must be >= 1, got {samples}\n"
+
+
 def test_example_document_pinned(workdir, capsys):
     """The window-20 example, one record per line, hashes as it did when
     the kernel was a dense tensor (canonical form: sorted keys)."""

@@ -7,6 +7,7 @@ import pytest
 from conftest import (pennies_layer_model, random_closed_model, scalar_self_loop,
                       uncontrolled_two_state)
 from oracles import local_matrices, perron_log_radius
+from rsgame import dirichlet
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.dirichlet import (CollapseToZero, DirichletDomain, NoConvergence,
                               apply_operator, dirichlet_eigenpair, viable_states)
@@ -83,7 +84,7 @@ def test_periodic_chain_converges_with_damping():
     P1[0, 0, 0] = 1.0
     m = make_model(2, [[0], [0]], [[0], [0]], [P0, P1],
                    [np.zeros((1, 1)), np.ones((1, 1))], i0=0)
-    ep = dirichlet_eigenpair(DirichletDomain.prefix(m, 2), tol=1e-9, max_iter=2000)
+    ep = dirichlet_eigenpair(DirichletDomain.prefix(m, 2), tol=1e-9)
     assert ep.rho == pytest.approx(0.5, abs=1e-8)  # log sqrt(e), by char poly
     assert ep.damping_events > 0
 
@@ -120,24 +121,13 @@ def test_domain_validation(two_state):
         DirichletDomain(two_state, [0, 5])  # outside the window
 
 
-def test_no_convergence_reports_bracket(two_state):
+def test_no_convergence_reports_bracket(two_state, monkeypatch):
+    monkeypatch.setattr(dirichlet, "DEFAULT_MAX_ITER", 1)
     with pytest.raises(NoConvergence) as exc:
-        dirichlet_eigenpair(DirichletDomain.prefix(two_state, 2), tol=1e-10, max_iter=1)
+        dirichlet_eigenpair(DirichletDomain.prefix(two_state, 2), tol=1e-10)
     assert exc.value.iterations == 1
     lo, hi = exc.value.bracket
     assert lo <= LOG_1P5 <= hi
-
-
-def test_eigenpair_without_sweeps_reports_its_bracket(two_state):
-    """No sweep runs for max_iter <= 0: the bracket is the unclosed start
-    and the sweep count is 0, not the negative max_iter."""
-    dom = DirichletDomain.prefix(two_state, 2)
-    for max_iter in (0, -3):
-        with pytest.raises(NoConvergence) as exc:
-            dirichlet_eigenpair(dom, max_iter=max_iter)
-        assert exc.value.bracket == (-np.inf, np.inf)
-        assert exc.value.iterations == 0
-        assert "after 0 sweeps" in str(exc.value)
 
 
 # ---------------------------------------------------------------------------

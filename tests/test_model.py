@@ -11,9 +11,10 @@ from hypothesis import strategies as st
 
 from conftest import (one_state_two_action, pennies_layer_model, random_closed_model,
                       scalar_self_loop, uncontrolled_two_state)
-from oracles import dense_transition, model_json_text
+from oracles import (dense_transition, logsumexp_last_axis, model_json_text, state_cost,
+                     uniform_strategy)
 from rsgame import model as model_module
-from rsgame._util import logsumexp, reachable
+from rsgame._util import reachable
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import (STRATEGY_TOL, KernelCSR, LyapunovData, MissingLyapunovData,
                           ModelError, SchemaError, StationaryStrategy, check_irreducibility,
@@ -156,7 +157,7 @@ def test_lyapunov_norm_like_fails_for_large_p_hat():
     # slope of ell - max cost is 1/6 - p_hat; p_hat = 0.5 turns it negative
     m = build_birth_death(BirthDeathParams(window=60, p_hat=0.5,
                                            allow_p_hat_violation=True))
-    d = np.array([m.lyapunov.ell[i] - m.cost[i].max() for i in range(m.n_states)])
+    d = np.array([m.lyapunov.ell[i] - state_cost(m, i).max() for i in range(m.n_states)])
     assert np.all(np.diff(d[2:]) < 0), "oracle: the tail sequence must decrease"
     rep = check_lyapunov(m)
     assert not rep.norm_like["passed"]
@@ -315,11 +316,11 @@ def test_theta_rescaling_bit_identical(rng):
                    [p.copy() for p in transition], [theta * c for c in cost],
                    theta=1.0, i0=0)
     for i in range(n):
-        assert np.array_equal(a.cost[i], b.cost[i])
+        assert np.array_equal(state_cost(a, i), state_cost(b, i))
 
 
 def test_strategy_validation(two_state):
-    good = StationaryStrategy.uniform(two_state, 1)
+    good = uniform_strategy(two_state, 1)
     assert good.validate_for(two_state, 1) == []
     bad = StationaryStrategy([np.array([0.7]), np.array([1.0])])
     problems = bad.validate_for(two_state, 1)
@@ -332,7 +333,7 @@ def test_strategy_validation_flags_nonfinite_weights():
     """A NaN or infinite weight is a problem; the simulator refuses it
     rather than dropping that action."""
     m = pennies_layer_model()
-    pi2 = StationaryStrategy.uniform(m, 2)
+    pi2 = uniform_strategy(m, 2)
     for bad in (np.nan, np.inf):
         pi1 = StationaryStrategy([np.array([bad, 1.0]), np.array([1.0])])
         assert pi1.validate_for(m, 1) == [f"state 0: non-finite weight {bad}"]
@@ -454,7 +455,7 @@ def test_json_round_trip(rng):
     assert m2.n_states == m.n_states
     for i in range(m.n_states):
         assert np.array_equal(dense_transition(m, i), dense_transition(m2, i))
-        assert np.array_equal(m.cost[i], m2.cost[i])
+        assert np.array_equal(state_cost(m, i), state_cost(m2, i))
     assert m2.i0 == m.i0
 
 
@@ -469,7 +470,7 @@ def test_json_theta_applied_on_ingest():
         "i0": 0,
     }
     m = model_from_json(doc)
-    assert m.cost[0][0, 0] == 1.0
+    assert state_cost(m, 0)[0, 0] == 1.0
 
 
 @pytest.mark.parametrize("mutate", [
@@ -525,7 +526,7 @@ def test_round_trip_preserves_tensors(seed, n, mu, mv):
     m2 = model_from_json(json.dumps(model_to_json(m)))
     for i in range(n):
         assert np.array_equal(dense_transition(m, i), dense_transition(m2, i))
-        assert np.array_equal(m.cost[i], m2.cost[i])
+        assert np.array_equal(state_cost(m, i), state_cost(m2, i))
 
 
 @settings(max_examples=25, deadline=None)
@@ -542,7 +543,7 @@ def test_random_closed_models_validate_clean(seed):
 def dense_inner_sums(P, log_psi):
     """The dense form every caller used before the CSR kernel."""
     with np.errstate(divide="ignore"):
-        return logsumexp(np.log(P) + log_psi, axis=2)
+        return logsumexp_last_axis(np.log(P) + log_psi)
 
 
 def assert_matches_dense(model, states, log_psi):
@@ -699,7 +700,7 @@ def test_columnar_ingestion_matches_dense_reference(doc):
     m = model_from_json(doc)
     for i in range(m.n_states):
         assert np.array_equal(dense_transition(m, i), transition[i], equal_nan=True)
-        assert np.array_equal(m.cost[i], cost[i], equal_nan=True)
+        assert np.array_equal(state_cost(m, i), cost[i], equal_nan=True)
     want = make_model(m.n_states, doc["actions_p1"], doc["actions_p2"], transition, cost).kernel
     for name in ("row_start", "indptr", "indices", "prob", "log_prob"):
         assert np.array_equal(getattr(m.kernel, name), getattr(want, name), equal_nan=True), name

@@ -1,6 +1,7 @@
 """Module boundaries: no rsgame module imports another one's private names,
 and none imports scipy; every public definition has a caller outside the
-tests or is an export, and every export is documented."""
+tests or is an export, every method is read outside the tests, and every
+export is documented."""
 
 import ast
 import json
@@ -97,20 +98,59 @@ def names_used(tree) -> Counter:
     return used
 
 
+def caller_trees() -> list:
+    """The syntax trees of rsgame, scripts/ and perfbench/, its tests aside."""
+    paths = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
+             + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
+                if p.name != "test_perfbench.py"])
+    return [ast.parse(path.read_text()) for path in paths]
+
+
 def test_every_public_definition_has_a_caller_or_is_exported():
     """A public top-level function or class of rsgame is used outside its
     own definition by rsgame, scripts/ or perfbench/ (its tests aside), or
     is exported in __all__: code that only tests run belongs in tests/."""
-    callers = (sorted(PACKAGE.glob("*.py")) + sorted((ROOT / "scripts").glob("*.py"))
-               + [p for p in sorted((ROOT / "perfbench").glob("*.py"))
-                  if p.name != "test_perfbench.py"])
-    used = sum((names_used(ast.parse(path.read_text())) for path in callers), Counter())
+    used = sum(map(names_used, caller_trees()), Counter())
     unused = [f"{path.name}:{node.name}" for path in sorted(PACKAGE.glob("*.py"))
               for node in ast.parse(path.read_text()).body
               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
               and not node.name.startswith("_") and node.name not in rsgame.__all__
               and used[node.name] <= names_used(node)[node.name]]
     assert unused == []
+
+
+def attributes_read(tree) -> Counter:
+    """How often `tree` reads each attribute name, and each `Name.attr`
+    pair as (Name, attr)."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            used[node.attr] += 1
+            if isinstance(node.value, ast.Name):
+                used[node.value.id, node.attr] += 1
+    return used
+
+
+def test_every_method_is_read_outside_its_definition():
+    """A method or property of a class of rsgame, dunder methods aside, is
+    read as an attribute outside its own definition by rsgame, scripts/ or
+    perfbench/ (its tests aside), a static or class method as
+    `Class.method`: a method that only tests call belongs in tests/."""
+    used = sum(map(attributes_read, caller_trees()), Counter())
+    unread = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for cls in ast.walk(ast.parse(path.read_text())):
+            if not isinstance(cls, ast.ClassDef):
+                continue
+            for node in cls.body:
+                if not isinstance(node, ast.FunctionDef) or node.name.startswith("__"):
+                    continue
+                on_class = any(isinstance(d, ast.Name) and d.id in ("staticmethod", "classmethod")
+                               for d in node.decorator_list)
+                key = (cls.name, node.name) if on_class else node.name
+                if used[key] <= attributes_read(node)[key]:
+                    unread.append(f"{path.name}:{cls.name}.{node.name}")
+    assert unread == []
 
 
 def test_every_exported_name_resolves_and_is_documented():

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import one_state_two_action, pennies_layer_model, uncontrolled_two_state
-from oracles import dense_transition
+from oracles import dense_transition, state_cost
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import StationaryStrategy, make_model
 from rsgame import simulate
@@ -277,7 +277,8 @@ def test_representation_one_step_expansion(rng):
                    [np.full((1, 1), 0.1 * i) for i in range(3)], i0=0)
     rep = solve_ergodic_game(m, ladder=[3], tol_eig=1e-12)
     psi = np.exp(rep.log_psi_star)
-    hand = float(np.exp(m.cost[2][0, 0] - rep.rho_star) * (P[2, 0] * psi[0] + P[2, 1] * psi[1]))
+    hand = float(np.exp(state_cost(m, 2)[0, 0] - rep.rho_star)
+                 * (P[2, 0] * psi[0] + P[2, 1] * psi[1]))
     # eigen identity: entering {0,1} in one step from 2 reproduces psi(2)
     # up to the continuation mass through state 2 itself
     verdict = verify_stochastic_representation(
@@ -303,10 +304,11 @@ def test_representation_refuses_an_empty_start_list():
         verify_stochastic_representation(m, rep, [1], SimConfig(T=1, N=10, start=[]))
 
 
-def test_representation_cap_inconclusive():
+def test_representation_cap_inconclusive(monkeypatch):
+    monkeypatch.setattr(simulate, "HITTING_CAP", 2)
     m = geometric_model(p_loop=0.95, c1=0.01)
     rep = solve_ergodic_game(m, ladder=[2])
-    cfg = SimConfig(T=1, N=500, seed=11, start=[1], hitting_cap=2)
+    cfg = SimConfig(T=1, N=500, seed=11, start=[1])
     verdict = verify_stochastic_representation(m, rep, [0], cfg)
     assert verdict.inconclusive
     assert not verdict.passed
@@ -469,7 +471,8 @@ def test_one_step_frequencies_mixed_pennies_pair():
     cell = (batch.u_idx[:, 0] * 2 + batch.v_idx[:, 0]) * 2 + batch.states[:, 1]
     expected = np.einsum("u,v,uvj->uvj", mu, nu, dense_transition(m, 0)).ravel()
     assert_frequencies(np.bincount(cell, minlength=8), expected, N)
-    assert np.array_equal(batch.costs[:, 0], m.cost[0][batch.u_idx[:, 0], batch.v_idx[:, 0]])
+    assert np.array_equal(batch.costs[:, 0],
+                          state_cost(m, 0)[batch.u_idx[:, 0], batch.v_idx[:, 0]])
 
 
 def test_one_step_frequencies_tilted_birth_death_pair(bd60):
@@ -492,7 +495,7 @@ def test_one_step_frequencies_tilted_birth_death_pair(bd60):
         state, us, vs = m.row_actions()
         cell = (us[tab.row[e]] * mV + vs[tab.row[e]]) * m.n_states + tab.j[e]
         assert_frequencies(np.bincount(cell, minlength=expected.size), expected.ravel(), N)
-        step_cost = m.cost[i] + np.log(mass) - log_psi[i]
+        step_cost = state_cost(m, i) + np.log(mass) - log_psi[i]
         assert np.allclose(tab.cost[e], step_cost[us[tab.row[e]], vs[tab.row[e]]],
                            rtol=0, atol=1e-12)
 

@@ -7,7 +7,7 @@ import pytest
 from conftest import (one_state_two_action, pennies_layer_model,
                       random_closed_model, random_uncontrolled_chain,
                       scalar_self_loop, uncontrolled_two_state)
-from oracles import (NotUncontrolled, dense_transition, perron_log_radius,
+from oracles import (NotUncontrolled, dense_transition, perron_log_radius, state_cost,
                      uncontrolled_eigen_oracle)
 from rsgame import dirichlet
 from rsgame.birth_death import BirthDeathParams, build_birth_death
@@ -163,7 +163,8 @@ def test_oracle_row_stochastic_root_is_one(rng):
 def test_oracle_matches_dense_eigvals(rng):
     for _ in range(5):
         m = random_uncontrolled_chain(rng, 6)
-        M = np.array([np.exp(m.cost[i][0, 0]) * dense_transition(m, i)[0, 0] for i in range(6)])
+        M = np.array([np.exp(state_cost(m, i)[0, 0]) * dense_transition(m, i)[0, 0]
+                      for i in range(6)])
         assert uncontrolled_eigen_oracle(m) == pytest.approx(perron_log_radius(M), abs=1e-9)
 
 
