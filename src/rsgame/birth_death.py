@@ -42,6 +42,9 @@ class BirthDeathParams:
     allow_p_hat_violation: bool = False
 
     def __post_init__(self):
+        for name in ("p_hat", "delta", "L1", "L2"):
+            if not np.isfinite(getattr(self, name)):
+                raise ParamError(f"{name} must be finite, got {getattr(self, name)}")
         if self.delta <= 0 or self.delta > min(self.L1, self.L2):
             raise ParamError(f"need 0 < delta <= min(L1, L2), got delta={self.delta}")
         if self.p_hat <= 0:

@@ -50,8 +50,9 @@ def _write(text: str, path=None):
 
 
 def _load_model(path: str) -> GameModel:
+    """The model of the document at `path`, read from the open file, never whole."""
     with open(path) as fh:
-        return model_from_json(fh.read())
+        return model_from_json(fh)
 
 
 def _spec(flag: str, form: str, parse, text: str):

@@ -32,8 +32,10 @@ STRATEGY_TOL = 1e-12
 LYAPUNOV_SLACK_PASS = 1e-14
 # records formatted and written at a time by write_model_json
 RECORD_CHUNK = 1 << 12
-# characters of record-array text that model_from_json parses at a time
+# characters of text that model_from_json reads, and of records it parses, at a time
 RECORD_SLICE = 1 << 18
+# rows (sampled pairs x states) that check_irreducibility tests at a time
+SAMPLED_ROWS = 1 << 16
 
 
 class ModelError(ValueError):
@@ -678,14 +680,15 @@ def check_irreducibility(model: GameModel, mode: str = "sufficient",
         mv = model.shapes[:, 1]
         highs = model.shapes.T.ravel()
         row_len = np.diff(k.indptr)
-        # Samples are tested in chunks of 1, 1, 2, 4, ..., so an early
-        # failure costs about what it costs one sample at a time. A chunk
-        # is drawn in one array call, each sample as player 1's action at
+        # Samples are tested in chunks of 1, 1, 2, 4, ... of at most
+        # SAMPLED_ROWS rows, so an early failure costs about what one
+        # sample costs and memory does not grow with samples. A chunk is
+        # drawn in one array call, each sample as player 1's action at
         # every state, then player 2's: numpy fills the array entry by
         # entry, the sequence of one scalar call per state and player.
         done = 0
         while done < samples:
-            stop = min(samples, max(1, 2 * done))
+            stop = min(samples, done + max(1, min(done, SAMPLED_ROWS // n)))
             picks = rng.integers(np.tile(highs, stop - done))
             picks = picks.reshape(stop - done, 2, n)
             rows = (k.row_start[:-1] + picks[:, 0] * mv + picks[:, 1]).ravel()
@@ -843,8 +846,51 @@ _SCAN = json.JSONDecoder().scan_once
 _WS = json.decoder.WHITESPACE.match
 
 
-def _sliced_columns(text: str, at: int, fields: tuple) -> tuple:
-    """(_Columns, end) for the record array whose '[' is text[at].
+class _Text:
+    """The text of a model document (str, bytes or an open text file), read
+    one chunk of RECORD_SLICE characters at a time: `text[pos:]` is what
+    is read and not yet consumed."""
+
+    def __init__(self, doc):
+        if isinstance(doc, bytes):
+            doc = doc.decode(json.detect_encoding(doc), "surrogatepass")
+        self.chunks = ((doc[k:k + RECORD_SLICE] for k in range(0, len(doc), RECORD_SLICE))
+                       if isinstance(doc, str) else
+                       iter(functools.partial(doc.read, RECORD_SLICE), ""))
+        self.text, self.pos = "", 0
+
+    def more(self) -> bool:
+        """Append the next chunk, dropping the text before pos; False at the end."""
+        chunk = next(self.chunks, "")
+        if chunk:
+            self.text, self.pos = self.text[self.pos:] + chunk, 0
+        return bool(chunk)
+
+    def skip(self) -> str:
+        """The next character after whitespace, '' at the end of the text."""
+        while True:
+            self.pos = _WS(self.text, self.pos).end()
+            if self.pos < len(self.text) or not self.more():
+                return self.text[self.pos:self.pos + 1]
+
+    def value(self):
+        """The JSON value at pos. One that does not scan, or that ends less
+        than three characters before the text read so far (12 of 123, 1 of
+        1e+5), is scanned again with the next chunk, until the text ends."""
+        while True:
+            try:
+                value, end = _SCAN(self.text, self.pos)
+            except (ValueError, StopIteration):
+                if not self.more():
+                    raise
+                continue
+            if end + 2 < len(self.text) or not self.more():
+                self.pos = end
+                return value
+
+
+def _sliced_columns(src: _Text, fields: tuple) -> _Columns:
+    """The _Columns of the record array whose '[' is at src.pos.
 
     The array body, up to the first ']', is cut right after a '},' about
     every RECORD_SLICE characters, and each slice is parsed on its own
@@ -853,54 +899,57 @@ def _sliced_columns(text: str, at: int, fields: tuple) -> tuple:
     record: then the slices and the commas between them are the body,
     and the array is json.loads of the text up to that ']'.
     """
-    close = text.find("]", at)
-    if close < 0:
-        raise ValueError("record array without ']'")
+    src.pos += 1
     parts = [_cast_columns([], fields)]
     # a body of whitespace only is the empty array
-    end = at if _WS(text, at + 1).end() < close else close
-    while end < close:
-        start = end + 1
-        cut = text.find("},", start + RECORD_SLICE, close)
+    done = src.skip() == "]"
+    src.pos += done
+    while not done:
+        text, start = src.text, src.pos
+        close = text.find("]", start)
+        cut = text.find("},", start + RECORD_SLICE, close if close >= 0 else len(text))
         end = cut + 1 if cut >= 0 else close
+        if end < 0:
+            if not src.more():
+                raise ValueError("record array without ']'")
+            continue
         recs = json.loads("[" + text[start:end] + "]")
         if not recs:
             raise ValueError("empty slice of a record array")
         parts.append(_cast_columns(recs, fields))
-    return _Columns(np.concatenate(c) for c in zip(*parts)), close + 1
+        done = end == close
+        src.pos = end + 1
+    return _Columns(np.concatenate(c) for c in zip(*parts))
 
 
-def _scan_document(text) -> dict:
-    """json.loads(text) for a model document (str or bytes), except that
-    the transition and cost arrays are read by _sliced_columns. Raises
+def _scan_document(doc) -> dict:
+    """json.loads of a model document's text (_Text), except that the
+    transition and cost arrays are read by _sliced_columns. Raises
     (ValueError, or what json's scanner raises) on any document where the
     result might differ from json.loads: invalid text, a duplicate
     top-level key, or a record array _sliced_columns refuses."""
-    if isinstance(text, bytes):
-        text = text.decode(json.detect_encoding(text), "surrogatepass")
-    pos = _WS(text, 0).end()
-    if text[pos:pos + 1] != "{":
+    src = _Text(doc)
+    if src.skip() != "{":
         raise ValueError("not a JSON object")
-    doc = {}
+    out = {}
     sep = ","
     while sep == ",":
-        pos = _WS(text, pos + 1).end()
-        if text[pos:pos + 1] != '"':
+        src.pos += 1
+        if src.skip() != '"':
             raise ValueError("expected a key")
-        key, pos = _SCAN(text, pos)
-        pos = _WS(text, pos).end()
-        if key in doc or text[pos:pos + 1] != ":":
+        key = src.value()
+        if key in out or src.skip() != ":":
             raise ValueError("duplicate key or missing ':'")
-        pos = _WS(text, pos + 1).end()
-        if key in _RECORD_FIELDS and text[pos:pos + 1] == "[":
-            doc[key], pos = _sliced_columns(text, pos, _RECORD_FIELDS[key])
+        src.pos += 1
+        if src.skip() == "[" and key in _RECORD_FIELDS:
+            out[key] = _sliced_columns(src, _RECORD_FIELDS[key])
         else:
-            doc[key], pos = _SCAN(text, pos)
-        pos = _WS(text, pos).end()
-        sep = text[pos:pos + 1]
-    if sep != "}" or _WS(text, pos + 1).end() != len(text):
+            out[key] = src.value()
+        sep = src.skip()
+    src.pos += 1
+    if sep != "}" or src.skip():
         raise ValueError("expected ',' or '}' closing the document")
-    return doc
+    return out
 
 
 def _last_of_runs(keys: np.ndarray) -> np.ndarray:
@@ -913,14 +962,15 @@ def _last_of_runs(keys: np.ndarray) -> np.ndarray:
 
 
 def model_from_json(doc) -> GameModel:
-    """Build a model from the interchange document (dict or JSON text).
+    """Build a model from the interchange document: a dict, JSON text
+    (str or bytes) or an open text file.
 
-    JSON text (str or bytes) is read one slice of about RECORD_SLICE
-    characters of records at a time (_scan_document), so the records are
-    never all held as Python objects. Text that this reading refuses,
-    valid or not, is read again with json.loads, so every document gives
-    the same model, or the same exception and message, as
-    model_from_json(json.loads(text)).
+    Text is read one chunk of RECORD_SLICE characters at a time and its
+    records one slice at a time (_scan_document), so neither a file's
+    whole text nor all records as Python objects are held. Text that this
+    reading refuses, valid or not, is read again whole (a file from its
+    start) with json.loads, so every document gives the same model, or
+    the same exception and message, as model_from_json(json.loads(text)).
 
     Transition records are {i,u,v,j,p} with u,v as 0-based indices into the
     state's action lists; missing records mean zero mass / zero cost. The
@@ -932,11 +982,14 @@ def model_from_json(doc) -> GameModel:
     without one entry per state, K outside the window. Numeric invariants
     (signs, row sums) are left to validate_model.
     """
-    if isinstance(doc, (str, bytes)):
+    if isinstance(doc, (str, bytes, io.TextIOBase)):
         try:
             return _model_from_doc(_scan_document(doc))
         except (ValueError, TypeError, KeyError, OverflowError, StopIteration, RecursionError):
             pass  # read again below, so the refusal is the dict path's
+        if not isinstance(doc, (str, bytes)):
+            doc.seek(0)
+            doc = doc.read()
         doc = json.loads(doc)
     return _model_from_doc(doc)
 

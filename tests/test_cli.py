@@ -295,6 +295,18 @@ def test_check_refuses_fewer_than_one_sample(workdir, capsys):
         assert err == f"error: samples (--samples) must be >= 1, got {samples}\n"
 
 
+@pytest.mark.parametrize("flag, value", [("--p-hat", "nan"), ("--p-hat", "inf"),
+                                         ("--delta", "nan"), ("--L1", "nan"), ("--L2", "inf")])
+def test_example_refuses_nonfinite_parameters(workdir, capsys, flag, value):
+    """A NaN p_hat wrote NaN costs, NaN or infinite action bounds failed an
+    assertion on the rows, and an infinite p_hat asked for an option no
+    command offers."""
+    assert run(["example", "birth-death", flag, value, "--out", "bad.json"]) == 2
+    name = flag[2:].replace("-", "_")
+    assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)}\n"
+    assert not os.path.exists("bad.json")
+
+
 def test_example_document_pinned(workdir, capsys):
     """The window-20 example, one record per line, hashes as it did when
     the kernel was a dense tensor (canonical form: sorted keys)."""

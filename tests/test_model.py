@@ -1,5 +1,6 @@
 import io
 import json
+import re
 import struct
 import tracemalloc
 from collections import OrderedDict, defaultdict
@@ -13,6 +14,7 @@ from conftest import (one_state_two_action, pennies_layer_model, random_closed_m
                       scalar_self_loop, uncontrolled_two_state)
 from oracles import (dense_transition, logsumexp_last_axis, model_json_text, state_cost,
                      uniform_strategy)
+from rsgame import cli
 from rsgame import model as model_module
 from rsgame._util import reachable
 from rsgame.birth_death import BirthDeathParams, build_birth_death
@@ -233,6 +235,25 @@ def test_sampled_draw_is_the_scalar_draw_sequence():
         rng = np.random.default_rng(seed)
         chunks = [rng.integers(np.tile(highs, size)) for size in (1, 1, 2, 3)]
         assert np.concatenate(chunks).tolist() == scalar
+
+
+def test_sampled_chunks_stop_growing_at_the_row_cap(monkeypatch):
+    """Chunks of sampled pairs grow 1, 1, 2, 4, ... only while a chunk
+    holds at most 2**16 rows (pairs x states), so memory does not grow
+    with the sample count."""
+    m = build_birth_death(BirthDeathParams(window=60))
+    sizes = []
+    connected = model_module._strongly_connected
+
+    def spy(tail, head, n_graphs, n):
+        sizes.append(n_graphs)
+        return connected(tail, head, n_graphs, n)
+
+    monkeypatch.setattr(model_module, "_strongly_connected", spy)
+    report = check_irreducibility(m, "sampled", samples=5000, seed=1)
+    assert report.passed and report.samples == 5000
+    assert sizes[:5] == [1, 1, 2, 4, 8] and sum(sizes) == 5000
+    assert max(sizes) == 2**16 // 60
 
 
 def sequential_sampled_check(P, mu, mv, samples, seed):
@@ -713,18 +734,20 @@ def test_columnar_ingestion_matches_dense_reference(doc):
 # the sliced reader of JSON text against json.loads and the dict path
 
 
-def assert_reads_as_json_loads(text):
-    """model_from_json(text) raises the exception type and message that
-    json.loads(text) and the dict path raise, or gives their model."""
+def assert_reads_as_json_loads(text, read=None):
+    """read() (by default model_from_json(text)) raises the exception type
+    and message that json.loads(text) and the dict path raise, or gives
+    their model."""
+    read = read or (lambda: model_from_json(text))
     try:
         want = model_from_json(json.loads(text))
     except Exception as exc:
         with pytest.raises(Exception) as refused:
-            model_from_json(text)
+            read()
         assert type(refused.value) is type(exc)
         assert str(refused.value) == str(exc)
         return
-    got = model_from_json(text)
+    got = read()
     pairs = [(got.kernel.indptr, want.kernel.indptr), (got.kernel.indices, want.kernel.indices),
              (got.kernel.prob, want.kernel.prob), (got.row_cost, want.row_cost)]
     assert (got.lyapunov is None) == (want.lyapunov is None)
@@ -785,6 +808,10 @@ def reader_documents():
 
 READER_DOCUMENTS = reader_documents()
 
+VALID_LAYOUTS = ("emitted", "dumps", "compact", "indent-2", "odd-floats",
+                 "permuted-keys-and-duplicates", "escaped-key", "bracket-in-label",
+                 "empty-records")
+
 
 @pytest.mark.parametrize("name, text", READER_DOCUMENTS, ids=[n for n, _ in READER_DOCUMENTS])
 def test_sliced_reader_matches_json_loads(monkeypatch, name, text):
@@ -799,11 +826,45 @@ def test_sliced_reader_matches_json_loads(monkeypatch, name, text):
     cuts = {k + d for k in range(len(text)) if text.startswith("},", k) for d in (1, 2)}
     for cut in sorted(cuts):
         assert_reads_as_json_loads(text[:cut])
-    if name in ("emitted", "dumps", "compact", "indent-2", "odd-floats",
-                "permuted-keys-and-duplicates", "escaped-key", "bracket-in-label",
-                "empty-records"):
+    if name in VALID_LAYOUTS:
         doc = model_module._scan_document(text)
         assert all(isinstance(doc[key], model_module._Columns) for key in ("transition", "cost"))
+
+
+@pytest.mark.parametrize("name, text", READER_DOCUMENTS, ids=[n for n, _ in READER_DOCUMENTS])
+def test_file_reads_match_json_loads(monkeypatch, tmp_path, name, text):
+    """Read from a file in chunks of 1, 2, 3, 5, 8, 13 and 40 characters,
+    through model_from_json(fh) and cli._load_model, every document gives
+    the model or the refusal of json.loads and the dict path, also cut
+    short inside a '},', in the middle, before the closing ']' of the
+    first record array and before its last character. Chunks of one
+    character split the text at every point: inside a number, a literal,
+    a key, a '},' and a closing ']'. The valid layouts are read whole
+    without reading the file again."""
+    closing = re.search(r"}\s*]", text)
+    cuts = sorted({len(text), text.find("},") + 1, len(text) // 2, len(text) - 1}
+                  | ({closing.end() - 1} if closing else set()))
+    path = tmp_path / "m.json"
+
+    def from_file():
+        with open(path) as fh:
+            return model_from_json(fh)
+
+    def sliced():
+        with open(path) as fh:
+            return model_module._model_from_doc(model_module._scan_document(fh))
+
+    for cut in cuts:
+        with open(path, "w") as fh:
+            fh.write(text[:cut])
+        with open(path) as fh:
+            written = fh.read()
+        for size in (1, 2, 3, 5, 8, 13, 40):
+            monkeypatch.setattr(model_module, "RECORD_SLICE", size)
+            assert_reads_as_json_loads(written, from_file)
+            assert_reads_as_json_loads(written, lambda: cli._load_model(str(path)))
+            if name in VALID_LAYOUTS and cut == len(text):
+                assert_reads_as_json_loads(written, sliced)
 
 
 @pytest.fixture(scope="module")
@@ -825,6 +886,15 @@ def test_reading_text_holds_one_slice_of_records(birth_death_400):
     length; one dict per record (json.loads of the whole text) took 4.7."""
     text = emitted_text(birth_death_400)
     assert traced_peak(model_from_json, text) < 2 * len(text)
+
+
+def test_loading_a_file_holds_one_chunk_of_text(birth_death_400, tmp_path):
+    """cli._load_model on the 3.2 MB window-400 document peaks at about 1.6
+    times the file size; reading the whole text first took 2.4."""
+    path = tmp_path / "m.json"
+    with open(path, "w") as fh:
+        write_model_json(birth_death_400, fh)
+    assert traced_peak(cli._load_model, str(path)) < 2 * path.stat().st_size
 
 
 class CharCount:
