@@ -14,11 +14,13 @@ findings of a parameter set.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass
 
 import numpy as np
 
-from .model import GameModel, KernelCSR, LyapunovData, check_lyapunov, make_model
+from .model import (GameModel, KernelCSR, LyapunovData, check_lyapunov, make_model,
+                    sound_lyapunov)
 
 P_HAT_LIMIT = 1.0 / 6.0
 
@@ -39,7 +41,6 @@ class BirthDeathParams:
     L2: float = 1.0
     grid: int = 5  # points of each player's action grid
     window: int = 60
-    allow_p_hat_violation: bool = False
 
     def __post_init__(self):
         for name in ("p_hat", "delta", "L1", "L2"):
@@ -49,10 +50,8 @@ class BirthDeathParams:
             raise ParamError(f"need 0 < delta <= min(L1, L2), got delta={self.delta}")
         if self.p_hat <= 0:
             raise ParamError("p_hat must be positive")
-        if self.p_hat >= P_HAT_LIMIT and not self.allow_p_hat_violation:
-            raise ParamError(
-                f"p_hat={self.p_hat} violates p_hat < 1/6; pass allow_p_hat_violation=True "
-                "to build anyway (stability checks will fail)")
+        if self.p_hat >= P_HAT_LIMIT:
+            raise ParamError(f"p_hat={self.p_hat} violates the stability condition p_hat < 1/6")
         if self.grid < 1:
             raise ParamError("action grids need at least one point")
         if self.window < 4:
@@ -237,11 +236,13 @@ def verify_stability_estimates(params: BirthDeathParams, i_max: int = 200) -> St
     """
     if i_max < 0:
         raise ParamError(f"i_max (--i-max) must be >= 0, got {i_max}")
-    window = max(params.window, i_max + 2)
-    model = build_birth_death(BirthDeathParams(**{**params.__dict__, "window": window}))
-    ly = model.lyapunov
+    # a copy, not a new BirthDeathParams, so the parameters are not checked again
+    wide = copy.copy(params)
+    wide.window = max(params.window, i_max + 2)
+    model = build_birth_death(wide)
+    ly = sound_lyapunov(model)
     rep = check_lyapunov(model, np.arange(i_max + 1))
-    state0_vs_C = ly.log_C - float(rep.lhs[0])
+    state0_vs_C = float(np.log(ly.C)) - float(rep.lhs[0])
     return StabilityReport(
         passed=bool(rep.passed and state0_vs_C > 0.0),
         drift_passed=rep.drift_passed,

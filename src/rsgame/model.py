@@ -78,25 +78,6 @@ class LyapunovData:
     def case(self) -> str:
         return "bounded" if self.gamma is not None else "unbounded"
 
-    @property
-    def log_C(self) -> float:
-        """log C, refusing a C that is not finite and positive (ModelError)."""
-        if not (np.isfinite(self.C) and self.C > 0):
-            raise ModelError(f"Lyapunov constant C = {self.C!r} must be finite and > 0")
-        return float(np.log(self.C))
-
-    def require_finite(self) -> None:
-        """Refuse a log W, ell or gamma that is not finite (ModelError): NaN
-        fails every comparison of the drift check, and W <= 0 has no log."""
-        for name, values in (("log W", self.log_W), ("ell", self.ell), ("gamma", self.gamma)):
-            if values is None:
-                continue
-            flat = np.atleast_1d(values)
-            bad = np.flatnonzero(~np.isfinite(flat))
-            if bad.size:
-                at = f"({bad[0]})" if np.ndim(values) else ""
-                raise ModelError(f"Lyapunov {name}{at} = {float(flat[bad[0]])!r} is not finite")
-
 
 def _concat(parts: list, dtype=float) -> np.ndarray:
     """np.concatenate that also takes no parts."""
@@ -456,6 +437,52 @@ def _row_findings(model: GameModel) -> list:
     return out
 
 
+def _lyapunov_findings(model: GameModel) -> list:
+    """The findings of the model's Lyapunov data: the shapes of W and ell,
+    W >= 1, finite W, ell and gamma, a finite and positive C, K inside the
+    window. sound_lyapunov refuses data with the first of them."""
+    out = []
+    ly = model.lyapunov
+    if ly.log_W.shape != (model.n_states,):
+        out.append(Violation("lyapunov_shape", (), 0.0, "W must have one entry per state"))
+    else:
+        # W >= 1  <=>  log W >= 0; a NaN log W (W <= 0 or NaN) fails it too
+        low = np.flatnonzero(~(ly.log_W >= -1e-15))
+        out += [Violation("lyapunov_W_below_one", (i,), W, f"W({i}) = {W} is not >= 1")
+                for i, W in zip(low.tolist(), np.exp(ly.log_W[low]).tolist())]
+        out += [Violation("lyapunov_not_finite", (i,), np.inf, f"W({i}) is not finite")
+                for i in np.flatnonzero(ly.log_W == np.inf).tolist()]
+    if ly.ell is not None and ly.ell.shape != (model.n_states,):
+        out.append(Violation("lyapunov_shape", (), 0.0, "ell must have one entry per state"))
+    elif ly.ell is not None:
+        out += [Violation("lyapunov_not_finite", (i,), float(ly.ell[i]),
+                          f"ell({i}) = {ly.ell[i]} is not finite")
+                for i in np.flatnonzero(~np.isfinite(ly.ell)).tolist()]
+    if ly.gamma is not None and not np.isfinite(ly.gamma):
+        out.append(Violation("lyapunov_not_finite", (), float(ly.gamma),
+                             f"gamma = {ly.gamma} is not finite"))
+    if not (np.isfinite(ly.C) and ly.C > 0):
+        out.append(Violation("lyapunov_C_nonpositive", (), float(ly.C),
+                             f"C = {ly.C!r} must be finite and > 0"))
+    for k in ly.K:
+        if not (0 <= k < model.n_states):
+            out.append(Violation("lyapunov_K_out_of_window", (int(k),), float(k),
+                                 f"K contains state {k} outside the window"))
+    return out
+
+
+def sound_lyapunov(model: GameModel) -> LyapunovData:
+    """model.lyapunov, refused with the first of its _lyapunov_findings
+    (ModelError), as GameModel.csr refuses a kernel: every reader of the
+    data applies validate_model's rule. MissingLyapunovData without data."""
+    if model.lyapunov is None:
+        raise MissingLyapunovData("model has no Lyapunov data")
+    findings = _lyapunov_findings(model)
+    if findings:
+        raise ModelError(f"unsound Lyapunov data: {findings[0].message}")
+    return model.lyapunov
+
+
 def validate_model(model: GameModel) -> ValidationReport:
     """Diagnostic sweep over every invariant; never raises.
 
@@ -468,32 +495,7 @@ def validate_model(model: GameModel) -> ValidationReport:
                              f"i0={model.i0} outside 0..{model.n_states - 1}"))
     out += _row_findings(model)
     if model.lyapunov is not None:
-        ly = model.lyapunov
-        if ly.log_W.shape != (model.n_states,):
-            out.append(Violation("lyapunov_shape", (), 0.0, "W must have one entry per state"))
-        else:
-            # W >= 1  <=>  log W >= 0; a NaN log W (W <= 0 or NaN) fails it too
-            low = np.flatnonzero(~(ly.log_W >= -1e-15))
-            out += [Violation("lyapunov_W_below_one", (i,), W, f"W({i}) = {W} is not >= 1")
-                    for i, W in zip(low.tolist(), np.exp(ly.log_W[low]).tolist())]
-            out += [Violation("lyapunov_not_finite", (i,), np.inf, f"W({i}) is not finite")
-                    for i in np.flatnonzero(ly.log_W == np.inf).tolist()]
-        if ly.ell is not None and ly.ell.shape != (model.n_states,):
-            out.append(Violation("lyapunov_shape", (), 0.0, "ell must have one entry per state"))
-        elif ly.ell is not None:
-            out += [Violation("lyapunov_not_finite", (i,), float(ly.ell[i]),
-                              f"ell({i}) = {ly.ell[i]} is not finite")
-                    for i in np.flatnonzero(~np.isfinite(ly.ell)).tolist()]
-        if ly.gamma is not None and not np.isfinite(ly.gamma):
-            out.append(Violation("lyapunov_not_finite", (), float(ly.gamma),
-                                 f"gamma = {ly.gamma} is not finite"))
-        if not (np.isfinite(ly.C) and ly.C > 0):
-            out.append(Violation("lyapunov_C_nonpositive", (), float(ly.C),
-                                 "C must be finite and > 0"))
-        for k in ly.K:
-            if not (0 <= k < model.n_states):
-                out.append(Violation("lyapunov_K_out_of_window", (int(k),), float(k),
-                                     f"K contains state {k} outside the window"))
+        out += _lyapunov_findings(model)
     return ValidationReport(out)
 
 
@@ -530,7 +532,8 @@ def check_lyapunov(model: GameModel, states=None) -> LyapunovReport:
     All arithmetic in log domain: the weight function typically grows like
     exp(i^2/6) and is not representable linearly on useful windows. Slack is
     log RHS - log LHS per state (worst action pair); the drift passes when
-    every slack exceeds LYAPUNOV_SLACK_PASS. C must be finite and positive.
+    every slack exceeds LYAPUNOV_SLACK_PASS. The data must pass
+    sound_lyapunov.
 
     Unbounded case: a finite-window surrogate of the norm-like requirement
     on d(i) = ell(i) - max_{u,v} c(i,u,v), the start of its nondecreasing
@@ -539,16 +542,12 @@ def check_lyapunov(model: GameModel, states=None) -> LyapunovReport:
     indistinguishable from slow growth on a window). Bounded case: gamma
     must exceed every cost on `states`.
     """
-    ly = model.lyapunov
-    if ly is None:
-        raise MissingLyapunovData("model has no Lyapunov data")
-    log_C = ly.log_C
-    ly.require_finite()
+    ly = sound_lyapunov(model)
     states = np.arange(model.n_states) if states is None else np.asarray(states, dtype=int)
     rows, at = model.rows(states)
     lhs = np.maximum.reduceat(model.inner_log_sums(states, ly.log_W), at)
     decay = ly.log_W[states] - (ly.gamma if ly.case == "bounded" else ly.ell[states])
-    slack = np.where(np.isin(states, ly.K), np.logaddexp(log_C, decay), decay) - lhs
+    slack = np.where(np.isin(states, ly.K), np.logaddexp(np.log(ly.C), decay), decay) - lhs
     worst = int(slack.argmin())
     drift_passed = bool(slack[worst] > LYAPUNOV_SLACK_PASS)
     cmax = np.maximum.reduceat(model.row_cost[rows], at)
@@ -590,16 +589,14 @@ def eigenvalue_upper_bound(model: GameModel) -> dict | None:
     with k1 = max(0, max_{i in K} log(1 + C e^{ell_i}/W_i)), and the norm-like
     gap gives max_c <= ell + k2 with k2 = -min_i d(i) (check_lyapunov); the
     criterion value is then at most k1 + k2. Bounded case: the criterion is
-    at most the drift rate gamma. Either way C must be finite and positive.
+    at most the drift rate gamma. Either way the data must pass sound_lyapunov.
     """
-    ly = model.lyapunov
-    if ly is None:
+    if model.lyapunov is None:
         return None
-    log_C = ly.log_C  # refuses an invalid C in either case
-    ly.require_finite()
+    ly = sound_lyapunov(model)
     if ly.case == "bounded":
         return {"case": "bounded", "k1": float(ly.gamma), "k2": 0.0, "upper": float(ly.gamma)}
-    k1 = max([0.0] + np.logaddexp(0.0, log_C + ly.ell[ly.K] - ly.log_W[ly.K]).tolist())
+    k1 = max([0.0] + np.logaddexp(0.0, np.log(ly.C) + ly.ell[ly.K] - ly.log_W[ly.K]).tolist())
     # csr refuses a state without actions, whose reduceat segment would be empty
     k2 = -float((ly.ell - np.maximum.reduceat(model.row_cost, model.csr.row_start[:-1])).min())
     return {"case": "unbounded", "k1": k1, "k2": k2, "upper": k1 + k2}
@@ -847,15 +844,15 @@ _WS = json.decoder.WHITESPACE.match
 
 
 class _Text:
-    """The text of a model document (str, bytes or an open text file), read
-    one chunk of RECORD_SLICE characters at a time: `text[pos:]` is what
-    is read and not yet consumed."""
+    """The text of a model document (str, bytes or an open text file): a
+    file is read one chunk of RECORD_SLICE characters at a time, a string
+    (which its caller holds whole anyway) as one chunk. `text[pos:]` is
+    what is read and not yet consumed."""
 
     def __init__(self, doc):
         if isinstance(doc, bytes):
             doc = doc.decode(json.detect_encoding(doc), "surrogatepass")
-        self.chunks = ((doc[k:k + RECORD_SLICE] for k in range(0, len(doc), RECORD_SLICE))
-                       if isinstance(doc, str) else
+        self.chunks = (iter([doc]) if isinstance(doc, str) else
                        iter(functools.partial(doc.read, RECORD_SLICE), ""))
         self.text, self.pos = "", 0
 
@@ -906,9 +903,11 @@ def _sliced_columns(src: _Text, fields: tuple) -> _Columns:
     src.pos += done
     while not done:
         text, start = src.text, src.pos
-        close = text.find("]", start)
-        cut = text.find("},", start + RECORD_SLICE, close if close >= 0 else len(text))
-        end = cut + 1 if cut >= 0 else close
+        # the first ']' is looked for only up to the cut, so a slice scans
+        # about RECORD_SLICE characters however much text is buffered
+        cut = text.find("},", start + RECORD_SLICE)
+        close = text.find("]", start, cut if cut >= 0 else len(text))
+        end = close if close >= 0 else cut + 1 if cut >= 0 else -1
         if end < 0:
             if not src.more():
                 raise ValueError("record array without ']'")
@@ -965,9 +964,10 @@ def model_from_json(doc) -> GameModel:
     """Build a model from the interchange document: a dict, JSON text
     (str or bytes) or an open text file.
 
-    Text is read one chunk of RECORD_SLICE characters at a time and its
-    records one slice at a time (_scan_document), so neither a file's
-    whole text nor all records as Python objects are held. Text that this
+    A file is read one chunk of RECORD_SLICE characters at a time, and
+    the records of any text one slice at a time (_scan_document), so
+    neither a file's whole text nor all records as Python objects are
+    held. Text that this
     reading refuses, valid or not, is read again whole (a file from its
     start) with json.loads, so every document gives the same model, or
     the same exception and message, as model_from_json(json.loads(text)).

@@ -34,9 +34,10 @@ mu_i(u) nu_i(v) P(j|i,u,v) and carries the row's step cost. That is the
 law of drawing both actions independently and then the next state, so a
 step costs O(1) whatever the window or the action sets. The tables hold
 one slot per kernel entry the pair can draw, so they are built in time
-and memory O(nnz); an open model's rows get one exit entry each, of the
-row's exit mass. Every sampler steps all live paths of a block together,
-and one Philox call per step draws the uniforms of the whole block.
+and memory O(nnz). A model whose mass can leave the window is refused
+(OpenModel), so the entries of every row carry its whole mass. Every
+sampler steps all live paths of a block together, and one Philox call
+per step draws the uniforms of the whole block.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ BAND_FLOOR = 1e-6
 
 
 class OpenModel(RuntimeError):
-    """Probability mass can leave the window and no absorbing rule was requested."""
+    """Probability mass can leave the window, so paths cannot be sampled."""
 
 
 @dataclass
@@ -67,7 +68,6 @@ class SimConfig:
     N: int
     seed: int = 0
     start: object = 0  # state index, or a sequence of them where supported
-    allow_absorption: bool = False
 
     def __post_init__(self):
         if self.T < 1 or self.N < 1:
@@ -87,7 +87,7 @@ class EstimatorReport:
 
 @dataclass
 class PathBatch:
-    states: np.ndarray  # (N, T+1); -1 marks absorption out of the window
+    states: np.ndarray  # (N, T+1)
     u_idx: np.ndarray   # (N, T)
     v_idx: np.ndarray   # (N, T)
     costs: np.ndarray   # (N, T)
@@ -166,7 +166,7 @@ class _Entries:
     in row order, and per kernel row its (i, u, v) and step cost."""
 
     row: np.ndarray    # (E,) kernel row of each entry, ascending
-    j: np.ndarray      # (E,) next state; -1 marks an exit
+    j: np.ndarray      # (E,) next state
     p: np.ndarray      # (E,) probability, psi-tilted where asked
     state: np.ndarray  # (rows,) i, u, v and step cost of each kernel row
     u: np.ndarray
@@ -177,13 +177,12 @@ class _Entries:
 def _entries(model: GameModel, log_psi=None) -> _Entries:
     """Kernel entries and step costs for the sampler, built from the CSR.
 
-    Without log_psi these are the path law's own kernel P and cost c, and
-    an open model's rows each get one exit entry (j = -1) of mass
-    1 - sum_j P. With a log eigenfunction they are its psi-tilted version:
-    entry j of row (i, u, v) gets P(j|i,u,v) psi(j) / (P psi)(i,u,v) and the
-    row's step cost is c + log (P psi)(i,u,v) - log psi(i), with log (P psi)
-    from GameModel.inner_log_sums. Rows with psi(i) = 0 or (P psi) = 0 keep
-    the untilted entries; a run that can reach them is refused by its caller.
+    Without log_psi these are the path law's own kernel P and cost c. With
+    a log eigenfunction they are its psi-tilted version: entry j of row
+    (i, u, v) gets P(j|i,u,v) psi(j) / (P psi)(i,u,v) and the row's step
+    cost is c + log (P psi)(i,u,v) - log psi(i), with log (P psi) from
+    GameModel.inner_log_sums. Rows with psi(i) = 0 or (P psi) = 0 keep the
+    untilted entries; a run that can reach them is refused by its caller.
     """
     k = model.csr
     state, u, v = model.row_actions()
@@ -195,12 +194,6 @@ def _entries(model: GameModel, log_psi=None) -> _Entries:
         p = p.copy()
         p[at] = np.exp(k.log_prob[at] + log_psi[j[at]] - log_mass[row[at]])
         cost[tilt] += log_mass[tilt] - log_psi[state[tilt]]
-    elif not model.is_closed():
-        row = np.concatenate([row, np.arange(len(state))])
-        order = np.argsort(row, kind="stable")  # each exit after its row's entries
-        row = row[order]
-        j = np.concatenate([j, np.full(len(state), -1)])[order]
-        p = np.concatenate([p, 1.0 - k.row_sums])[order]
     return _Entries(row=row, j=j, p=p, state=state, u=u, v=v, cost=cost)
 
 
@@ -267,30 +260,25 @@ class _Uniforms:
         return self._gen.random(hi - base)[lo - base:]
 
 
-def _require(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy, states,
-             closed: bool = True):
+def _require(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy, states):
     """The input check of every entry point: both strategies valid for the
-    model, every start or target state in 0..n-1 and, when `closed`, no
-    mass leaving the window."""
+    model, every start or target state in 0..n-1 and no mass leaving the
+    window."""
     problems = pi1.validate_for(model, 1) + pi2.validate_for(model, 2)
     if problems:
         raise ValueError(f"invalid strategies: {problems}")
     outside = [s for s in map(int, states) if not 0 <= s < model.n_states]
     if outside:
         raise ValueError(f"states {outside} lie outside the window 0..{model.n_states - 1}")
-    if closed and not model.is_closed():
-        raise OpenModel(f"max exit mass {model.max_exit_mass():.3e} leaves the window; only "
-                        "simulate_paths with allow_absorption=True runs on an open model")
+    if not model.is_closed():
+        raise OpenModel(f"max exit mass {model.max_exit_mass():.3e} leaves the window; "
+                        "paths are sampled on a closed model only")
 
 
 def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy,
                    cfg: SimConfig) -> PathBatch:
-    """Materialize N full trajectories (memory scales with N*T).
-
-    Raises OpenModel on window exit unless cfg.allow_absorption, in which
-    case the path parks at state -1 with zero cost afterwards.
-    """
-    _require(model, pi1, pi2, [cfg.start], closed=not cfg.allow_absorption)
+    """Materialize N full trajectories (memory scales with N*T)."""
+    _require(model, pi1, pi2, [cfg.start])
     entries = _entries(model)
     tab = _table(entries, pi1, pi2)
     N, T = cfg.N, cfg.T
@@ -299,16 +287,15 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     s = np.full(N, int(cfg.start), dtype=np.int64)
     states = np.empty((N, T + 1), dtype=np.int32)
     states[:, 0] = s
-    u_idx = np.full((N, T), -1, dtype=np.int32)
-    v_idx = np.full((N, T), -1, dtype=np.int32)
-    costs = np.zeros((N, T))
+    u_idx = np.empty((N, T), dtype=np.int32)
+    v_idx = np.empty((N, T), dtype=np.int32)
+    costs = np.empty((N, T))
     for t in range(T):
-        live = np.flatnonzero(s >= 0)
-        e = _step(tab, s[live], draws.row(t, 0, N)[live])
-        u_idx[live, t] = entries.u[tab.row[e]]
-        v_idx[live, t] = entries.v[tab.row[e]]
-        costs[live, t] = tab.cost[e]
-        s[live] = tab.j[e]
+        e = _step(tab, s, draws.row(t, 0, N))
+        u_idx[:, t] = entries.u[tab.row[e]]
+        v_idx[:, t] = entries.v[tab.row[e]]
+        costs[:, t] = tab.cost[e]
+        s = tab.j[e]
         states[:, t + 1] = s
     return PathBatch(states=states, u_idx=u_idx, v_idx=v_idx, costs=costs)
 
@@ -462,7 +449,7 @@ def _deviation_pairs(model: GameModel, pi1: StationaryStrategy, pi2: StationaryS
     pairs = [(p, dev, pi2) if p == 1 else (p, pi1, dev)
              for p in players for dev in _deviation_strategies(model, p, count, seed)]
     for _, a, b in pairs:
-        _require(model, a, b, [], closed=False)
+        _require(model, a, b, [])
     return pairs
 
 

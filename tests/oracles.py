@@ -14,6 +14,7 @@ import json
 import numpy as np
 
 from rsgame._util import NEG_INF, concat_ranges
+from rsgame.birth_death import BirthDeathParams
 from rsgame.dirichlet import NoConvergence
 from rsgame.model import StationaryStrategy
 
@@ -160,6 +161,15 @@ def model_json_text(doc: dict) -> str:
             text = json.dumps(value)
         parts.append(f'  "{key}": {text}')
     return "{\n" + ",\n".join(parts) + "\n}"
+
+
+def birth_death_params_any_p_hat(p_hat: float, **kwargs) -> BirthDeathParams:
+    """BirthDeathParams with the given p_hat, set after a valid construction,
+    so a p_hat >= 1/6 (which the constructor refuses: the stability
+    condition fails) can reach the checks that must fail on it."""
+    params = BirthDeathParams(**kwargs)
+    params.p_hat = p_hat
+    return params
 
 
 # ---------------------------------------------------------------------------

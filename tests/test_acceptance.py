@@ -18,8 +18,9 @@ import pytest
 
 from conftest import (one_state_two_action, random_uncontrolled_chain,
                       uncontrolled_two_state)
-from oracles import (dense_transition, lower_value_exact, lower_value_grid,
-                     perron_log_radius, state_cost, uncontrolled_eigen_oracle)
+from oracles import (birth_death_params_any_p_hat, dense_transition, lower_value_exact,
+                     lower_value_grid, perron_log_radius, state_cost,
+                     uncontrolled_eigen_oracle)
 from rsgame.birth_death import BirthDeathParams, build_birth_death, verify_stability_estimates
 from rsgame.dirichlet import apply_operator
 from rsgame.model import StationaryStrategy
@@ -218,7 +219,7 @@ def test_criterion_7_stochastic_representation(bd60):
 def test_criterion_8_assumption_suite():
     good = verify_stability_estimates(BirthDeathParams(window=60), i_max=200)
     bad = verify_stability_estimates(
-        BirthDeathParams(window=60, p_hat=0.2, allow_p_hat_violation=True), i_max=200)
+        birth_death_params_any_p_hat(0.2, window=60), i_max=200)
     ok = good.passed and bad.drift_passed and not bad.norm_like["passed"]
     report(8, ok, f"defaults worst slack {good.worst_slack:.3f}; "
                   f"p_hat=0.2 norm-like passed={bad.norm_like['passed']}")

@@ -4,7 +4,8 @@ import warnings
 import numpy as np
 import pytest
 
-from oracles import dense_transition, logsumexp_last_axis, state_cost
+from oracles import (birth_death_params_any_p_hat, dense_transition, logsumexp_last_axis,
+                     state_cost)
 from rsgame.birth_death import (BirthDeathParams, ParamError, WindowTooSmall,
                                 build_birth_death, build_info, drift_constant,
                                 exception_set, verify_stability_estimates)
@@ -120,7 +121,7 @@ def test_prostab_defaults_pass_to_200():
 
 def test_prostab_norm_like_fails_for_p_hat_02():
     rep = verify_stability_estimates(
-        BirthDeathParams(window=60, p_hat=0.2, allow_p_hat_violation=True), i_max=200)
+        birth_death_params_any_p_hat(0.2, window=60), i_max=200)
     assert rep.drift_passed  # the kernel does not involve p_hat
     assert not rep.norm_like["passed"]
     assert not rep.passed
@@ -133,9 +134,8 @@ def test_param_validation():
         BirthDeathParams(delta=0.0)
     with pytest.raises(ParamError):
         BirthDeathParams(delta=2.0, L1=1.0, L2=1.0)
-    with pytest.raises(ParamError):
+    with pytest.raises(ParamError, match=r"^p_hat=0.2 violates the stability condition"):
         BirthDeathParams(p_hat=0.2)
-    BirthDeathParams(p_hat=0.2, allow_p_hat_violation=True)
 
 
 def test_exception_set_definition():

@@ -296,14 +296,21 @@ def test_check_refuses_fewer_than_one_sample(workdir, capsys):
 
 
 @pytest.mark.parametrize("flag, value", [("--p-hat", "nan"), ("--p-hat", "inf"),
-                                         ("--delta", "nan"), ("--L1", "nan"), ("--L2", "inf")])
+                                         ("--delta", "nan"), ("--L1", "nan"), ("--L2", "inf"),
+                                         ("--p-hat", "0.2")])
 def test_example_refuses_nonfinite_parameters(workdir, capsys, flag, value):
     """A NaN p_hat wrote NaN costs, NaN or infinite action bounds failed an
     assertion on the rows, and an infinite p_hat asked for an option no
-    command offers."""
+    command offers. A finite p_hat >= 1/6 is refused by the stability
+    condition it violates, not with a keyword to pass."""
     assert run(["example", "birth-death", flag, value, "--out", "bad.json"]) == 2
     name = flag[2:].replace("-", "_")
-    assert capsys.readouterr().err == f"error: {name} must be finite, got {float(value)}\n"
+    err = capsys.readouterr().err
+    if np.isfinite(float(value)):
+        assert err == f"error: {name}={value} violates the stability condition p_hat < 1/6\n"
+    else:
+        assert err == f"error: {name} must be finite, got {float(value)}\n"
+    assert "allow_" not in err
     assert not os.path.exists("bad.json")
 
 
@@ -463,7 +470,7 @@ def test_validate_flags_structural_break(workdir, capsys):
 
 def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
     """validate reports a C that is not finite and positive; check and solve
-    refuse it by name before taking its log."""
+    refuse it with that finding before taking its log."""
     doc = {
         "states": 2,
         "actions_p1": [[0], [0]],
@@ -487,28 +494,32 @@ def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
                 warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
                 assert run([command, "bad_c.json"]) == 2
             err = capsys.readouterr().err
-            assert err.startswith("error: Lyapunov constant C = ") and "finite and > 0" in err
+            assert err == (f"error: unsound Lyapunov data: C = {float(C)!r} must be finite "
+                           "and > 0\n")
 
 
-@pytest.mark.parametrize("lyapunov, kind, message", [
-    ({"W": [-1.0, 2.0], "ell": [1, 1], "K": [0], "C": 5}, "lyapunov_W_below_one",
-     "error: Lyapunov log W(0) = nan is not finite\n"),
-    ({"W": [1.0, 2.0], "ell": [float("nan"), 1], "K": [0], "C": 5}, "lyapunov_not_finite",
-     "error: Lyapunov ell(0) = nan is not finite\n"),
-    ({"W": [1.0, 2.0], "gamma": float("inf"), "K": [0], "C": 5}, "lyapunov_not_finite",
-     "error: Lyapunov gamma = inf is not finite\n"),
-])
-def test_nonfinite_lyapunov_data_is_refused(workdir, capsys, lyapunov, kind, message):
-    """A W whose log is NaN, or a non-finite rate, is a validate finding,
-    and check and solve refuse it by name instead of writing NaN slacks
-    or bounds (or skipping them in a max)."""
+@pytest.mark.parametrize("lyapunov, kind, value, message", [
+    ({"W": [-1.0, 2.0], "ell": [1, 1], "K": [0], "C": 5}, "lyapunov_W_below_one", None,
+     "error: unsound Lyapunov data: W(0) = nan is not >= 1\n"),
+    ({"W": [1.0, 2.0], "ell": [float("nan"), 1], "K": [0], "C": 5}, "lyapunov_not_finite", None,
+     "error: unsound Lyapunov data: ell(0) = nan is not finite\n"),
+    ({"W": [1.0, 2.0], "gamma": float("inf"), "K": [0], "C": 5}, "lyapunov_not_finite", None,
+     "error: unsound Lyapunov data: gamma = inf is not finite\n"),
+    ({"W": [0.5, 1.0], "ell": [1, 1], "K": [0], "C": 5}, "lyapunov_W_below_one", 0.5,
+     "error: unsound Lyapunov data: W(0) = 0.5 is not >= 1\n"),
+], ids=["W-negative", "ell-nan", "gamma-inf", "W-below-one"])
+def test_nonfinite_lyapunov_data_is_refused(workdir, capsys, lyapunov, kind, value, message):
+    """A W below one (its log NaN or finite), or a non-finite rate, is a
+    validate finding, and check and solve refuse it with that finding
+    instead of writing NaN slacks or bounds (or skipping them in a max),
+    or passing a drift check on a weight the theory does not allow."""
     with open("bad.json", "w") as fh:
         json.dump(dict(two_state_doc(), lyapunov=lyapunov), fh)
     assert run(["validate", "bad.json"]) == 1
     out = json.loads(capsys.readouterr().out,
                      parse_constant=lambda name: pytest.fail(f"validate wrote {name}"))
     assert [(v["kind"], v["coords"], v["value"]) for v in out["violations"]] == [
-        (kind, [] if "gamma" in lyapunov else [0], None)]
+        (kind, [] if "gamma" in lyapunov else [0], value)]
     for command in ("check", "solve"):
         with warnings.catch_warnings():
             warnings.simplefilter("error")  # no numpy RuntimeWarning on the way

@@ -7,6 +7,7 @@ import json
 import numpy as np
 import pytest
 
+from oracles import birth_death_params_any_p_hat
 from rsgame.birth_death import BirthDeathParams, build_birth_death, verify_stability_estimates
 from rsgame.model import LyapunovData, check_lyapunov, make_model
 from rsgame.solver import eigenvalue_upper_bound
@@ -24,8 +25,8 @@ def bounded_two_state(gamma, cost=0.5, C=1.0):
 
 
 def _stability(p_hat):
-    params = BirthDeathParams(window=60, p_hat=p_hat, allow_p_hat_violation=True)
-    return verify_stability_estimates(params, i_max=200).to_dict()
+    return verify_stability_estimates(birth_death_params_any_p_hat(p_hat, window=60),
+                                      i_max=200).to_dict()
 
 
 @pytest.mark.parametrize("document, sha", [

@@ -12,16 +12,16 @@ from hypothesis import strategies as st
 
 from conftest import (one_state_two_action, pennies_layer_model, random_closed_model,
                       scalar_self_loop, uncontrolled_two_state)
-from oracles import (dense_transition, logsumexp_last_axis, model_json_text, state_cost,
-                     uniform_strategy)
+from oracles import (birth_death_params_any_p_hat, dense_transition, logsumexp_last_axis,
+                     model_json_text, state_cost, uniform_strategy)
 from rsgame import cli
 from rsgame import model as model_module
 from rsgame._util import reachable
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import (STRATEGY_TOL, KernelCSR, LyapunovData, MissingLyapunovData,
                           ModelError, SchemaError, StationaryStrategy, check_irreducibility,
-                          check_lyapunov, check_reference_state, make_model,
-                          model_from_json, model_to_json, validate_model,
+                          check_lyapunov, check_reference_state, eigenvalue_upper_bound,
+                          make_model, model_from_json, model_to_json, validate_model,
                           write_model_json)
 from rsgame.simulate import SimConfig, estimate_ergodic_cost
 from rsgame.solver import solve_ergodic_game
@@ -124,6 +124,24 @@ def test_lyapunov_trivial_bound_passes():
     assert rep.norm_like["passed"]
 
 
+@pytest.mark.parametrize("ell, K, kind, message", [
+    ([0.0], [0, 1], "lyapunov_shape", "ell must have one entry per state"),
+    ([0.0, 0.0], [0, 5], "lyapunov_K_out_of_window", "K contains state 5 outside the window"),
+], ids=["ell-one-entry", "K-outside"])
+def test_lyapunov_data_that_does_not_fit_the_window_is_refused(ell, K, kind, message):
+    """validate's finding is the refusal of the drift check and of the
+    bound (not an IndexError, not a silent pass)."""
+    P = np.full((1, 1, 2), 0.5)
+    ly = LyapunovData(log_W=np.zeros(2), C=1.0, K=np.array(K), ell=np.array(ell))
+    m = make_model(2, [[0], [0]], [[0], [0]], [P.copy(), P.copy()],
+                   [np.zeros((1, 1))] * 2, i0=0, lyapunov=ly)
+    assert [(v.kind, v.message) for v in validate_model(m).violations] == [(kind, message)]
+    for check in (check_lyapunov, eigenvalue_upper_bound):
+        with pytest.raises(ModelError) as info:
+            check(m)
+        assert str(info.value) == f"unsound Lyapunov data: {message}"
+
+
 def test_lyapunov_missing_data_raises(two_state):
     with pytest.raises(MissingLyapunovData):
         check_lyapunov(two_state)
@@ -157,8 +175,7 @@ def test_lyapunov_birth_death_window_200_passes():
 
 def test_lyapunov_norm_like_fails_for_large_p_hat():
     # slope of ell - max cost is 1/6 - p_hat; p_hat = 0.5 turns it negative
-    m = build_birth_death(BirthDeathParams(window=60, p_hat=0.5,
-                                           allow_p_hat_violation=True))
+    m = build_birth_death(birth_death_params_any_p_hat(0.5, window=60))
     d = np.array([m.lyapunov.ell[i] - state_cost(m, i).max() for i in range(m.n_states)])
     assert np.all(np.diff(d[2:]) < 0), "oracle: the tail sequence must decrease"
     rep = check_lyapunov(m)

@@ -1,7 +1,7 @@
 """Module boundaries: no rsgame module imports another one's private names,
 and none imports scipy; every public definition has a caller outside the
-tests or is an export, every method is read outside the tests, and every
-export is documented."""
+tests or is an export, every method is read and every defaulted dataclass
+field set outside the tests, and every export is documented."""
 
 import ast
 import json
@@ -151,6 +151,40 @@ def test_every_method_is_read_outside_its_definition():
                 if used[key] <= attributes_read(node)[key]:
                     unread.append(f"{path.name}:{cls.name}.{node.name}")
     assert unread == []
+
+
+def fields_set(tree) -> Counter:
+    """How often `tree` sets each name as a keyword argument or stores it
+    as an attribute."""
+    used = Counter()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.keyword) and node.arg:
+            used[node.arg] += 1
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+            used[node.attr] += 1
+    return used
+
+
+def is_dataclass(cls: ast.ClassDef) -> bool:
+    return any(isinstance(d, ast.Name) and d.id == "dataclass"
+               or isinstance(d, ast.Call) and getattr(d.func, "id", None) == "dataclass"
+               for d in cls.decorator_list)
+
+
+def test_every_defaulted_field_is_set_outside_the_tests():
+    """A dataclass field of rsgame that has a default is set, as a keyword
+    argument or an attribute store, by rsgame, scripts/ or perfbench/ (its
+    tests aside): a value that only tests set is a constant, or a test-side
+    construction."""
+    used = sum(map(fields_set, caller_trees()), Counter())
+    unset = [f"{path.name}:{cls.name}.{node.target.id}"
+             for path in sorted(PACKAGE.glob("*.py"))
+             for cls in ast.walk(ast.parse(path.read_text()))
+             if isinstance(cls, ast.ClassDef) and is_dataclass(cls)
+             for node in cls.body
+             if isinstance(node, ast.AnnAssign) and node.value is not None
+             and not used[node.target.id]]
+    assert unset == []
 
 
 def test_every_exported_name_resolves_and_is_documented():

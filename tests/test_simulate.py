@@ -12,7 +12,7 @@ from rsgame.model import StationaryStrategy, make_model
 from rsgame import simulate
 from rsgame.simulate import (OpenModel, SimConfig, _alias_rows, _deviation_strategies,
                              _entries, _growth_estimate, _step, _table, _Uniforms,
-                             estimate_ergodic_cost, simulate_paths,
+                             estimate_ergodic_cost, estimate_with_deviations, simulate_paths,
                              verify_saddle, verify_stochastic_representation)
 from rsgame.solver import solve_ergodic_game
 
@@ -96,17 +96,18 @@ def test_next_state_frequencies_binomial(two_state):
 
 
 def test_open_model_rejected():
+    """Every sampler refuses a model whose mass leaves the window."""
     P = np.full((1, 1, 2), 0.4)  # row mass 0.8: the rest leaves the window
     m = make_model(2, [[0], [0]], [[0], [0]], [P.copy(), P.copy()],
                    [np.zeros((1, 1))] * 2, i0=0)
     pi1, pi2 = pures(m)
+    cfg = SimConfig(T=5, N=10, seed=0)
     with pytest.raises(OpenModel):
-        estimate_ergodic_cost(m, pi1, pi2, SimConfig(T=5, N=10, seed=0))
+        estimate_ergodic_cost(m, pi1, pi2, cfg)
     with pytest.raises(OpenModel):
-        simulate_paths(m, pi1, pi2, SimConfig(T=5, N=10, seed=0))
-    batch = simulate_paths(m, pi1, pi2,
-                           SimConfig(T=40, N=6, seed=0, allow_absorption=True))
-    assert (batch.states == -1).any()
+        estimate_with_deviations(m, pi1, pi2, cfg, 1, 1)
+    with pytest.raises(OpenModel):
+        simulate_paths(m, pi1, pi2, cfg)
 
 
 def test_estimator_consistency_error_shrinks(two_state):
@@ -500,25 +501,6 @@ def test_one_step_frequencies_tilted_birth_death_pair(bd60):
                            rtol=0, atol=1e-12)
 
 
-def test_open_model_exit_frequency():
-    """An open model's paths leave the window with the pair's exit mass
-    sum_{u,v} mu(u) nu(v) (1 - sum_j P(j|0,u,v)) and park at -1."""
-    P0 = np.array([[[0.5, 0.3]], [[0.1, 0.4]]])  # exit masses 0.2 and 0.5
-    m = make_model(2, [[0, 1], [0]], [[0], [0]], [P0, np.full((1, 1, 2), 0.5)],
-                   [np.zeros((2, 1)), np.zeros((1, 1))], i0=0)
-    pi1 = StationaryStrategy([np.array([0.25, 0.75]), np.ones(1)])
-    pi2 = StationaryStrategy.pure(m, 2, 0)
-    N = 40000
-    batch = simulate_paths(m, pi1, pi2, SimConfig(T=3, N=N, seed=6, allow_absorption=True))
-    exit_mass = 0.25 * 0.2 + 0.75 * 0.5
-    counts = np.bincount(batch.states[:, 1] + 1, minlength=3)
-    assert_frequencies(counts, [exit_mass, 0.25 * 0.5 + 0.75 * 0.1, 0.25 * 0.3 + 0.75 * 0.4],
-                       N)
-    gone = batch.states[:, 1] == -1
-    assert (batch.states[gone, 2:] == -1).all()
-    assert (batch.u_idx[gone, 1:] == -1).all() and (batch.costs[gone, 1:] == 0).all()
-
-
 @pytest.fixture(scope="module")
 def bd60():
     model = build_birth_death(BirthDeathParams(window=60))
@@ -597,9 +579,3 @@ def test_path_csv_pinned():
     mixed = solve_ergodic_game(pennies, ladder=[2]).selectors
     assert digest(pennies, *mixed, SimConfig(T=30, N=40, seed=2)) == (
         "ab000238caf4418e0bcac3e386f7e747e9db72ff78f2e6a463c2d45ba9b32558")
-    P = np.full((1, 1, 2), 0.4)  # open: a fifth of each row's mass leaves
-    leaky = make_model(2, [[0], [0]], [[0], [0]], [P.copy(), P.copy()],
-                       [np.zeros((1, 1))] * 2, i0=0)
-    assert digest(leaky, *pures(leaky),
-                  SimConfig(T=40, N=6, seed=0, allow_absorption=True)) == (
-        "37ad2b08d33c36a97edd13a679f978da701c3298bf4c15f32ad74582f7c464f6")
