@@ -841,6 +841,41 @@ def _record_columns(doc: dict, key: str, fields: tuple, n: int, mu: np.ndarray,
 _RECORD_FIELDS = {"transition": ("i", "u", "v", "j", "p"), "cost": ("i", "u", "v", "c")}
 _SCAN = json.JSONDecoder().scan_once
 _WS = json.decoder.WHITESPACE.match
+_NUMBER = "0123456789.eE+-"
+_NO_NUMBERS = str.maketrans("", "", _NUMBER + " \t\n\r")
+_BLANK = str.maketrans('{}":iuvjpc', " " * 10)
+_NUMBER_BYTE = np.isin(np.arange(256), list(_NUMBER.encode()))
+
+
+def _flat_columns(body: str, fields: tuple) -> list | None:
+    """_cast_columns(json.loads("[" + body + "]"), fields) from one
+    json.loads of the body's numbers, or None. Exact when the body less
+    numbers and whitespace is the record skeleton k times, and each ':'
+    follows '"<letter>"' and precedes a number character, directly or
+    after one space: then each ','-separated part holds one number, its
+    value. Int fields are truncated only below 2**53 in magnitude, where
+    that is int()."""
+    skeleton = "{" + ",".join(f'"{f}":' for f in fields) + "}"
+    shape = body.translate(_NO_NUMBERS)
+    k = (len(shape) + 1) // (len(skeleton) + 1)
+    if not k or shape != ",".join(repeat(skeleton, k)):
+        return None
+    del shape  # each step frees its arrays before the next allocates
+    c = np.frombuffer(body.encode(), np.uint8)
+    at = np.flatnonzero(c == ord(":"))
+    ok = (c[at - 3] == ord('"')) & (c[at - 1] == ord('"'))
+    at += 1
+    at += c[at] == ord(" ")  # the value's first character, after at most one space
+    if not (ok & _NUMBER_BYTE[c[at]]).all():
+        return None
+    del c, at
+    try:
+        a = np.array(json.loads(f"[{body.translate(_BLANK)}]"), float).reshape(k, -1)
+    except (ValueError, OverflowError):
+        return None
+    if np.abs(a[:, :-1]).max() >= 2.0 ** 53:
+        return None
+    return [*a[:, :-1].T.astype(int), a[:, -1].copy()]
 
 
 class _Text:
@@ -891,10 +926,10 @@ def _sliced_columns(src: _Text, fields: tuple) -> _Columns:
 
     The array body, up to the first ']', is cut right after a '},' about
     every RECORD_SLICE characters, and each slice is parsed on its own
-    with json.loads, so one slice of records at a time is held as Python
-    objects. Raises ValueError unless every slice holds at least one
-    record: then the slices and the commas between them are the body,
-    and the array is json.loads of the text up to that ']'.
+    (_flat_columns, else one dict per record), so one slice of records at
+    a time is held as Python objects. Raises ValueError unless every slice
+    holds at least one record: then the slices and the commas between them
+    are the body, and the array is json.loads of the text up to that ']'.
     """
     src.pos += 1
     parts = [_cast_columns([], fields)]
@@ -912,10 +947,14 @@ def _sliced_columns(src: _Text, fields: tuple) -> _Columns:
             if not src.more():
                 raise ValueError("record array without ']'")
             continue
-        recs = json.loads("[" + text[start:end] + "]")
-        if not recs:
-            raise ValueError("empty slice of a record array")
-        parts.append(_cast_columns(recs, fields))
+        body = text[start:end]
+        cols = _flat_columns(body, fields)
+        if cols is None:
+            recs = json.loads("[" + body + "]")
+            if not recs:
+                raise ValueError("empty slice of a record array")
+            cols = _cast_columns(recs, fields)
+        parts.append(cols)
         done = end == close
         src.pos = end + 1
     return _Columns(np.concatenate(c) for c in zip(*parts))
@@ -967,10 +1006,11 @@ def model_from_json(doc) -> GameModel:
     A file is read one chunk of RECORD_SLICE characters at a time, and
     the records of any text one slice at a time (_scan_document), so
     neither a file's whole text nor all records as Python objects are
-    held. Text that this
-    reading refuses, valid or not, is read again whole (a file from its
-    start) with json.loads, so every document gives the same model, or
-    the same exception and message, as model_from_json(json.loads(text)).
+    held (a slice of canonical records as one flat array of numbers).
+    Text that this reading refuses, valid or not, is read again whole (a
+    file from its start) with json.loads, so every document gives the same
+    model, or the same exception and message, as
+    model_from_json(json.loads(text)).
 
     Transition records are {i,u,v,j,p} with u,v as 0-based indices into the
     state's action lists; missing records mean zero mass / zero cost. The

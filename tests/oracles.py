@@ -35,16 +35,57 @@ def simplex_grid(k: int, resolution: int) -> np.ndarray:
     return np.asarray(pts, dtype=float) / float(resolution)
 
 
-def ternary_max(fn, lo=0.0, hi=1.0, iters=140):
-    """Argmax of a quasiconcave scalar function by section search."""
+def ternary_max(fn, shape=(), iters=140):
+    """Argmaxes over [0, 1] of quasiconcave scalar functions by section
+    search, all in lockstep: fn maps an array `shape` + (2,) of the two
+    probes of every search to their values, so a step is one call."""
+    lo, hi = np.zeros(shape), np.ones(shape)
     for _ in range(iters):
-        m1 = lo + (hi - lo) / 3.0
-        m2 = hi - (hi - lo) / 3.0
-        if fn(m1) < fn(m2):
-            lo = m1
-        else:
-            hi = m2
+        probes = np.stack([lo + (hi - lo) / 3.0, hi - (hi - lo) / 3.0], axis=-1)
+        f = fn(probes)
+        up = f[..., 0] < f[..., 1]
+        lo = np.where(up, probes[..., 0], lo)
+        hi = np.where(up, hi, probes[..., 1])
     return 0.5 * (lo + hi)
+
+
+def lower_values_exact(C, L) -> np.ndarray:
+    """lower_value_exact of each game of a stack (B, mU, mV), all of one
+    shape, searched in lockstep: each step's probes of every game are one
+    numpy call."""
+    C = np.asarray(C, dtype=float)
+    L = np.asarray(L, dtype=float)
+    games, _, mV = C.shape
+    finite = np.isfinite(L).any(axis=(1, 2))
+    m0 = np.where(finite, np.where(np.isfinite(L), L, -np.inf).max(axis=(1, 2)), 0.0)
+    Ct = C.transpose(0, 2, 1)
+    Qt = np.exp(L - m0[:, None, None]).transpose(0, 2, 1)
+
+    def h(nu):
+        """min over pure u of c_u.nu + log(q_u.nu), for nu of shape (B, ..., mV)."""
+        flat = nu.reshape(games, -1, mV)
+        with np.errstate(divide="ignore"):
+            v = (flat @ Ct + np.log(np.maximum(flat @ Qt, 0.0))).min(axis=2) + m0[:, None]
+        return v.reshape(nu.shape[:-1])
+
+    def point(t, s):
+        """The weights ((1 - t)(1 - s), (1 - t)s, t): the slice at t of the 3-simplex."""
+        return np.stack([(1 - t) * (1 - s), (1 - t) * s, np.broadcast_to(t, s.shape)], axis=-1)
+
+    def slice_max(t):
+        s = ternary_max(lambda s: h(point(t[..., None], s)), t.shape)
+        return h(point(t, s))
+
+    if mV == 1:
+        out = h(np.ones((games, 1)))
+    elif mV == 2:
+        t = ternary_max(lambda t: h(np.stack([1.0 - t, t], axis=-1)), (games,))
+        out = h(np.stack([1.0 - t, t], axis=-1))
+    elif mV == 3:
+        out = slice_max(ternary_max(slice_max, (games,)))
+    else:
+        raise ValueError("exact oracle covers |V| <= 3")
+    return np.where(finite, out, -np.inf)
 
 
 def lower_value_exact(C, L):
@@ -53,33 +94,7 @@ def lower_value_exact(C, L):
     The inner min is enumerated; the outer max uses nested ternary search,
     exact because affine slices of the simplex keep the function concave.
     """
-    C = np.asarray(C, dtype=float)
-    L = np.asarray(L, dtype=float)
-    mU, mV = C.shape
-    finite = np.isfinite(L)
-    if not finite.any():
-        return float("-inf")
-    m0 = float(L[finite].max())
-    Q = np.exp(L - m0)
-
-    def h(nu):
-        y = Q @ nu
-        with np.errstate(divide="ignore"):
-            return float(np.min(C @ nu + np.log(np.maximum(y, 0.0)))) + m0
-
-    if mV == 1:
-        return h(np.ones(1))
-    if mV == 2:
-        t = ternary_max(lambda t: h(np.array([1.0 - t, t])))
-        return h(np.array([1.0 - t, t]))
-    if mV == 3:
-        def slice_max(t):
-            def inner(s):
-                return h(np.array([(1 - t) * (1 - s), (1 - t) * s, t]))
-            return inner(ternary_max(inner))
-        t = ternary_max(slice_max)
-        return slice_max(t)
-    raise ValueError("exact oracle covers |V| <= 3")
+    return float(lower_values_exact(np.asarray(C)[None], np.asarray(L)[None])[0])
 
 
 def lower_value_grid(C, L, resolution=300, refine_rounds=40):

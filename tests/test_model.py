@@ -820,6 +820,27 @@ def reader_documents():
     out.append(("extra-data", emitted + " {}"))
     out.append(("bom", "\ufeff" + emitted))
     out.append(("not-an-object", json.dumps([mixed])))
+    # one value of the second transition record written otherwise: numbers
+    # that json.loads refuses, int fields that int() truncates or that are
+    # not exact in float64, and probabilities whose bits must survive
+    lines = emitted.split("\n")
+    at = lines.index('  "transition": [') + 2
+    for name, key, value in (("two-numbers", "j", "1 2"), ("empty-value", "p", ""),
+                             ("plus-sign", "p", "+0.5"), ("no-leading-digit", "p", ".5"),
+                             ("leading-zero", "j", "01"), ("int-as-float", "i", "1.0"),
+                             ("int-as-exponent", "u", "1e0"), ("int-as-fraction", "v", "1.5"),
+                             ("int-2**60", "j", str(2**60)), ("negative-zero", "p", "-0.0"),
+                             ("subnormal", "p", "5e-324")):
+        row = re.sub(f'"{key}": [^,}}]*', f'"{key}": {value}', lines[at], count=1)
+        out.append((f"value-{name}", "\n".join(lines[:at] + [row] + lines[at + 1:])))
+    # a permuted record, a key with a space, and a number outside its value
+    # standing in for an empty one: each has the skeleton's characters
+    permuted = dict(reversed(json.loads(lines[at].rstrip(",")).items()))
+    for name, row in (("one-permuted-record", f"    {json.dumps(permuted)},"),
+                      ("key-with-space", lines[at].replace('"j"', '" j"')),
+                      ("number-before-key", re.sub(r', "j": (\d+)', r', \1"j": ', lines[at])),
+                      ("number-after-record", re.sub(r'"p": ([^}]*)}', r'"p": }\1', lines[at]))):
+        out.append((name, "\n".join(lines[:at] + [row] + lines[at + 1:])))
     return out
 
 
@@ -827,7 +848,9 @@ READER_DOCUMENTS = reader_documents()
 
 VALID_LAYOUTS = ("emitted", "dumps", "compact", "indent-2", "odd-floats",
                  "permuted-keys-and-duplicates", "escaped-key", "bracket-in-label",
-                 "empty-records")
+                 "empty-records", "value-int-as-float", "value-int-as-exponent",
+                 "value-int-as-fraction", "value-negative-zero", "value-subnormal",
+                 "one-permuted-record")
 
 
 @pytest.mark.parametrize("name, text", READER_DOCUMENTS, ids=[n for n, _ in READER_DOCUMENTS])
@@ -899,19 +922,41 @@ def traced_peak(fn, *args) -> int:
 
 
 def test_reading_text_holds_one_slice_of_records(birth_death_400):
-    """Reading the 3.2 MB window-400 text peaks at about 1.4 times its
-    length; one dict per record (json.loads of the whole text) took 4.7."""
+    """Reading the 3.2 MB window-400 text peaks at about 1.32 times its
+    length; one dict per record of a slice took 1.41, and one dict per
+    record of the whole text (json.loads) took 4.7."""
     text = emitted_text(birth_death_400)
-    assert traced_peak(model_from_json, text) < 2 * len(text)
+    assert traced_peak(model_from_json, text) < 1.5 * len(text)
 
 
 def test_loading_a_file_holds_one_chunk_of_text(birth_death_400, tmp_path):
-    """cli._load_model on the 3.2 MB window-400 document peaks at about 1.6
-    times the file size; reading the whole text first took 2.4."""
+    """cli._load_model on the 3.2 MB window-400 document peaks at about 1.41
+    times the file size; one dict per record of a slice took 1.60, and
+    reading the whole text first took 2.4."""
     path = tmp_path / "m.json"
     with open(path, "w") as fh:
         write_model_json(birth_death_400, fh)
-    assert traced_peak(cli._load_model, str(path)) < 2 * path.stat().st_size
+    assert traced_peak(cli._load_model, str(path)) < 1.5 * path.stat().st_size
+
+
+def test_emitted_records_are_read_as_flat_numbers(monkeypatch, birth_death_400):
+    """Every slice of the emitted window-400 text is read as one flat array
+    of numbers: the per-record cast never sees a record, and the model is
+    the dict path's."""
+    text = emitted_text(birth_death_400)
+    want = model_from_json(json.loads(text))
+    cast = model_module._cast_columns
+
+    def no_records(recs, fields):
+        if recs:
+            pytest.fail(f"a slice of {len(recs)} emitted records was read record by record")
+        return cast(recs, fields)
+
+    monkeypatch.setattr(model_module, "_cast_columns", no_records)
+    got = model_from_json(text)
+    for a, b in ((got.kernel.indptr, want.kernel.indptr), (got.kernel.indices, want.kernel.indices),
+                 (got.kernel.prob, want.kernel.prob), (got.row_cost, want.row_cost)):
+        assert a.dtype == b.dtype and np.array_equal(a, b)
 
 
 class CharCount:
