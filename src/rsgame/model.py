@@ -19,7 +19,6 @@ import io
 import json
 from dataclasses import dataclass, field
 from itertools import repeat
-from operator import itemgetter
 
 import numpy as np
 
@@ -748,61 +747,45 @@ def _numbers(val, kind, what: str) -> np.ndarray:
     return np.array([_number(x, kind, what) for x in val], dtype=kind)
 
 
-def _records(doc: dict, key: str, fields: set) -> list:
-    """The record list doc[key]; each record carries exactly `fields`."""
-    recs = doc[key]
+def _dict_columns(key: str, recs, fields: tuple, n: int, mu: np.ndarray,
+                  mv: np.ndarray) -> list:
+    """The columns of the record list recs (doc[key] of a parsed document): each
+    field of `fields` cast with int (float for the last). A record that is
+    not an object with exactly `fields`, a value that fails its cast, or a
+    record outside the window or its state's action sets raises the
+    SchemaError of the first such record: keys before values, then in
+    document order."""
     if not isinstance(recs, list):
         raise SchemaError(f"{key} must be a list of records, got {recs!r}")
+    names = set(fields)
     for rec in recs:
         if not isinstance(rec, dict):
             raise SchemaError(f"{key} record must be an object, got {rec!r}")
-        if rec.keys() != fields:
-            extra = set(rec) - fields
+        if rec.keys() != names:
+            extra = set(rec) - names
             if extra:
                 raise SchemaError(f"unknown keys in {key} record: {sorted(extra)}")
-            raise SchemaError(f"{key} record misses keys {sorted(fields - set(rec))}: {rec}")
-    return recs
-
-
-def _first_bad_record(key: str, recs: list, fields: tuple, n: int, mu: np.ndarray,
-                      mv: np.ndarray) -> SchemaError:
-    """The SchemaError that the first bad record of doc[key] earns, found
-    by checking the records one at a time in document order."""
+            raise SchemaError(f"{key} record misses keys {sorted(names - set(rec))}: {rec}")
+    mu, mv = mu.tolist(), mv.tolist()
+    ints, vals = [], []
     for rec in recs:
         try:
-            ints = [int(rec[f]) for f in fields[:-1]]
-            float(rec[fields[-1]])
+            i, u, v, *js = [int(rec[f]) for f in fields[:-1]]
+            vals.append(float(rec[fields[-1]]))
         except (TypeError, ValueError, OverflowError):
-            return SchemaError(f"{key} record needs numbers: {rec}")
-        i, u, v = ints[:3]
-        if not all(0 <= s < n for s in (i, *ints[3:])):
-            return SchemaError(f"{key} record references state outside window: {rec}")
+            raise SchemaError(f"{key} record needs numbers: {rec}") from None
+        if not all(0 <= s < n for s in (i, *js)):
+            raise SchemaError(f"{key} record references state outside window: {rec}")
         if not (0 <= u < mu[i] and 0 <= v < mv[i]):
-            return SchemaError(f"{key} record references missing action: {rec}")
-    return SchemaError(f"{key} records do not fit the window")
-
-
-def _cast_columns(recs, fields: tuple) -> list:
-    """The columns of the record list `recs`: each field of `fields` cast
-    with int (float for the last) in C-level passes. Raises KeyError,
-    TypeError, ValueError or OverflowError when recs is not a list of
-    objects with exactly `fields` or a cast fails."""
-    sizes = {len(fields)}
-    if not (isinstance(recs, list) and all(map(isinstance, recs, repeat(dict)))
-            and set(map(len, recs)) <= sizes):
-        raise KeyError(fields)
-    kinds = [int] * (len(fields) - 1) + [float]
-    cols = [np.fromiter(map(kind, map(itemgetter(f), recs)), dtype=kind, count=len(recs))
-            for f, kind in zip(fields, kinds)]
-    # a dict subclass may add the keys it misses on lookup
-    if not set(map(len, recs)) <= sizes:
-        raise KeyError(fields)
-    return cols
+            raise SchemaError(f"{key} record references missing action: {rec}")
+        ints += (i, u, v, *js)
+    return [*np.array(ints, dtype=int).reshape(-1, len(fields) - 1).T, np.array(vals)]
 
 
 class _Columns(tuple):
     """A record array that _scan_document read slice by slice: the
-    columns _cast_columns gives for the whole array."""
+    columns _dict_columns gives for the whole array, not yet checked
+    against the window."""
 
 
 def _record_columns(doc: dict, key: str, fields: tuple, n: int, mu: np.ndarray,
@@ -811,31 +794,23 @@ def _record_columns(doc: dict, key: str, fields: tuple, n: int, mu: np.ndarray,
     other ints, then one float), as columns: the (i, u, v) slot of each
     record in kernel row order, then the columns after v.
 
-    A record that is not an object with exactly `fields`, a value that
-    fails its cast or any record outside the window or its state's action
-    sets makes the whole document fail with the error of the first bad
-    record, which _records and _first_bad_record find. doc[key] may also
-    be _Columns read from text; a record outside the window is then
-    refused without naming it, and model_from_json reads the text again
-    as a dict to name it.
+    doc[key] is a record list (_dict_columns) or _Columns read from text.
+    _dict_columns names the first record outside the window or its
+    state's action sets; _Columns with such a record raise ValueError
+    without naming it, and model_from_json then reads the text again
+    whole, so that _dict_columns names it.
     """
-    recs = doc[key]
-    if isinstance(recs, _Columns):
-        cols, recs = list(recs), []
-    else:
-        try:
-            cols = _cast_columns(recs, fields)
-        except (KeyError, TypeError, ValueError, OverflowError):
-            recs = _records(doc, key, set(fields))
-            raise _first_bad_record(key, recs, fields, n, mu, mv) from None
+    cols = doc[key]
+    if not isinstance(cols, _Columns):
+        cols = _dict_columns(key, cols, fields, n, mu, mv)
     i, u, v = cols[:3]
     bad = np.zeros(len(i), dtype=bool)
-    for s in [i] + cols[3:-1]:
+    for s in [i, *cols[3:-1]]:
         bad |= (s < 0) | (s >= n)
     ic = np.where(bad, 0, i)
     if (bad | (u < 0) | (u >= mu[ic]) | (v < 0) | (v >= mv[ic])).any():
-        raise _first_bad_record(key, recs, fields, n, mu, mv)
-    return [slot_start[i] + u * mv[i] + v] + cols[3:]
+        raise ValueError(f"{key} records do not fit the window")
+    return [slot_start[i] + u * mv[i] + v, *cols[3:]]
 
 
 _RECORD_FIELDS = {"transition": ("i", "u", "v", "j", "p"), "cost": ("i", "u", "v", "c")}
@@ -847,19 +822,21 @@ _BLANK = str.maketrans('{}":iuvjpc', " " * 10)
 _NUMBER_BYTE = np.isin(np.arange(256), list(_NUMBER.encode()))
 
 
-def _flat_columns(body: str, fields: tuple) -> list | None:
-    """_cast_columns(json.loads("[" + body + "]"), fields) from one
-    json.loads of the body's numbers, or None. Exact when the body less
+def _flat_columns(body: str, fields: tuple) -> list:
+    """The columns of json.loads("[" + body + "]") as _dict_columns gives
+    them, from one json.loads of the body's numbers; raises ValueError or
+    OverflowError where that might differ. Exact when the body less
     numbers and whitespace is the record skeleton k times, and each ':'
     follows '"<letter>"' and precedes a number character, directly or
     after one space: then each ','-separated part holds one number, its
     value. Int fields are truncated only below 2**53 in magnitude, where
-    that is int()."""
+    that is int(). Each column is an array of its own, so that
+    _sliced_columns can free a slice's columns one at a time."""
     skeleton = "{" + ",".join(f'"{f}":' for f in fields) + "}"
     shape = body.translate(_NO_NUMBERS)
     k = (len(shape) + 1) // (len(skeleton) + 1)
     if not k or shape != ",".join(repeat(skeleton, k)):
-        return None
+        raise ValueError("not a slice of records with the canonical keys")
     del shape  # each step frees its arrays before the next allocates
     c = np.frombuffer(body.encode(), np.uint8)
     at = np.flatnonzero(c == ord(":"))
@@ -867,15 +844,12 @@ def _flat_columns(body: str, fields: tuple) -> list | None:
     at += 1
     at += c[at] == ord(" ")  # the value's first character, after at most one space
     if not (ok & _NUMBER_BYTE[c[at]]).all():
-        return None
+        raise ValueError("a record value that is not a number")
     del c, at
-    try:
-        a = np.array(json.loads(f"[{body.translate(_BLANK)}]"), float).reshape(k, -1)
-    except (ValueError, OverflowError):
-        return None
+    a = np.array(json.loads(f"[{body.translate(_BLANK)}]"), float).reshape(k, -1)
     if np.abs(a[:, :-1]).max() >= 2.0 ** 53:
-        return None
-    return [*a[:, :-1].T.astype(int), a[:, -1].copy()]
+        raise ValueError("an int field that float64 may not hold exactly")
+    return [*(a[:, f].astype(int) for f in range(len(fields) - 1)), a[:, -1].copy()]
 
 
 class _Text:
@@ -925,14 +899,14 @@ def _sliced_columns(src: _Text, fields: tuple) -> _Columns:
     """The _Columns of the record array whose '[' is at src.pos.
 
     The array body, up to the first ']', is cut right after a '},' about
-    every RECORD_SLICE characters, and each slice is parsed on its own
-    (_flat_columns, else one dict per record), so one slice of records at
-    a time is held as Python objects. Raises ValueError unless every slice
-    holds at least one record: then the slices and the commas between them
-    are the body, and the array is json.loads of the text up to that ']'.
+    every RECORD_SLICE characters, and each slice is read by _flat_columns,
+    so one slice of records at a time is held, as one flat array of
+    numbers. Raises ValueError unless _flat_columns reads every slice:
+    then the slices and the commas between them are the body, and the
+    array is json.loads of the text up to that ']'.
     """
     src.pos += 1
-    parts = [_cast_columns([], fields)]
+    parts = [[np.empty(0, int)] for _ in fields[:-1]] + [[np.empty(0)]]
     # a body of whitespace only is the empty array
     done = src.skip() == "]"
     src.pos += done
@@ -947,17 +921,12 @@ def _sliced_columns(src: _Text, fields: tuple) -> _Columns:
             if not src.more():
                 raise ValueError("record array without ']'")
             continue
-        body = text[start:end]
-        cols = _flat_columns(body, fields)
-        if cols is None:
-            recs = json.loads("[" + body + "]")
-            if not recs:
-                raise ValueError("empty slice of a record array")
-            cols = _cast_columns(recs, fields)
-        parts.append(cols)
+        for part, col in zip(parts, _flat_columns(text[start:end], fields)):
+            part.append(col)
         done = end == close
         src.pos = end + 1
-    return _Columns(np.concatenate(c) for c in zip(*parts))
+    # one column at a time, each freeing its slices' parts once joined
+    return _Columns(np.concatenate(parts.pop(0)) for _ in fields)
 
 
 def _scan_document(doc) -> dict:
@@ -1004,12 +973,13 @@ def model_from_json(doc) -> GameModel:
     (str or bytes) or an open text file.
 
     A file is read one chunk of RECORD_SLICE characters at a time, and
-    the records of any text one slice at a time (_scan_document), so
-    neither a file's whole text nor all records as Python objects are
-    held (a slice of canonical records as one flat array of numbers).
-    Text that this reading refuses, valid or not, is read again whole (a
-    file from its start) with json.loads, so every document gives the same
-    model, or the same exception and message, as
+    the records of any text one slice at a time as one flat array of
+    numbers (_scan_document), so neither a file's whole text nor its
+    records as Python objects are held. Text that this reading refuses,
+    valid or not (records with other key orders, strings or literals), is
+    read again whole (a file from its start) with json.loads, and its
+    records, like those of a dict, one at a time; so every document gives
+    the same model, or the same exception and message, as
     model_from_json(json.loads(text)).
 
     Transition records are {i,u,v,j,p} with u,v as 0-based indices into the

@@ -297,7 +297,7 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
 
     C and L have shape (k, mU, mV): k states with the same action shape.
     Per state it applies the empty-support test, the dead player-1 row
-    test, the 1 x 1 closed form, and the pure candidate
+    test, and the pure candidate
     v* = argmax_v min_u pure[u, v] with pure = C + log Qs, which it accepts
     when the best single-action supergradient bound at e_v* is within tol
     and the lowest-index best pure minimizer, measured by the exact planar
@@ -325,10 +325,6 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         u = int(dead[j].argmax()) if collapsed[j] else 0
         saddles[j] = LocalSaddle(NEG_INF, unit(mU, u), unit(mV, 0), 0.0, empty_support=True)
     settled = empty | collapsed
-    if mU == 1 and mV == 1:
-        for j in np.nonzero(~settled)[0]:
-            saddles[j] = LocalSaddle(float(C[j, 0, 0] + L[j, 0, 0]), np.ones(1), np.ones(1), 0.0)
-        return saddles, m0, Qs, v_star
 
     # non-finite costs or masses go to the cutting planes, whose
     # matrix-vector products (not the gathers below) define the result for them

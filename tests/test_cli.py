@@ -669,7 +669,8 @@ def mutate(draw, doc, n, kind):
     return doc
 
 
-@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+@settings(max_examples=60, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
 @given(doc=model_docs())
 def test_fuzzed_documents_exit_with_documented_codes(tmp_path_factory, doc):
     path = str(tmp_path_factory.mktemp("fuzz") / "m.json")

@@ -789,6 +789,7 @@ def reader_documents():
     out = [("emitted", emitted), ("dumps", json.dumps(mixed)),
            ("compact", json.dumps(mixed, separators=(",", ":"))),
            ("indent-2", json.dumps(mixed, indent=2)),
+           ("sort-keys", json.dumps(mixed, sort_keys=True)),
            ("odd-floats", emitted_text(odd_floats_model()))]
     rng = np.random.default_rng(4)
     shuffled = {**mixed, "transition": [dict(sorted(r.items(), key=lambda kv: rng.random()))
@@ -846,10 +847,13 @@ def reader_documents():
 
 READER_DOCUMENTS = reader_documents()
 
-VALID_LAYOUTS = ("emitted", "dumps", "compact", "indent-2", "odd-floats",
-                 "permuted-keys-and-duplicates", "escaped-key", "bracket-in-label",
-                 "empty-records", "value-int-as-float", "value-int-as-exponent",
-                 "value-int-as-fraction", "value-negative-zero", "value-subnormal",
+# valid documents whose records are read as flat numbers, slice by slice
+FLAT_LAYOUTS = ("emitted", "dumps", "compact", "indent-2", "escaped-key", "bracket-in-label",
+                "empty-records", "value-int-as-float", "value-int-as-exponent",
+                "value-int-as-fraction", "value-negative-zero", "value-subnormal")
+# valid documents whose records are not all flat numbers in the canonical
+# key order, so that the whole text is read with json.loads
+WHOLE_LAYOUTS = ("sort-keys", "odd-floats", "permuted-keys-and-duplicates",
                  "one-permuted-record")
 
 
@@ -857,8 +861,8 @@ VALID_LAYOUTS = ("emitted", "dumps", "compact", "indent-2", "odd-floats",
 def test_sliced_reader_matches_json_loads(monkeypatch, name, text):
     """With slices of 40 characters, every document gives the model or the
     refusal of json.loads and the dict path, also as bytes and cut short
-    at every record boundary; the valid layouts are read without
-    json.loads of the whole text."""
+    at every record boundary; the flat layouts are read without json.loads
+    of the whole text, and the sliced reading refuses the whole layouts."""
     monkeypatch.setattr(model_module, "RECORD_SLICE", 40)
     assert_reads_as_json_loads(text)
     for encoding in ("utf-8", "utf-8-sig", "utf-16"):
@@ -866,9 +870,12 @@ def test_sliced_reader_matches_json_loads(monkeypatch, name, text):
     cuts = {k + d for k in range(len(text)) if text.startswith("},", k) for d in (1, 2)}
     for cut in sorted(cuts):
         assert_reads_as_json_loads(text[:cut])
-    if name in VALID_LAYOUTS:
+    if name in FLAT_LAYOUTS:
         doc = model_module._scan_document(text)
         assert all(isinstance(doc[key], model_module._Columns) for key in ("transition", "cost"))
+    if name in WHOLE_LAYOUTS:
+        with pytest.raises(ValueError):
+            model_module._scan_document(text)
 
 
 @pytest.mark.parametrize("name, text", READER_DOCUMENTS, ids=[n for n, _ in READER_DOCUMENTS])
@@ -879,7 +886,7 @@ def test_file_reads_match_json_loads(monkeypatch, tmp_path, name, text):
     short inside a '},', in the middle, before the closing ']' of the
     first record array and before its last character. Chunks of one
     character split the text at every point: inside a number, a literal,
-    a key, a '},' and a closing ']'. The valid layouts are read whole
+    a key, a '},' and a closing ']'. The flat layouts are read whole
     without reading the file again."""
     closing = re.search(r"}\s*]", text)
     cuts = sorted({len(text), text.find("},") + 1, len(text) // 2, len(text) - 1}
@@ -903,7 +910,7 @@ def test_file_reads_match_json_loads(monkeypatch, tmp_path, name, text):
             monkeypatch.setattr(model_module, "RECORD_SLICE", size)
             assert_reads_as_json_loads(written, from_file)
             assert_reads_as_json_loads(written, lambda: cli._load_model(str(path)))
-            if name in VALID_LAYOUTS and cut == len(text):
+            if name in FLAT_LAYOUTS and cut == len(text):
                 assert_reads_as_json_loads(written, sliced)
 
 
@@ -939,21 +946,15 @@ def test_loading_a_file_holds_one_chunk_of_text(birth_death_400, tmp_path):
     assert traced_peak(cli._load_model, str(path)) < 1.5 * path.stat().st_size
 
 
-def test_emitted_records_are_read_as_flat_numbers(monkeypatch, birth_death_400):
-    """Every slice of the emitted window-400 text is read as one flat array
-    of numbers: the per-record cast never sees a record, and the model is
-    the dict path's."""
+def test_emitted_records_are_read_as_flat_numbers(birth_death_400):
+    """The emitted window-400 text, about 12 slices of records, is read by
+    _scan_document as flat numbers, without reading it again whole, and
+    gives the dict path's model."""
     text = emitted_text(birth_death_400)
     want = model_from_json(json.loads(text))
-    cast = model_module._cast_columns
-
-    def no_records(recs, fields):
-        if recs:
-            pytest.fail(f"a slice of {len(recs)} emitted records was read record by record")
-        return cast(recs, fields)
-
-    monkeypatch.setattr(model_module, "_cast_columns", no_records)
-    got = model_from_json(text)
+    doc = model_module._scan_document(text)
+    assert all(isinstance(doc[key], model_module._Columns) for key in ("transition", "cost"))
+    got = model_module._model_from_doc(doc)
     for a, b in ((got.kernel.indptr, want.kernel.indptr), (got.kernel.indices, want.kernel.indices),
                  (got.kernel.prob, want.kernel.prob), (got.row_cost, want.row_cost)):
         assert a.dtype == b.dtype and np.array_equal(a, b)
