@@ -29,16 +29,8 @@ FAIL = 1
 OK = 0
 
 
-def _json_default(o):
-    if isinstance(o, (np.floating, np.integer, np.bool_)):
-        return o.item()
-    if isinstance(o, np.ndarray):
-        return o.tolist()
-    raise TypeError(f"not JSON serializable: {type(o)}")
-
-
 def _emit(doc, path=None):
-    _write(json.dumps(doc, indent=2, default=_json_default), path)
+    _write(json.dumps(doc, indent=2), path)
 
 
 def _write(text: str, path=None):

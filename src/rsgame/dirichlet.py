@@ -13,9 +13,11 @@ sums and the costs (GameModel.row_cost) of the sweep stay flat in kernel
 row order, and its local saddles are solved from them as one batch by
 saddle.solve_saddles: the pure-saddle fast path runs as array operations
 over all states of one action shape, once per shape, and only the states
-it cannot certify go to the cutting planes, one after another. The
-viability scan reads "mass inside the surviving set" from the same
-kernel, with log psi the set's log indicator.
+it cannot certify go to the cutting planes, one after another.
+
+The power iteration alone decides which domain states survive: a sweep
+that gives log G = -inf at some states drops them, restarts psi on the
+others from that sweep, and sweeps again before it brackets anything.
 """
 
 from __future__ import annotations
@@ -53,13 +55,11 @@ class DirichletDomain:
     states: np.ndarray
 
     def __post_init__(self):
-        self.states = np.asarray(sorted(set(int(s) for s in np.atleast_1d(self.states))), dtype=int)
-        if len(self.states) == 0:
-            raise ValueError("domain must be nonempty")
-        if self.states[0] < 0 or self.states[-1] >= self.model.n_states:
-            raise ValueError("domain exceeds the model window")
-        if self.model.i0 not in set(self.states.tolist()):
+        self.states = np.unique(np.asarray(self.states, dtype=int))
+        if self.model.i0 not in self.states:  # an empty domain included
             raise ValueError(f"domain must contain the reference state {self.model.i0}")
+        if self.states[0] < 0 or self.states[-1] >= self.model.n_states:
+            raise ValueError(f"domain exceeds the model window 0..{self.model.n_states - 1}")
 
     @staticmethod
     def prefix(model: GameModel, size: int) -> "DirichletDomain":
@@ -81,31 +81,6 @@ class EigenPair:
     iterations: int
     damping_events: int = 0
     warnings: list = field(default_factory=list)
-
-
-def viable_states(domain: DirichletDomain) -> np.ndarray:
-    """Largest subset on which the game value stays positive.
-
-    A state survives when, for every player-1 action, some player-2 action
-    keeps positive one-step mass inside the surviving set: otherwise the
-    minimizer forces the multiplicative payoff to zero. The condition is
-    monotone, so iterating the shrinkage converges.
-    """
-    model = domain.model
-    alive = domain.states
-    _, _, v = model.row_actions()
-    while True:
-        inside = np.full(model.n_states, NEG_INF)
-        inside[alive] = 0.0
-        rows, _ = model.rows(alive)
-        # max over v per (i, u), then min over u per state
-        per_u = np.maximum.reduceat(model.inner_log_sums(alive, inside),
-                                    np.flatnonzero(v[rows] == 0))
-        mu = model.shapes[alive, 0]
-        keep = np.minimum.reduceat(per_u, np.cumsum(mu) - mu) > NEG_INF
-        if keep.all():
-            return alive
-        alive = alive[keep]
 
 
 def apply_operator(model: GameModel, states, log_psi, tol=DEFAULT_TOL):
@@ -132,21 +107,22 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
     NoConvergence is raised after DEFAULT_MAX_ITER sweeps, read at call
     time. After DAMP_AFTER undamped sweeps a half-step blend guards against
     cycling on periodic structures.
+
+    One rule decides which states survive. A sweep that gives log G = -inf
+    at some states (for some player-1 action, no player-2 action keeps mass
+    on the surviving states) drops them, sets psi on the others from that
+    sweep and sweeps again without a bracket: a bracket is valid only for
+    psi positive on exactly the states swept. CollapseToZero is raised
+    when i0 dies.
     """
     model = domain.model
     i0 = model.i0
-    alive = viable_states(domain)
-    if i0 not in set(alive.tolist()):
-        raise CollapseToZero(f"reference state {i0} cannot sustain positive value")
-
+    alive = domain.states
+    w = np.zeros(model.n_states) if warm_start_log_psi is None else warm_start_log_psi
+    w = np.asarray(w, dtype=float)[alive]
     log_psi = np.full(model.n_states, NEG_INF)
-    if warm_start_log_psi is not None:
-        w = np.asarray(warm_start_log_psi, dtype=float)
-        for i in alive:
-            log_psi[i] = w[i] if np.isfinite(w[i]) else 0.0
-        log_psi[alive] -= log_psi[i0]
-    else:
-        log_psi[alive] = 0.0
+    log_psi[alive] = np.where(np.isfinite(w), w, 0.0)
+    log_psi[alive] -= log_psi[i0]
 
     damping = 0
     bracket = (NEG_INF, np.inf)
@@ -154,34 +130,23 @@ def dirichlet_eigenpair(domain: DirichletDomain, tol: float = DEFAULT_TOL,
         log_G, _ = apply_operator(model, alive, log_psi, tol=tol)
         if not np.isfinite(log_G[i0]):
             raise CollapseToZero(f"operator value vanished at the reference state {i0}")
-        finite = np.isfinite(log_G[alive]) & np.isfinite(log_psi[alive])
-        if not finite.all():
-            # states killed along the way: restrict and restart the bracket
-            alive = alive[finite]
-            if i0 not in set(alive.tolist()):
-                raise CollapseToZero(f"reference state {i0} died during iteration")
-        ratios = log_G[alive] - log_psi[alive]
-        bracket = (float(ratios.min()), float(ratios.max()))
+        survive = np.isfinite(log_G[alive])
+        alive = alive[survive]
         new_log_psi = np.full(model.n_states, NEG_INF)
         new_log_psi[alive] = log_G[alive] - log_G[i0]
+        if not survive.all():
+            log_psi = new_log_psi
+            continue
+        ratios = log_G[alive] - log_psi[alive]
+        bracket = (float(ratios.min()), float(ratios.max()))
         if bracket[1] - bracket[0] <= tol:
             rho = 0.5 * (bracket[0] + bracket[1])
-            warnings = []
-            if rho < -tol:
-                warnings.append(f"negative eigenvalue {rho!r} on this domain")
-            return EigenPair(
-                rho=rho,
-                log_psi=new_log_psi,
-                domain=alive,
-                bracket=bracket,
-                iterations=sweep,
-                damping_events=damping,
-                warnings=warnings,
-            )
+            warnings = [f"negative eigenvalue {rho!r} on this domain"] if rho < -tol else []
+            return EigenPair(rho=rho, log_psi=new_log_psi, domain=alive, bracket=bracket,
+                             iterations=sweep, damping_events=damping, warnings=warnings)
         if sweep > DAMP_AFTER:
-            blend = np.isfinite(new_log_psi) & np.isfinite(log_psi)
-            new_log_psi[blend] = 0.5 * (new_log_psi[blend] + log_psi[blend])
-            new_log_psi[blend] -= new_log_psi[i0]
+            new_log_psi[alive] = 0.5 * (new_log_psi[alive] + log_psi[alive])
+            new_log_psi[alive] -= new_log_psi[i0]
             damping += 1
         log_psi = new_log_psi
     raise NoConvergence(bracket, DEFAULT_MAX_ITER)

@@ -445,7 +445,7 @@ def _lyapunov_findings(model: GameModel) -> list:
     if ly.log_W.shape != (model.n_states,):
         out.append(Violation("lyapunov_shape", (), 0.0, "W must have one entry per state"))
     else:
-        # W >= 1  <=>  log W >= 0; a NaN log W (W <= 0 or NaN) fails it too
+        # W >= 1  <=>  log W >= 0; a NaN log W fails it too
         low = np.flatnonzero(~(ly.log_W >= -1e-15))
         out += [Violation("lyapunov_W_below_one", (i,), W, f"W({i}) = {W} is not >= 1")
                 for i, W in zip(low.tolist(), np.exp(ly.log_W[low]).tolist())]
@@ -989,8 +989,9 @@ def model_from_json(doc) -> GameModel:
     Unknown keys anywhere are rejected, and so is every document whose
     values do not fit its own window: non-numeric fields, records or a
     reference state outside it, a state without actions, Lyapunov arrays
-    without one entry per state, K outside the window. Numeric invariants
-    (signs, row sums) are left to validate_model.
+    without one entry per state, a linear W entry below 0, K outside the
+    window. Numeric invariants (signs, row sums) are left to
+    validate_model.
     """
     if isinstance(doc, (str, bytes, io.TextIOBase)):
         try:
@@ -1057,9 +1058,15 @@ def _model_from_doc(doc) -> GameModel:
         for req in ("C", "K"):
             if req not in lb:
                 raise SchemaError(f"lyapunov needs {req}")
-        with np.errstate(divide="ignore", invalid="ignore"):
-            log_W = (np.log(_numbers(lb["W"], float, "lyapunov W"))
-                     if "W" in lb else _numbers(lb["logW"], float, "lyapunov logW"))
+        if "W" in lb:
+            W = _numbers(lb["W"], float, "lyapunov W")
+            if (W < 0).any():
+                i = int(np.argmax(W < 0))
+                raise SchemaError(f"lyapunov W({i}) = {W[i].item()} is below 0")
+            with np.errstate(divide="ignore"):  # W = 0 is log W = -inf, a validate finding
+                log_W = np.log(W)
+        else:
+            log_W = _numbers(lb["logW"], float, "lyapunov logW")
         ell = _numbers(lb["ell"], float, "lyapunov ell") if "ell" in lb else None
         K = _numbers(lb["K"], int, "lyapunov K")
         if len(log_W) != n or (ell is not None and len(ell) != n):

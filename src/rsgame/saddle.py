@@ -61,8 +61,8 @@ operations do not depend on the batch, so a state it settles gets the
 same LocalSaddle bit for bit whether it is solved alone or in a sweep;
 every other state (a certificate that needs several actions, an order
 gap above max(tol, 1e-9), a mixed saddle) goes to the cutting planes with
-the pass's row shift, shifted masses and candidate. solve_saddle_core is
-solve_saddles on one state.
+the pass's row shift, shifted masses and candidate. solve_saddles is the
+one entry: a single game is solved as a batch of one.
 
 All tie-breaks pick the lowest action index.
 """
@@ -397,9 +397,3 @@ def _mixed_saddle(C, Qs, m0, v, tol):
     nu, h, gap, mu = _lower_solve(C, Qs, nu0, tol)
     phi, _ = _max_x_plus_log_y(C.T @ mu, Qs.T @ mu)
     return LocalSaddle(h + m0, mu, nu, gap, order_gap=max(phi - h, 0.0))
-
-
-def solve_saddle_core(C: np.ndarray, L: np.ndarray, tol: float = DEFAULT_TOL) -> LocalSaddle:
-    """solve_saddles on the one game (C, L)."""
-    C = np.asarray(C, dtype=float)
-    return solve_saddles(C.ravel(), np.asarray(L, dtype=float).ravel(), [C.shape], tol)[0]

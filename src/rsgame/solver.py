@@ -132,12 +132,13 @@ def _final_sweep(model: GameModel, rho: float, log_psi, domain, tol):
     lowest-index pure action elsewhere.
     """
     log_psi = np.asarray(log_psi, dtype=float)
-    states = [int(s) for s in np.atleast_1d(domain) if np.isfinite(log_psi[int(s)])]
+    domain = np.atleast_1d(np.asarray(domain, dtype=int))
+    states = domain[np.isfinite(log_psi[domain])]
     log_G, saddles = apply_operator(model, states, log_psi, tol=tol)
     pi1, pi2 = StationaryStrategy.pure(model, 1, 0), StationaryStrategy.pure(model, 2, 0)
     for i, s in zip(states, saddles):
         pi1.weights[i], pi2.weights[i] = s.mu, s.nu
-    res = float(np.abs(log_G[states] - rho - log_psi[states]).max()) if states else None
+    res = float(np.abs(log_G[states] - rho - log_psi[states]).max()) if len(states) else None
     return res, (pi1, pi2), saddles
 
 
@@ -208,7 +209,8 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     worst certified gap, the worst order gap and the number of states where
     both selectors are pure.
 
-    Raises ValueError unless tol_eig and tol_outer are finite and > 0.
+    Raises ValueError unless tol_eig and tol_outer are finite and > 0 and
+    the ladder is strictly increasing, every rung a DirichletDomain prefix.
     `threads` is accepted for compatibility and has no effect: the local
     solves hold the interpreter lock, so threads cannot speed them up.
     """
@@ -218,10 +220,7 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     sizes = list(ladder) if ladder is not None else default_ladder(model)
     if not sizes or any(s2 <= s1 for s1, s2 in zip(sizes, sizes[1:])):
         raise ValueError(f"ladder must be strictly increasing, got {sizes}")
-    if sizes[-1] > model.n_states:
-        raise ValueError(f"ladder exceeds the window: {sizes[-1]} > {model.n_states}")
-    if sizes[0] <= model.i0:
-        raise ValueError(f"every rung must contain the reference state {model.i0}")
+    domains = [DirichletDomain.prefix(model, size) for size in sizes]
     bounds = eigenvalue_upper_bound(model)
 
     rungs = []
@@ -229,17 +228,17 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
     prev: EigenPair | None = None
     certified = False
     total_damping = 0
-    for k, size in enumerate(sizes, start=1):
-        dom = DirichletDomain.prefix(model, size)
+    for k, dom in enumerate(domains, start=1):
         eig = dirichlet_eigenpair(
             dom, tol=tol_eig, warm_start_log_psi=None if prev is None else prev.log_psi)
-        rungs.append(LadderRung(k, size, eig.rho, eig.bracket[1] - eig.bracket[0],
+        rungs.append(LadderRung(k, len(dom.states), eig.rho, eig.bracket[1] - eig.bracket[0],
                                 eig.iterations))
         total_damping += eig.damping_events
         warnings.extend(eig.warnings)
         if prev is not None:
-            shared = [i for i in prev.domain if np.isfinite(eig.log_psi[i])]
-            dpsi = max((abs(eig.log_psi[i] - prev.log_psi[i]) for i in shared), default=np.inf)
+            # i0 is in both domains, so `shared` is never empty
+            shared = prev.domain[np.isfinite(eig.log_psi[prev.domain])]
+            dpsi = np.abs(eig.log_psi[shared] - prev.log_psi[shared]).max()
             if abs(eig.rho - prev.rho) <= tol_outer and dpsi <= tol_outer:
                 prev = eig
                 certified = True

@@ -2,10 +2,11 @@
 
 Everything here is deliberately mechanical (enumeration, section search,
 dense linear algebra, power iteration, closed forms) and shares no code
-path with the solvers it checks. The readers at the end are the one
-exception: they take one state's transition tensor, costs and inner sums
-through the model's own accessors, for tests that compare the batched
-code with scalar references.
+path with the solvers it checks. The helpers at the end are the
+exceptions: the readers take one state's transition tensor, costs and
+inner sums through the model's own accessors, for tests that compare the
+batched code with scalar references, and solve_one_saddle runs the local
+solver on one game.
 """
 
 import itertools
@@ -17,6 +18,7 @@ from rsgame._util import NEG_INF, concat_ranges
 from rsgame.birth_death import BirthDeathParams
 from rsgame.dirichlet import NoConvergence
 from rsgame.model import StationaryStrategy
+from rsgame.saddle import DEFAULT_TOL, solve_saddles
 
 
 def simplex_grid(k: int, resolution: int) -> np.ndarray:
@@ -289,6 +291,12 @@ def state_cost(model, i: int) -> np.ndarray:
 def local_matrices(model, i: int, log_psi: np.ndarray):
     """(C, L) for state i: C costs, L[u,v] = log sum_j psi(j) P(j|i,u,v)."""
     return state_cost(model, i), model.inner_log_sums([i], log_psi).reshape(model.shapes[i])
+
+
+def solve_one_saddle(C, L, tol: float = DEFAULT_TOL):
+    """saddle.solve_saddles on the one game (C, L)."""
+    C = np.asarray(C, dtype=float)
+    return solve_saddles(C.ravel(), np.asarray(L, dtype=float).ravel(), [C.shape], tol)[0]
 
 
 def uniform_strategy(model, player: int):

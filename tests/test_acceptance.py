@@ -19,12 +19,11 @@ import pytest
 from conftest import (one_state_two_action, random_uncontrolled_chain,
                       uncontrolled_two_state)
 from oracles import (birth_death_params_any_p_hat, dense_transition, lower_value_grid,
-                     lower_values_exact, perron_log_radius, state_cost,
+                     lower_values_exact, perron_log_radius, solve_one_saddle, state_cost,
                      uncontrolled_eigen_oracle)
 from rsgame.birth_death import BirthDeathParams, build_birth_death, verify_stability_estimates
 from rsgame.dirichlet import apply_operator
 from rsgame.model import StationaryStrategy
-from rsgame.saddle import solve_saddle_core
 from rsgame.simulate import (SimConfig, estimate_ergodic_cost, simulate_paths,
                              verify_saddle, verify_stochastic_representation)
 from rsgame.solver import residual, solve_ergodic_game
@@ -126,7 +125,7 @@ def test_criterion_4_duality_gap_and_brute_force():
         size = 2 if k % 2 == 0 else 3
         C = rng.uniform(0.0, 2.0, (size, size))
         L = rng.normal(0.0, 1.5, (size, size))
-        s = solve_saddle_core(C, L, tol=1e-8)
+        s = solve_one_saddle(C, L, tol=1e-8)
         worst_gap = max(worst_gap, s.gap)
         worst_overshoot = max(worst_overshoot, lower_value_grid(C, L, 300) - s.log_value)
         games[size].append((C, L, s.log_value))

@@ -85,6 +85,13 @@ def test_verify_saddle_fails_on_a_reachable_zero_of_psi(workdir, capsys):
     assert code == 1
     assert not doc["saddle"]["passed"]
     assert "states [2]" in doc["saddle"]["warnings"][0]
+    # psi* = 0 at state 2, off the solved domain {0, 1}: a representation
+    # target that holds it has no psi* to reach, and is refused
+    assert run(["verify", "m.json", "--report", "r.json", "--representation", "B=1,2",
+                "--starts", "0", "--N", "10"]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: target state 2 lies outside the solved support\n")
 
 
 def test_verify_representation(workdir, capsys):
@@ -109,6 +116,23 @@ def test_simulate_subcommand(workdir, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "estimate" in doc["base"]
     assert len(doc["deviations"]["estimates"]) == 2
+
+
+def test_simulate_writes_the_paths_csv(workdir, capsys, bd20):
+    """--paths-csv writes simulate_paths' CSV of the same model, selectors
+    and run settings, byte for byte, next to the estimate."""
+    from rsgame.cli import _load_model
+    from rsgame.simulate import SimConfig, simulate_paths
+    from rsgame.solver import SolveReport
+
+    model, report = bd20
+    assert run(["simulate", model, "--strategies", report, "--T", "7", "--N", "5",
+                "--seed", "3", "--start", "2", "--paths-csv", "p.csv"]) == 0
+    assert "estimate" in json.loads(capsys.readouterr().out)["base"]
+    m = _load_model(model)
+    pi1, pi2 = SolveReport.from_dict(read_json(report), m.n_states).selectors
+    batch = simulate_paths(m, pi1, pi2, SimConfig(T=7, N=5, seed=3, start=2))
+    assert Path("p.csv").read_bytes() == batch.to_csv().encode()
 
 
 def test_simulate_refuses_nonfinite_strategy_weights(workdir, capsys):
@@ -218,9 +242,12 @@ def test_malformed_reports_are_schema_errors(workdir, capsys, bd20, mutation, me
      "bad --starts spec '5;6'; expected comma-separated state indices"),
     (["verify", "--representation", "B=0..19"],
      "no state lies outside the target set to start from; give start states with --starts"),
+    (["verify", "--representation", "B=0..4", "--starts", "6,3"],
+     "start state 3 is inside the target set"),
+    (["verify"], "verify needs --saddle and/or --representation"),
 ], ids=["start-negative", "start-30", "starts-30", "target-30", "deviations-negative",
         "deviate-negative", "deviate-no-count", "deviate-not-int", "target-malformed",
-        "starts-malformed", "target-whole-window"])
+        "starts-malformed", "target-whole-window", "start-in-target", "verify-no-check"])
 def test_simulation_inputs_out_of_range_are_usage_errors(capsys, bd20, argv, message):
     model, report = bd20
     flag = "--strategies" if argv[0] == "simulate" else "--report"
@@ -498,21 +525,33 @@ def test_validate_flags_invalid_lyapunov_constant(workdir, capsys):
                            "and > 0\n")
 
 
+def test_negative_linear_W_is_refused_as_given(workdir, capsys):
+    """A linear W entry below 0 has no log: the reader refuses it, naming
+    the index and the value the document gave, for every command."""
+    with open("bad.json", "w") as fh:
+        json.dump(dict(two_state_doc(), lyapunov={"W": [1.0, -1.0], "ell": [1, 1], "K": [0],
+                                                  "C": 5}), fh)
+    for command in ("validate", "check", "solve"):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # no numpy RuntimeWarning on the way
+            assert run([command, "bad.json"]) == 2
+        captured = capsys.readouterr()
+        assert (captured.out, captured.err) == ("", "error: lyapunov W(1) = -1.0 is below 0\n")
+
+
 @pytest.mark.parametrize("lyapunov, kind, value, message", [
-    ({"W": [-1.0, 2.0], "ell": [1, 1], "K": [0], "C": 5}, "lyapunov_W_below_one", None,
-     "error: unsound Lyapunov data: W(0) = nan is not >= 1\n"),
     ({"W": [1.0, 2.0], "ell": [float("nan"), 1], "K": [0], "C": 5}, "lyapunov_not_finite", None,
      "error: unsound Lyapunov data: ell(0) = nan is not finite\n"),
     ({"W": [1.0, 2.0], "gamma": float("inf"), "K": [0], "C": 5}, "lyapunov_not_finite", None,
      "error: unsound Lyapunov data: gamma = inf is not finite\n"),
     ({"W": [0.5, 1.0], "ell": [1, 1], "K": [0], "C": 5}, "lyapunov_W_below_one", 0.5,
      "error: unsound Lyapunov data: W(0) = 0.5 is not >= 1\n"),
-], ids=["W-negative", "ell-nan", "gamma-inf", "W-below-one"])
+], ids=["ell-nan", "gamma-inf", "W-below-one"])
 def test_nonfinite_lyapunov_data_is_refused(workdir, capsys, lyapunov, kind, value, message):
-    """A W below one (its log NaN or finite), or a non-finite rate, is a
-    validate finding, and check and solve refuse it with that finding
-    instead of writing NaN slacks or bounds (or skipping them in a max),
-    or passing a drift check on a weight the theory does not allow."""
+    """A W below one, or a non-finite rate, is a validate finding, and
+    check and solve refuse it with that finding instead of writing NaN
+    slacks or bounds (or skipping them in a max), or passing a drift check
+    on a weight the theory does not allow."""
     with open("bad.json", "w") as fh:
         json.dump(dict(two_state_doc(), lyapunov=lyapunov), fh)
     assert run(["validate", "bad.json"]) == 1

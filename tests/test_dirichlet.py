@@ -6,13 +6,12 @@ import pytest
 
 from conftest import (pennies_layer_model, random_closed_model, scalar_self_loop,
                       uncontrolled_two_state)
-from oracles import local_matrices, perron_log_radius
+from oracles import local_matrices, perron_log_radius, solve_one_saddle
 from rsgame import dirichlet
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.dirichlet import (CollapseToZero, DirichletDomain, NoConvergence,
-                              apply_operator, dirichlet_eigenpair, viable_states)
+                              apply_operator, dirichlet_eigenpair)
 from rsgame.model import make_model
-from rsgame.saddle import solve_saddle_core
 from rsgame.solver import solve_ergodic_game
 
 LOG_1P5 = 0.4054651081081644  # Perron root of [[.5,.5],[1,1]], by char poly
@@ -96,11 +95,30 @@ def test_viability_shrinks_to_sustainable_core():
     P1 = np.zeros((1, 1, 2))  # row sums to zero: everything leaves
     m = make_model(2, [[0], [0]], [[0], [0]], [P0, P1],
                    [np.zeros((1, 1))] * 2, i0=0)
-    dom = DirichletDomain.prefix(m, 2)
-    assert viable_states(dom).tolist() == [0]
-    ep = dirichlet_eigenpair(dom, tol=1e-10)
+    ep = dirichlet_eigenpair(DirichletDomain.prefix(m, 2), tol=1e-10)
+    assert ep.domain.tolist() == [0]
     assert ep.rho == pytest.approx(np.log(0.5), abs=1e-10)
     assert not np.isfinite(ep.log_psi[1])
+
+
+def test_one_state_dies_per_sweep_in_a_cascade():
+    """0 -> {0, 1} -> 2 -> 3, and all of state 3's mass leaves the window.
+    Each sweep kills the last state of the chain, and the sweep after it
+    brackets nothing: psi is positive only on the survivors from then on.
+    Three killing sweeps, then psi = 1 on {0} gives rho = log p exactly (zero
+    costs). Bracketing the killing sweep would read rho = 0 on {0, 1, 2}."""
+    p = 0.3
+    P = [np.zeros((1, 1, 4)) for _ in range(4)]
+    P[0][0, 0, :2] = [p, 1.0 - p]
+    P[1][0, 0, 2] = 1.0
+    P[2][0, 0, 3] = 1.0
+    m = make_model(4, [[0]] * 4, [[0]] * 4, P, [np.zeros((1, 1))] * 4, i0=0)
+    ep = dirichlet_eigenpair(DirichletDomain.prefix(m, 4), tol=1e-12)
+    assert ep.domain.tolist() == [0]
+    assert ep.rho == np.log(p)
+    assert ep.bracket == (np.log(p), np.log(p))
+    assert ep.iterations == 4
+    assert ep.log_psi.tolist() == [0.0] + [-np.inf] * 3
 
 
 def test_collapse_when_reference_state_dies():
@@ -172,7 +190,7 @@ def test_apply_operator_matches_scalar_solves_on_ragged_actions():
         log_G, saddles = apply_operator(model, [0, 1], log_psi)
         for i, s in zip([0, 1], saddles):
             C, L = local_matrices(model, i, log_psi)
-            assert saddle_fields(s) == saddle_fields(solve_saddle_core(C, L))
+            assert saddle_fields(s) == saddle_fields(solve_one_saddle(C, L))
             assert log_G[i] == s.log_value
 
 
@@ -183,6 +201,6 @@ def test_apply_operator_matches_scalar_solves_on_mixed_states():
     log_G, saddles = apply_operator(model, states, log_psi)
     for i, s in zip(states, saddles):
         C, L = local_matrices(model, i, log_psi)
-        assert saddle_fields(s) == saddle_fields(solve_saddle_core(C, L))
+        assert saddle_fields(s) == saddle_fields(solve_one_saddle(C, L))
         assert log_G[i] == s.log_value
     assert any(s.order_gap > 0 for s in saddles)  # mixed states took the cutting planes

@@ -556,6 +556,21 @@ def test_json_lyapunov_forms():
         model_from_json(unknown)
 
 
+def test_json_round_trip_of_bounded_lyapunov_data():
+    """The bounded case (one rate gamma, no ell) is written as logW, K, C
+    and gamma, and read back to the same data."""
+    P = np.full((1, 1, 2), 0.5)
+    ly = LyapunovData(log_W=np.array([0.0, 0.4]), C=2.5, K=np.array([1]), gamma=0.75)
+    m = make_model(2, [[0], [0]], [[0], [0]], [P, P.copy()], [np.full((1, 1), 0.3)] * 2,
+                   lyapunov=ly)
+    text = emitted_text(m)
+    assert json.loads(text)["lyapunov"] == {"logW": [0.0, 0.4], "K": [1], "C": 2.5,
+                                            "gamma": 0.75}
+    back = model_from_json(text).lyapunov
+    assert (back.case, back.ell, back.gamma, back.C) == ("bounded", None, 0.75, 2.5)
+    assert back.log_W.tolist() == [0.0, 0.4] and back.K.tolist() == [1]
+
+
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 10**6), n=st.integers(1, 4),
        mu=st.integers(1, 3), mv=st.integers(1, 3))

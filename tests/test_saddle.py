@@ -13,10 +13,11 @@ from hypothesis import strategies as st
 import rsgame
 from conftest import random_closed_model
 from oracles import (best_response_pure_min_core, bilinear_2x2_mixed, local_matrices,
-                     local_payoff_core, lower_value_exact, lower_value_grid, simplex_grid)
+                     local_payoff_core, lower_value_exact, lower_value_grid, simplex_grid,
+                     solve_one_saddle)
 from rsgame._util import NEG_INF
 from rsgame.model import make_model
-from rsgame.saddle import LocalSaddle, solve_saddle_core
+from rsgame.saddle import LocalSaddle
 from rsgame.solver import solve_ergodic_game
 
 
@@ -120,7 +121,7 @@ def test_no_mixed_mu_beats_best_pure(rng):
 def test_saddle_singleton_actions():
     C = np.array([[0.3]])
     L = np.array([[np.log(0.8)]])
-    s = solve_saddle_core(C, L)
+    s = solve_one_saddle(C, L)
     assert s.log_value == pytest.approx(0.3 + np.log(0.8), abs=1e-14)
     assert s.gap == 0.0
     assert s.mu.tolist() == [1.0]
@@ -132,7 +133,7 @@ def test_saddle_matching_pennies_constant_psi():
     C = np.array([[1.0, 0.0], [0.0, 1.0]])
     L = np.zeros((2, 2))
     p, q, value = bilinear_2x2_mixed(C)
-    s = solve_saddle_core(C, L, tol=1e-8)
+    s = solve_one_saddle(C, L, tol=1e-8)
     assert s.log_value == pytest.approx(value, abs=1e-10)
     assert s.mu == pytest.approx(p, abs=1e-9)
     assert s.nu == pytest.approx(q, abs=1e-9)
@@ -142,7 +143,7 @@ def test_saddle_matching_pennies_constant_psi():
 def test_saddle_random_2x2_matches_grid_oracle(rng):
     for _ in range(8):
         C, L = rand_instance(rng, 2, 2)
-        s = solve_saddle_core(C, L, tol=1e-8)
+        s = solve_one_saddle(C, L, tol=1e-8)
         assert s.log_value == pytest.approx(lower_value_exact(C, L), abs=1e-9)
         assert s.log_value == pytest.approx(lower_value_grid(C, L, 300), abs=1e-6)
 
@@ -164,7 +165,7 @@ def test_saddle_gap_certificate(rng):
     cases += [games[t] for t in ZERO_MASS_TRIALS]
     for C, L in cases:
         mu, mv = C.shape
-        s = solve_saddle_core(C, L, tol=1e-8)
+        s = solve_one_saddle(C, L, tol=1e-8)
         assert 0.0 <= s.gap <= 1e-8
         probe = simplex_grid(mv, 40)
         best = max(
@@ -179,8 +180,8 @@ def test_saddle_monotone_in_psi(rng):
         mv = int(rng.integers(1, 4))
         C, L1 = rand_instance(rng, mu, mv)
         L2 = L1 + rng.uniform(0.0, 1.0, (mu, mv))  # psi grows entrywise
-        v1 = solve_saddle_core(C, L1, tol=1e-10).log_value
-        v2 = solve_saddle_core(C, L2, tol=1e-10).log_value
+        v1 = solve_one_saddle(C, L1, tol=1e-10).log_value
+        v2 = solve_one_saddle(C, L2, tol=1e-10).log_value
         assert v1 <= v2 + 1e-10
 
 
@@ -190,8 +191,8 @@ def test_saddle_one_homogeneous(rng):
         mv = int(rng.integers(1, 4))
         C, L = rand_instance(rng, mu, mv)
         lam = float(rng.uniform(0.1, 10.0))
-        v = solve_saddle_core(C, L, tol=1e-10).log_value
-        v_scaled = solve_saddle_core(C, L + np.log(lam), tol=1e-10).log_value
+        v = solve_one_saddle(C, L, tol=1e-10).log_value
+        v_scaled = solve_one_saddle(C, L + np.log(lam), tol=1e-10).log_value
         assert v_scaled == pytest.approx(v + np.log(lam), abs=1e-10)
 
 
@@ -199,7 +200,7 @@ def test_saddle_dead_row_collapses_value():
     # player 1 owns an action whose one-step mass vanishes entirely
     C = np.array([[0.5, 0.5], [1.0, 1.0]])
     L = np.array([[0.0, 0.0], [NEG_INF, NEG_INF]])
-    s = solve_saddle_core(C, L)
+    s = solve_one_saddle(C, L)
     assert s.log_value == NEG_INF
     assert s.empty_support
     assert s.mu.tolist() == [0.0, 1.0]
@@ -212,7 +213,7 @@ def test_saddle_order_gap_reported_not_gated(rng):
                   [0.4281845786734404, 0.19831394119762868]])
     L = np.array([[-1.9838116999375184, -0.7292911960485703],
                   [0.6303400642118786, -0.15359505991664457]])
-    s = solve_saddle_core(C, L, tol=1e-8)
+    s = solve_one_saddle(C, L, tol=1e-8)
     assert s.gap <= 1e-8
     assert s.log_value == pytest.approx(lower_value_exact(C, L), abs=1e-9)
     assert s.order_gap > 1e-3  # measured two-order discrepancy ~ 0.106
@@ -223,7 +224,7 @@ def test_solver_never_fails_on_random_sweep(rng):
         mu = int(rng.integers(1, 5))
         mv = int(rng.integers(1, 5))
         C, L = rand_instance(rng, mu, mv)
-        s = solve_saddle_core(C, L, tol=1e-8)
+        s = solve_one_saddle(C, L, tol=1e-8)
         assert isinstance(s, LocalSaddle)
         assert np.isfinite(s.log_value)
 
@@ -235,7 +236,7 @@ def test_local_games_read_from_a_model(two_state):
     assert val == pytest.approx(np.log(2.0), abs=1e-12)
     u, bv = best_response_pure_min_core(C, L, np.ones(1))
     assert (u, bv) == (0, pytest.approx(np.log(2.0), abs=1e-12))
-    s = solve_saddle_core(*local_matrices(two_state, 0, log_psi))
+    s = solve_one_saddle(*local_matrices(two_state, 0, log_psi))
     assert s.log_value == pytest.approx(0.0, abs=1e-12)
 
 
@@ -300,7 +301,7 @@ def test_batched_pure_path_is_batch_independent():
 def test_batched_solves_equal_scalar_solves_in_any_order():
     from rsgame.saddle import solve_saddles
     cases = batch_cases()
-    scalar = [saddle_fields(solve_saddle_core(C, L)) for C, L in cases]
+    scalar = [saddle_fields(solve_one_saddle(C, L)) for C, L in cases]
 
     def batch(games):
         """solve_saddles on the games laid out flat, one after another."""
@@ -452,7 +453,7 @@ def pinned_local_games():
 def pinned_digest() -> str:
     digest = hashlib.sha256()
     for C, L in pinned_local_games():
-        digest.update(repr(saddle_fields(solve_saddle_core(C, L, tol=1e-8))).encode())
+        digest.update(repr(saddle_fields(solve_one_saddle(C, L, tol=1e-8))).encode())
     return digest.hexdigest()
 
 
@@ -496,8 +497,8 @@ def test_mu_and_order_gap_stable_under_last_ulp_changes():
               if _pure_saddles(C[None], L[None], 1e-8)[0][0] is None]
     assert len(games) == 8 + 55
     for C, L in games:
-        s = solve_saddle_core(C, L)
-        up = solve_saddle_core(C, np.nextafter(L, np.inf))
+        s = solve_one_saddle(C, L)
+        up = solve_one_saddle(C, np.nextafter(L, np.inf))
         assert np.abs(s.mu - up.mu).max() <= 1e-6
         assert abs(s.order_gap - up.order_gap) <= 1e-9
 
@@ -507,7 +508,7 @@ def test_cut_cap_raises_no_convergence(monkeypatch):
     from rsgame import saddle
     monkeypatch.setattr(saddle, "_MAX_ROUNDS", 1)
     with pytest.raises(saddle.NoConvergence, match=r"duality gap 5\.000e-01") as exc:
-        saddle.solve_saddle_core(np.eye(2), np.zeros((2, 2)))
+        solve_one_saddle(np.eye(2), np.zeros((2, 2)))
     assert exc.value.gap == pytest.approx(0.5)
 
 
@@ -522,12 +523,12 @@ def test_pure_vertex_certificates_that_need_the_scalar_stages():
     C = np.array([[0.0, -1.0 + 1e-6]])
     L = np.array([[0.0, np.log(2.0)]])
     assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
-    s = solve_saddle_core(C, L)
+    s = solve_one_saddle(C, L)
     assert s.gap <= 1e-8 and 0.0 < s.nu[1] < 1e-5
     C = np.array([[0.0, 1e-4, -1.0], [0.0, -1.0, 1e-4], [5e-9, -1.0, -1.0]])
     L = np.zeros((3, 3))
     assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
-    s = solve_saddle_core(C, L)
+    s = solve_one_saddle(C, L)
     assert s.nu.tolist() == [1.0, 0.0, 0.0] and s.log_value == 0.0
     assert s.mu[0] > 0.0 and s.mu[1] > 0.0 and s.mu[2] == 0.0  # a mixed minimizer
     assert s.order_gap <= 1e-9
