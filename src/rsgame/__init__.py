@@ -11,7 +11,6 @@ from .dirichlet import CollapseToZero, DirichletDomain, EigenPair, dirichlet_eig
 from .model import (GameModel, LyapunovData, StationaryStrategy,
                     check_irreducibility, check_lyapunov, check_reference_state,
                     make_model, model_from_json, model_to_json, validate_model)
-from .saddle import LocalSaddle
 from .simulate import (EstimatorReport, PathBatch, SimConfig, estimate_ergodic_cost,
                        simulate_paths, verify_saddle, verify_stochastic_representation)
 from .solver import SolveReport, extract_selectors, residual, solve_ergodic_game
@@ -23,7 +22,6 @@ __all__ = [
     "EigenPair",
     "EstimatorReport",
     "GameModel",
-    "LocalSaddle",
     "LyapunovData",
     "PathBatch",
     "SimConfig",

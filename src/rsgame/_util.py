@@ -1,5 +1,5 @@
 """Shared numeric helpers: stable log-sum-exp, whole and by segment,
-concatenated index ranges, graph reachability and unit vectors."""
+concatenated index ranges, segment slots and graph reachability."""
 
 from __future__ import annotations
 
@@ -16,13 +16,6 @@ def logsumexp(a) -> float:
         amax = a.max()
         shift = amax if np.isfinite(amax) else 0.0
         return float(shift + np.log(np.exp(a - shift).sum()))
-
-
-def unit(m: int, k: int) -> np.ndarray:
-    """The k-th unit vector of length m: pure action k as mixed weights."""
-    e = np.zeros(m)
-    e[k] = 1.0
-    return e
 
 
 def concat_ranges(lo, hi):
@@ -67,3 +60,10 @@ def segment_logsumexp(vals, sizes):
             total = np.add.reduceat(np.exp(vals - np.repeat(shift, sizes[full])), start)
             out[full] = shift + np.log(total)
     return out
+
+
+def segment_slots(sizes, rows) -> np.ndarray:
+    """The indices of segments `rows`, segment after segment, in a flat
+    array of consecutive segments of the given sizes."""
+    lo = np.cumsum(sizes) - sizes
+    return concat_ranges(lo[rows], lo[rows] + sizes[rows])[0]

@@ -10,10 +10,8 @@ of all its states from one call of GameModel.inner_log_sums, a segment
 log-sum-exp over the model's CSR layout of nonzero transition entries,
 so a sweep costs O(nnz) for the sums instead of O(rows x window). The
 sums and the costs (GameModel.row_cost) of the sweep stay flat in kernel
-row order, and its local saddles are solved from them as one batch by
-saddle.solve_saddles: the pure-saddle fast path runs as array operations
-over all states of one action shape, once per shape, and only the states
-it cannot certify go to the cutting planes, one after another.
+row order, and saddle.solve_saddles solves its local saddles from them as
+one batch, into one columnar saddle.Saddles.
 
 The power iteration alone decides which domain states survive: a sweep
 that gives log G = -inf at some states drops them, restarts psi on the
@@ -86,12 +84,13 @@ class EigenPair:
 def apply_operator(model: GameModel, states, log_psi, tol=DEFAULT_TOL):
     """One sweep of the dynamic-programming operator on the given states.
 
-    Returns (log_G over the full window with -inf off `states`, saddles).
+    Returns (log_G over the full window with -inf off `states`, the
+    states' saddle.Saddles in the order of `states`).
     """
     C, L = model.row_cost[model.rows(states)[0]], model.inner_log_sums(states, log_psi)
     saddles = solve_saddles(C, L, model.shapes[states], tol=tol)
     log_G = np.full(model.n_states, NEG_INF)
-    log_G[states] = [s.log_value for s in saddles]
+    log_G[states] = saddles.log_value
     return log_G, saddles
 
 

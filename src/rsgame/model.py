@@ -22,7 +22,7 @@ from itertools import repeat
 
 import numpy as np
 
-from ._util import concat_ranges, reachable, segment_logsumexp, unit
+from ._util import concat_ranges, reachable, segment_logsumexp
 
 ROW_SUM_TOL = 1e-12
 CLOSED_TOL = 1e-12
@@ -290,40 +290,60 @@ def make_model(
     )
 
 
-@dataclass
 class StationaryStrategy:
-    """Per-state mixed action weights for one player."""
+    """One player's mixed action weights at every state: `sizes[i]`
+    weights per state i, state after state in the array `flat`."""
 
-    weights: list
+    def __init__(self, weights):
+        """From one list of weights per state, the JSON form. Raises
+        SchemaError when a state's entry is not a list of numbers."""
+        ws = [np.asarray(w, dtype=float) for w in weights]
+        if any(w.ndim != 1 for w in ws):
+            raise SchemaError("selector weights must be lists of numbers, one list per state")
+        self.flat = np.concatenate(ws) if ws else np.zeros(0)
+        self.sizes = np.array(list(map(len, ws)), dtype=np.int64)
 
-    def __post_init__(self):
-        self.weights = [np.asarray(w, dtype=float) for w in self.weights]
+    @classmethod
+    def from_flat(cls, flat, sizes) -> "StationaryStrategy":
+        """The strategy with these `flat` weights and `sizes`."""
+        pi = cls.__new__(cls)
+        pi.flat, pi.sizes = flat, np.asarray(sizes, dtype=np.int64)
+        return pi
+
+    @property
+    def weights(self) -> list:
+        """One read-only view of `flat` per state."""
+        view = self.flat.view()
+        view.flags.writeable = False
+        hi = np.cumsum(self.sizes)
+        return list(map(view.__getitem__, map(slice, (hi - self.sizes).tolist(), hi.tolist())))
 
     @staticmethod
     def pure(model: GameModel, player: int, idx) -> "StationaryStrategy":
-        idx = np.broadcast_to(idx, model.n_states).tolist()
-        return StationaryStrategy(list(map(unit, model.shapes[:, player - 1].tolist(), idx)))
+        """Action idx in 0..sizes - 1 (one for all states, or one per state) with weight 1."""
+        sizes = model.shapes[:, player - 1]
+        flat = np.zeros(int(sizes.sum()))
+        flat[np.cumsum(sizes) - sizes + np.asarray(idx, dtype=np.int64)] = 1.0
+        return StationaryStrategy.from_flat(flat, sizes)
 
     def validate_for(self, model: GameModel, player: int) -> list[str]:
         """One message per problem, state by state. The sign, finiteness
-        and sum checks run on all well-shaped states at once, as segment
-        reductions over the concatenated weights (a non-finite weight makes
-        its segment's sum non-finite), and the states they flag are checked
-        again one by one for their messages. Segment sums may round apart
-        from w.sum(), so that filter flags sums off by half the tolerance."""
-        if len(self.weights) != model.n_states:
-            return [f"strategy has {len(self.weights)} states, model has {model.n_states}"]
+        and sum checks run on all states at once, as segment reductions
+        over `flat` (a non-finite weight makes its segment's sum
+        non-finite), and the states they flag are checked again one by one
+        for their messages. Segment sums may round apart from w.sum(), so
+        that filter flags sums off by half the tolerance."""
+        if len(self.sizes) != model.n_states:
+            return [f"strategy has {len(self.sizes)} states, model has {model.n_states}"]
         sizes = model.shapes[:, player - 1]
-        ok = np.array([w.shape == (m,) for w, m in zip(self.weights, sizes.tolist())], dtype=bool)
-        at = np.flatnonzero(ok)
-        if at.size:
-            flat = np.concatenate([self.weights[i] for i in at])
-            lo = np.cumsum(sizes[at]) - sizes[at]
-            ok[at] = ~(np.minimum.reduceat(flat, lo) < 0) & (
-                np.abs(np.add.reduceat(flat, lo) - 1.0) <= STRATEGY_TOL / 2)
+        lo = np.cumsum(self.sizes) - self.sizes
+        ok, full = self.sizes == sizes, self.sizes > 0
+        if full.any():
+            ok[full] &= ~(np.minimum.reduceat(self.flat, lo[full]) < 0) & (
+                np.abs(np.add.reduceat(self.flat, lo[full]) - 1.0) <= STRATEGY_TOL / 2)
         problems = []
         for i in np.flatnonzero(~ok).tolist():
-            w = self.weights[i]
+            w = self.flat[lo[i]:lo[i] + self.sizes[i]]
             m = int(sizes[i])
             if w.shape != (m,):
                 problems.append(f"state {i}: {w.shape[0]} weights for {m} actions")

@@ -51,29 +51,26 @@ actions) and is diagnostic otherwise.
 
 Batched pure path. An operator sweep solves one local game per state.
 solve_saddles gathers the states of each action shape from the sweep's
-flat C and L (GameModel's row layout) into (k, mU, mV) stacks with one
-index each and runs the pure fast path as array operations over the
-batch (_pure_saddles): the row shift and the empty-support and dead row
-tests, the pure candidate v* = argmax_v min_u (C + log Q)[u, v], the
-single-action supergradient certificate at e_v*, and the best pure
-minimizer by the exact planar sup with its order gap. Its per-state float
-operations do not depend on the batch, so a state it settles gets the
-same LocalSaddle bit for bit whether it is solved alone or in a sweep;
-every other state (a certificate that needs several actions, an order
-gap above max(tol, 1e-9), a mixed saddle) goes to the cutting planes with
-the pass's row shift, shifted masses and candidate. solve_saddles is the
-one entry: a single game is solved as a batch of one.
+flat C and L (GameModel's row layout) into (k, mU, mV) stacks and runs
+the pure fast path as array operations over the batch (_pure_saddles):
+the row shift, the empty-support and dead row tests, the pure candidate
+v* = argmax_v min_u (C + log Q)[u, v], its single-action supergradient
+certificate, and the best pure minimizer by the exact planar sup with its
+order gap. Its per-state float operations do not depend on the batch, so
+a state it settles gets the same row of the result bit for bit whether it
+is solved alone or in a sweep; every other state (a certificate that
+needs several actions, an order gap above max(tol, 1e-9), a mixed saddle)
+goes to the cutting planes. A sweep's result is one columnar Saddles, and
+a single game is solved as a batch of one.
 
 All tie-breaks pick the lowest action index.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
-from ._util import NEG_INF, unit
+from ._util import NEG_INF, segment_slots
 
 DEFAULT_TOL = 1e-8
 _ACTIVE_TOL = 1e-9
@@ -87,29 +84,19 @@ class NoConvergence(RuntimeError):
         self.gap = gap
 
 
-@dataclass
-class LocalSaddle:
-    """Certified solution of one state's saddle problem (log domain).
+class Saddles:
+    """Certified local saddles of a batch of states (log domain), one row
+    per state in input order: log_value, gap and order_gap (see
+    Certification) one entry per state, mu and nu flat, state after state,
+    in the action counts of `shapes` (k, 2), the StationaryStrategy layout.
+    log_value is -inf where the payoff collapses to zero, and NaN until the
+    state is solved: Saddles(shapes) starts so, with zero gaps and weights."""
 
-    gap bounds the suboptimality of log_value as a maximization of the
-    lower-value function; order_gap reports sup_nu L(mu, nu) minus the
-    lower value for the returned mu, which is zero exactly when (mu, nu)
-    is a saddle point of the mixed extension.
-    """
-
-    log_value: float
-    mu: np.ndarray
-    nu: np.ndarray
-    gap: float
-    order_gap: float = 0.0
-    empty_support: bool = False
-
-
-def _pure_values(C: np.ndarray, Qs: np.ndarray, nu: np.ndarray) -> np.ndarray:
-    """f_u(nu) = c_u . nu + log(q_u . nu) for every pure u (shifted Q)."""
-    y = Qs @ nu
-    with np.errstate(divide="ignore"):
-        return C @ nu + np.log(np.maximum(y, 0.0))
+    def __init__(self, shapes):
+        k = len(shapes)
+        self.shapes = shapes
+        self.log_value, self.gap, self.order_gap = np.full(k, np.nan), np.zeros(k), np.zeros(k)
+        self.mu, self.nu = (np.zeros(int(m.sum())) for m in shapes.T)
 
 
 # ---------------------------------------------------------------------------
@@ -136,13 +123,10 @@ def _max_x_plus_log_y_rows(x: np.ndarray, y: np.ndarray):
     p, q = np.triu_indices(k, 1)
     with np.errstate(all="ignore"):
         vertex_vals = x + np.log(np.maximum(y, 0.0))
-        best_v = vertex_vals.argmax(axis=1)
-        best_val = vertex_vals[np.arange(r), best_v]
-        best_w = (np.arange(k) == best_v[:, None]).astype(float)
         dead = (y <= 0.0).all(axis=1)
-        if dead.any():
-            best_val[dead] = NEG_INF
-            best_w[dead] = unit(k, 0)
+        best_v = np.where(dead, 0, vertex_vals.argmax(axis=1))
+        best_val = np.where(dead, NEG_INF, vertex_vals[np.arange(r), best_v])
+        best_w = (np.arange(k) == best_v[:, None]).astype(float)
         # every segment's stationary point at once; the incumbent rule is
         # sequential, so only the columns with a feasible segment are scanned
         xp, yp = x[:, p], y[:, p]
@@ -271,7 +255,8 @@ def _lower_solve(C, Qs, nu, tol):
     points = np.empty((0, C.shape[1]))
     upper, mu, gap, planar_done = np.inf, np.ones(mU), np.inf, set()
     for _ in range(_MAX_ROUNDS):
-        h = float(_pure_values(C, Qs, nu).min())
+        with np.errstate(divide="ignore"):  # h = min_u f_u(nu), shifted Q
+            h = float((C @ nu + np.log(np.maximum(Qs @ nu, 0.0))).min())
         if h > best_h:
             best_nu, best_h = nu, h
         points = np.concatenate([points, nu[None]])
@@ -293,24 +278,16 @@ def _lower_solve(C, Qs, nu, tol):
 
 
 def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
-    """Batched prologue and pure fast path of solve_saddles.
+    """Batched prologue and pure fast path of solve_saddles (module
+    docstring) on C and L of shape (k, mU, mV): k states of one action shape.
 
-    C and L have shape (k, mU, mV): k states with the same action shape.
-    Per state it applies the empty-support test, the dead player-1 row
-    test, and the pure candidate
-    v* = argmax_v min_u pure[u, v] with pure = C + log Qs, which it accepts
-    when the best single-action supergradient bound at e_v* is within tol
-    and the lowest-index best pure minimizer, measured by the exact planar
-    sup over nu, has order gap within max(tol, 1e-9). Every step is an
-    array operation over the batch whose per-state float operations do
-    not depend on the batch.
-
-    Returns (saddles, m0, Qs, v_star): saddles[j] is None for a state left
-    to the cutting planes, which continue from its row shift m0, shifted
-    masses Qs = exp(L - m0) and candidate column v_star.
+    Returns (out, m0, Qs, v_star): the k states' Saddles, NaN at each state
+    left to the cutting planes, which continue from its row shift m0,
+    shifted masses Qs = exp(L - m0) and candidate column v_star.
     """
     k, mU, mV = C.shape
-    saddles = [None] * k
+    out = Saddles(np.tile((mU, mV), (k, 1)))
+    mu, nu = out.mu.reshape(k, mU), out.nu.reshape(k, mV)
     with np.errstate(all="ignore"):
         finite = np.isfinite(L)
         empty = ~finite.any(axis=(1, 2))
@@ -318,13 +295,13 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         Qs = np.exp(L - m0[:, None, None])
         dead = ~(Qs > 0.0).any(axis=2)  # (k, mU)
         v_star = (C + np.log(np.maximum(Qs, 0.0))).min(axis=1).argmax(axis=1)
+    # no mass at all, or player 1 owns an action that sends all mass
+    # outside the domain: the multiplicative payoff collapses to zero
     collapsed = dead.any(axis=1) & ~empty
-    for j in np.nonzero(empty | collapsed)[0]:
-        # no mass at all, or player 1 owns an action that sends all mass
-        # outside the domain: the multiplicative payoff collapses to zero
-        u = int(dead[j].argmax()) if collapsed[j] else 0
-        saddles[j] = LocalSaddle(NEG_INF, unit(mU, u), unit(mV, 0), 0.0, empty_support=True)
     settled = empty | collapsed
+    out.log_value[settled] = NEG_INF
+    mu[settled, np.where(collapsed, dead.argmax(axis=1), 0)[settled]] = 1.0
+    nu[settled, 0] = 1.0
 
     # non-finite costs or masses go to the cutting planes, whose
     # matrix-vector products (not the gathers below) define the result for them
@@ -341,8 +318,6 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
         per_u = np.where(y > 0.0, (f - h[:, None]) + rows.max(axis=2), np.inf)
         cert = np.maximum(per_u.min(axis=1), 0.0)
         keep = np.isfinite(h) & (cert <= tol)
-    if not keep.any():
-        return saddles, m0, Qs, v_star
     ks, vs, f, h, cert = ks[keep], vs[keep], f[keep], h[keep], cert[keep]
 
     # over the active pure actions, the lowest index with the smallest
@@ -352,48 +327,49 @@ def _pure_saddles(C: np.ndarray, L: np.ndarray, tol: float):
     phi = np.full(active.shape, np.inf)
     phi[ri, ui], _ = _max_x_plus_log_y_rows(C[ks[ri], ui], Qs[ks[ri], ui])
     u_best = phi.argmin(axis=1)
-    order_tol = max(tol, 1e-9)
-    for r, j in enumerate(ks):
-        h_r = float(h[r])
-        order1 = max(float(phi[r, u_best[r]]) - h_r, 0.0)
-        if order1 > order_tol:
-            continue  # mixing may be required: the cutting planes decide
-        saddles[j] = LocalSaddle(h_r + float(m0[j]), unit(mU, int(u_best[r])),
-                                 unit(mV, int(vs[r])), float(cert[r]), order_gap=order1)
-    return saddles, m0, Qs, v_star
+    order1 = np.maximum(phi[np.arange(len(ks)), u_best] - h, 0.0)
+    # above the order tolerance mixing may be required: the cutting planes decide
+    accept = order1 <= max(tol, 1e-9)
+    ks = ks[accept]
+    out.log_value[ks] = h[accept] + m0[ks]
+    out.gap[ks], out.order_gap[ks] = cert[accept], order1[accept]
+    mu[ks, u_best[accept]] = 1.0
+    nu[ks, vs[accept]] = 1.0
+    return out, m0, Qs, v_star
 
 
-def solve_saddles(C, L, shapes, tol: float = DEFAULT_TOL) -> list:
-    """Local saddles of many states at once, in input order.
+def solve_saddles(C, L, shapes, tol: float = DEFAULT_TOL) -> Saddles:
+    """Local saddles of many states at once, one row per state in input order.
 
     C and L are flat in row order (GameModel's row layout): state k's
-    (mU, mV) = shapes[k] games lie one after another, u-major. The states
-    of each action shape are gathered into (k, mU, mV) stacks with one
-    index and settled by one batched pure pass (_pure_saddles); each state
-    it leaves goes to the cutting planes (_lower_solve) from that pass's
-    row shift, shifted masses and pure candidate e_v*.
+    (mU, mV) = shapes[k] games lie one after another, u-major. Each action
+    shape gets one batched pure pass (_pure_saddles); each state it leaves
+    goes to the cutting planes (_mixed_saddle).
     """
     shapes = np.asarray(shapes, dtype=np.int64).reshape(-1, 2)
-    size = shapes.prod(axis=1)
-    start = np.cumsum(size) - size
-    out = [None] * len(shapes)
+    out = Saddles(shapes)
     for mU, mV in np.unique(shapes, axis=0).tolist():
         js = np.flatnonzero((shapes == (mU, mV)).all(axis=1))
-        at = start[js, None] + np.arange(mU * mV)
+        at = segment_slots(shapes.prod(axis=1), js)
         Cs = C[at].reshape(-1, mU, mV)
-        saddles, m0, Qs, v_star = _pure_saddles(Cs, L[at].reshape(-1, mU, mV), tol)
-        for r, (j, s) in enumerate(zip(js.tolist(), saddles)):
-            out[j] = s if s is not None else _mixed_saddle(Cs[r], Qs[r], float(m0[r]),
-                                                           int(v_star[r]), tol)
+        part, m0, Qs, v_star = _pure_saddles(Cs, L[at].reshape(-1, mU, mV), tol)
+        for r in np.flatnonzero(np.isnan(part.log_value)).tolist():
+            _mixed_saddle(part, r, Cs[r], Qs[r], float(m0[r]), int(v_star[r]), tol)
+        out.log_value[js], out.gap[js], out.order_gap[js] = part.log_value, part.gap, part.order_gap
+        out.mu[segment_slots(shapes[:, 0], js)] = part.mu
+        out.nu[segment_slots(shapes[:, 1], js)] = part.nu
     return out
 
 
-def _mixed_saddle(C, Qs, m0, v, tol):
-    """The cutting planes from e_v (the uniform nu when some q_u . e_v = 0),
-    with the order gap of the returned mu by the exact planar sup over nu."""
-    nu0 = unit(C.shape[1], v)
+def _mixed_saddle(out: Saddles, r: int, C, Qs, m0, v, tol):
+    """Row r of `out`, a batch of C's action shape, by the cutting planes
+    from e_v (the uniform nu when some q_u . e_v = 0), with the order gap
+    of the returned mu by the exact planar sup over nu."""
+    mU, mV = C.shape
+    nu0 = np.eye(mV)[v]
     if not (Qs @ nu0 > 0.0).all():
-        nu0 = np.full(C.shape[1], 1.0 / C.shape[1])
+        nu0 = np.full(mV, 1.0 / mV)
     nu, h, gap, mu = _lower_solve(C, Qs, nu0, tol)
     phi, _ = _max_x_plus_log_y(C.T @ mu, Qs.T @ mu)
-    return LocalSaddle(h + m0, mu, nu, gap, order_gap=max(phi - h, 0.0))
+    out.log_value[r], out.gap[r], out.order_gap[r] = h + m0, gap, max(phi - h, 0.0)
+    out.mu.reshape(-1, mU)[r], out.nu.reshape(-1, mV)[r] = mu, nu

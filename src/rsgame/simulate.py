@@ -93,13 +93,21 @@ class PathBatch:
     costs: np.ndarray   # (N, T)
 
     def to_csv(self) -> str:
-        lines = ["path,step,state,u,v,cost"]
+        """One line per path-step, path after path."""
         N, T = self.costs.shape
-        for p in range(N):
-            for t in range(T):
-                lines.append(f"{p},{t},{int(self.states[p, t])},{int(self.u_idx[p, t])},"
-                             f"{int(self.v_idx[p, t])},{float(self.costs[p, t])!r}")
-        return "\n".join(lines) + "\n"
+        path, step = np.divmod(np.arange(N * T), T)
+        columns = map(_repr_each, (path, step, self.states[:, :T].ravel(), self.u_idx.ravel(),
+                                   self.v_idx.ravel(), self.costs.ravel()))
+        return "\n".join(["path,step,state,u,v,cost", *map(",".join, zip(*columns))]) + "\n"
+
+
+def _repr_each(a: np.ndarray):
+    """repr of each entry of the 1-D array a as the Python int or float it
+    holds, computed once per distinct value: per bit pattern for floats, so
+    that -0.0 and 0.0 stay apart."""
+    keys, at = np.unique(a.view(np.int64) if a.dtype == np.float64 else a, return_inverse=True)
+    names = list(map(repr, keys.view(a.dtype).tolist()))
+    return map(names.__getitem__, at.tolist())
 
 
 # ---------------------------------------------------------------------------
@@ -199,9 +207,8 @@ def _entries(model: GameModel, log_psi=None) -> _Entries:
 
 def _row_weights(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy):
     """mu_i(u) nu_i(v) of every kernel row."""
-    mu, nu = (np.concatenate(pi.weights) for pi in (pi1, pi2))
-    mu_at, nu_at = (np.cumsum([0] + [len(w) for w in pi.weights[:-1]]) for pi in (pi1, pi2))
-    return mu[mu_at[entries.state] + entries.u] * nu[nu_at[entries.state] + entries.v]
+    mu_at, nu_at = (np.cumsum(pi.sizes) - pi.sizes for pi in (pi1, pi2))
+    return pi1.flat[mu_at[entries.state] + entries.u] * pi2.flat[nu_at[entries.state] + entries.v]
 
 
 @dataclass
@@ -226,7 +233,7 @@ def _table(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy) 
     w = _row_weights(entries, pi1, pi2)[entries.row] * entries.p
     keep = np.flatnonzero(w > 0)
     row = entries.row[keep]
-    size = np.bincount(entries.state[row], minlength=len(pi1.weights))
+    size = np.bincount(entries.state[row], minlength=len(pi1.sizes))
     prob, alias = _alias_rows(w[keep], size)
     return _Table(lo=np.cumsum(size) - size, size=size, weight=w[keep], prob=prob, alias=alias,
                   row=row, j=entries.j[keep], cost=entries.cost[row])
@@ -436,7 +443,7 @@ def _deviation_strategies(model: GameModel, player: int, count: int, seed: int):
         acc = np.zeros(n)
         for k in range(max(sizes)):
             acc[seg[slot == k]] += g[slot == k]
-        out.append(StationaryStrategy(np.split(g * (1.0 / acc)[seg], np.cumsum(sizes)[:-1])))
+        out.append(StationaryStrategy.from_flat(g * (1.0 / acc)[seg], sizes))
     return out
 
 
@@ -458,7 +465,7 @@ def _pair_kernel(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStra
     table, whose slot weights compose the kernel: P(j|i) is the weight of
     state i's slots with next state j."""
     cbar = np.bincount(entries.state, weights=_row_weights(entries, pi1, pi2) * entries.cost,
-                       minlength=len(pi1.weights))
+                       minlength=len(pi1.sizes))
     return cbar, _table(entries, pi1, pi2)
 
 

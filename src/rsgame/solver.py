@@ -15,7 +15,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._util import NEG_INF
+from ._util import NEG_INF, segment_slots
 from .dirichlet import (DEFAULT_TOL, DirichletDomain, EigenPair, apply_operator,
                         dirichlet_eigenpair)
 from .model import GameModel, SchemaError, StationaryStrategy, eigenvalue_upper_bound
@@ -47,23 +47,20 @@ class SolveReport:
     warnings: list = field(default_factory=list)
 
     def to_dict(self) -> dict:
-        pi1, pi2 = self.selectors
         with np.errstate(over="ignore"):  # psi above the float range is written as null
-            psi = [float(np.exp(x)) for x in self.log_psi_star]
+            psi = np.exp(self.log_psi_star)
         return {
             "rho_star": float(self.rho_star),
-            "log_psi_star": [float(x) for x in self.log_psi_star],
-            "psi_star": [None if p == np.inf else p for p in psi],
-            "domain": [int(s) for s in self.domain],
+            "log_psi_star": self.log_psi_star.tolist(),
+            "psi_star": np.where(psi == np.inf, None, psi).tolist(),
+            "domain": self.domain.tolist(),
             "ladder": [
                 {"n": r.index, "domain_size": r.domain_size, "rho_n": float(r.rho),
                  "bracket_width": float(r.bracket_width), "iterations": r.iterations}
                 for r in self.ladder
             ],
-            "selectors": {
-                "p1": [[float(w) for w in ws] for ws in pi1.weights],
-                "p2": [[float(w) for w in ws] for ws in pi2.weights],
-            },
+            "selectors": {p: list(map(np.ndarray.tolist, pi.weights))
+                          for p, pi in zip(("p1", "p2"), self.selectors)},
             "residual": float(self.residual),
             "bounds": self.bounds,
             "certified": self.certified,
@@ -88,14 +85,14 @@ class SolveReport:
             log_psi = np.asarray(doc["log_psi_star"], dtype=float)
             domain = np.asarray(doc["domain"], dtype=int)
             selectors = tuple(StationaryStrategy(doc["selectors"][p]) for p in ("p1", "p2"))
+        except SchemaError:  # a state's selector entry that is not a list of numbers
+            raise
         except (KeyError, TypeError, ValueError, OverflowError) as exc:
             raise SchemaError(f"malformed solve report: {exc!r}") from None
         if log_psi.shape != (n_states,):
             raise SchemaError(f"log_psi_star needs {n_states} entries, one per state")
         if domain.ndim != 1 or ((domain < 0) | (domain >= n_states)).any():
             raise SchemaError(f"domain must list states in 0..{n_states - 1}")
-        if any(w.ndim != 1 for pi in selectors for w in pi.weights):
-            raise SchemaError("selector weights must be lists of numbers, one list per state")
         return cls(ladder=[], rho_star=rho, log_psi_star=log_psi, domain=domain,
                    selectors=selectors, residual=res, bounds=doc.get("bounds"),
                    certified=bool(doc.get("certified", False)),
@@ -136,8 +133,8 @@ def _final_sweep(model: GameModel, rho: float, log_psi, domain, tol):
     states = domain[np.isfinite(log_psi[domain])]
     log_G, saddles = apply_operator(model, states, log_psi, tol=tol)
     pi1, pi2 = StationaryStrategy.pure(model, 1, 0), StationaryStrategy.pure(model, 2, 0)
-    for i, s in zip(states, saddles):
-        pi1.weights[i], pi2.weights[i] = s.mu, s.nu
+    pi1.flat[segment_slots(pi1.sizes, states)] = saddles.mu
+    pi2.flat[segment_slots(pi2.sizes, states)] = saddles.nu
     res = float(np.abs(log_G[states] - rho - log_psi[states]).max()) if len(states) else None
     return res, (pi1, pi2), saddles
 
@@ -250,6 +247,8 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
 
     final = prev
     res, selectors, saddles = _final_sweep(model, final.rho, final.log_psi, final.domain, tol_eig)
+    sizes = saddles.shapes.T.ravel()  # both players' largest weight at each state
+    top = np.maximum.reduceat(np.concatenate([saddles.mu, saddles.nu]), np.cumsum(sizes) - sizes)
     warnings.extend(_boundary_warnings(model, final.domain))
 
     if bounds is not None:
@@ -273,9 +272,9 @@ def solve_ergodic_game(model: GameModel, ladder=None, tol_eig: float = DEFAULT_T
             "damping_events": total_damping,
             "final_bracket": [float(final.bracket[0]), float(final.bracket[1])],
             # how the final sweep over the final domain was solved
-            "max_gap": max(float(s.gap) for s in saddles),
-            "max_order_gap": max(float(s.order_gap) for s in saddles),
-            "pure_states": sum(1 for s in saddles if s.mu.max() == 1.0 and s.nu.max() == 1.0),
+            "max_gap": float(saddles.gap.max()),
+            "max_order_gap": float(saddles.order_gap.max()),
+            "pure_states": int((top.reshape(2, -1) == 1.0).all(axis=0).sum()),
         },
         warnings=warnings,
     )

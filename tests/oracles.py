@@ -5,12 +5,14 @@ dense linear algebra, power iteration, closed forms) and shares no code
 path with the solvers it checks. The helpers at the end are the
 exceptions: the readers take one state's transition tensor, costs and
 inner sums through the model's own accessors, for tests that compare the
-batched code with scalar references, and solve_one_saddle runs the local
-solver on one game.
+batched code with scalar references, saddle_rows splits a batch of local
+saddles into per-state rows, and solve_one_saddle runs the local solver on
+one game.
 """
 
 import itertools
 import json
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -293,10 +295,39 @@ def local_matrices(model, i: int, log_psi: np.ndarray):
     return state_cost(model, i), model.inner_log_sums([i], log_psi).reshape(model.shapes[i])
 
 
-def solve_one_saddle(C, L, tol: float = DEFAULT_TOL):
-    """saddle.solve_saddles on the one game (C, L)."""
+@dataclass
+class SaddleRow:
+    """One state's row of a saddle.Saddles, under per-state field names."""
+
+    log_value: float
+    mu: np.ndarray
+    nu: np.ndarray
+    gap: float
+    order_gap: float
+
+    @property
+    def empty_support(self) -> bool:
+        return self.log_value == NEG_INF
+
+
+def saddle_rows(saddles) -> list:
+    """Every state's SaddleRow, in order; None for a state whose log_value
+    is NaN (left to the cutting planes by the batched pure path)."""
+    mu_at, nu_at = (np.cumsum(m) - m for m in saddles.shapes.T)
+    rows = []
+    for k, (mU, mV) in enumerate(saddles.shapes.tolist()):
+        value = float(saddles.log_value[k])
+        rows.append(None if np.isnan(value) else SaddleRow(
+            value, saddles.mu[mu_at[k]:mu_at[k] + mU], saddles.nu[nu_at[k]:nu_at[k] + mV],
+            float(saddles.gap[k]), float(saddles.order_gap[k])))
+    return rows
+
+
+def solve_one_saddle(C, L, tol: float = DEFAULT_TOL) -> SaddleRow:
+    """saddle.solve_saddles on the one game (C, L): its row 0."""
     C = np.asarray(C, dtype=float)
-    return solve_saddles(C.ravel(), np.asarray(L, dtype=float).ravel(), [C.shape], tol)[0]
+    out = solve_saddles(C.ravel(), np.asarray(L, dtype=float).ravel(), [C.shape], tol)
+    return saddle_rows(out)[0]
 
 
 def uniform_strategy(model, player: int):

@@ -12,12 +12,11 @@ from hypothesis import strategies as st
 
 import rsgame
 from conftest import random_closed_model
-from oracles import (best_response_pure_min_core, bilinear_2x2_mixed, local_matrices,
-                     local_payoff_core, lower_value_exact, lower_value_grid, simplex_grid,
-                     solve_one_saddle)
+from oracles import (SaddleRow, best_response_pure_min_core, bilinear_2x2_mixed,
+                     local_matrices, local_payoff_core, lower_value_exact, lower_value_grid,
+                     saddle_rows, simplex_grid, solve_one_saddle)
 from rsgame._util import NEG_INF
 from rsgame.model import make_model
-from rsgame.saddle import LocalSaddle
 from rsgame.solver import solve_ergodic_game
 
 
@@ -225,7 +224,7 @@ def test_solver_never_fails_on_random_sweep(rng):
         mv = int(rng.integers(1, 5))
         C, L = rand_instance(rng, mu, mv)
         s = solve_one_saddle(C, L, tol=1e-8)
-        assert isinstance(s, LocalSaddle)
+        assert isinstance(s, SaddleRow)
         assert np.isfinite(s.log_value)
 
 
@@ -284,12 +283,12 @@ def test_batched_pure_path_is_batch_independent():
         by_shape.setdefault(C.shape, []).append((C, L))
     settled = fallback = 0
     for group in by_shape.values():
-        alone = [_pure_saddles(C[None], L[None], 1e-8)[0][0] for C, L in group]
+        alone = [saddle_rows(_pure_saddles(C[None], L[None], 1e-8)[0])[0] for C, L in group]
         for order in (range(len(group)), reversed(range(len(group)))):
             order = list(order)
             stacked, _, _, _ = _pure_saddles(np.stack([group[k][0] for k in order]),
                                              np.stack([group[k][1] for k in order]), 1e-8)
-            for k, s in zip(order, stacked):
+            for k, s in zip(order, saddle_rows(stacked)):
                 assert (s is None) == (alone[k] is None)
                 if s is not None:
                     assert saddle_fields(s) == saddle_fields(alone[k])
@@ -309,23 +308,28 @@ def test_batched_solves_equal_scalar_solves_in_any_order():
                              np.concatenate([L.ravel() for _, L in games]),
                              [C.shape for C, _ in games])
 
-    assert [saddle_fields(s) for s in batch(cases)] == scalar
+    assert [saddle_fields(s) for s in saddle_rows(batch(cases))] == scalar
     order = np.random.default_rng(1).permutation(len(cases))
     shuffled = batch([cases[k] for k in order])
-    assert [saddle_fields(s) for s in shuffled] == [scalar[k] for k in order]
+    assert [saddle_fields(s) for s in saddle_rows(shuffled)] == [scalar[k] for k in order]
 
 
 def test_batched_path_settles_pure_states_and_leaves_mixed_ones():
     from rsgame.saddle import _pure_saddles
     cases = batch_cases()
-    tie = _pure_saddles(*(a[None] for a in cases[6]), 1e-8)[0][0]
+
+    def alone(C, L):
+        return saddle_rows(_pure_saddles(C[None], L[None], 1e-8)[0])[0]
+
+    tie = alone(*cases[6])
     assert tie.mu.tolist() == [1.0, 0.0] and tie.nu.tolist() == [1.0, 0.0]  # lowest index
-    dead = _pure_saddles(*(a[None] for a in cases[5]), 1e-8)[0][0]
+    dead = alone(*cases[5])
     assert dead.empty_support and dead.mu.tolist() == [0.0, 1.0]
     for C, L in cases[7:9]:  # mixed saddles go to the scalar stages
-        assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
+        assert alone(C, L) is None
     bd = [case for case in cases if case[0].shape == (5, 5)]
-    for s in _pure_saddles(np.stack([C for C, _ in bd]), np.stack([L for _, L in bd]), 1e-8)[0]:
+    out = _pure_saddles(np.stack([C for C, _ in bd]), np.stack([L for _, L in bd]), 1e-8)[0]
+    for s in saddle_rows(out):
         assert s is not None and s.order_gap == 0.0 and s.gap <= 1e-8
 
 
@@ -349,7 +353,7 @@ def test_one_pure_pass_per_action_shape(monkeypatch):
                                model.inner_log_sums(states, report.log_psi_star),
                                model.shapes[states])
     assert batches == [8]
-    assert sum(s.mu.max() < 1.0 for s in out) == 6  # mixed states: the cutting planes
+    assert sum(s.mu.max() < 1.0 for s in saddle_rows(out)) == 6  # mixed states: the cutting planes
     cases = batch_cases()
     batches.clear()
     saddle.solve_saddles(np.concatenate([C.ravel() for C, _ in cases]),
@@ -494,7 +498,7 @@ def test_mu_and_order_gap_stable_under_last_ulp_changes():
     states = list(report.domain)
     games = [local_matrices(model, i, report.log_psi_star) for i in states]
     games += [(C, L) for C, L in pinned_local_games()
-              if _pure_saddles(C[None], L[None], 1e-8)[0][0] is None]
+              if np.isnan(_pure_saddles(C[None], L[None], 1e-8)[0].log_value[0])]
     assert len(games) == 8 + 55
     for C, L in games:
         s = solve_one_saddle(C, L)
@@ -522,12 +526,12 @@ def test_pure_vertex_certificates_that_need_the_scalar_stages():
     from rsgame.saddle import _pure_saddles
     C = np.array([[0.0, -1.0 + 1e-6]])
     L = np.array([[0.0, np.log(2.0)]])
-    assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
+    assert np.isnan(_pure_saddles(C[None], L[None], 1e-8)[0].log_value[0])
     s = solve_one_saddle(C, L)
     assert s.gap <= 1e-8 and 0.0 < s.nu[1] < 1e-5
     C = np.array([[0.0, 1e-4, -1.0], [0.0, -1.0, 1e-4], [5e-9, -1.0, -1.0]])
     L = np.zeros((3, 3))
-    assert _pure_saddles(C[None], L[None], 1e-8)[0][0] is None
+    assert np.isnan(_pure_saddles(C[None], L[None], 1e-8)[0].log_value[0])
     s = solve_one_saddle(C, L)
     assert s.nu.tolist() == [1.0, 0.0, 0.0] and s.log_value == 0.0
     assert s.mu[0] > 0.0 and s.mu[1] > 0.0 and s.mu[2] == 0.0  # a mixed minimizer

@@ -293,7 +293,9 @@ def test_representation_one_step_expansion(rng):
 def test_representation_refuses_nonfinite_selector_weights():
     m = pennies_layer_model()
     rep = solve_ergodic_game(m)
-    rep.selectors[0].weights[0] = np.array([np.nan, 1.0])
+    weights = [w.tolist() for w in rep.selectors[0].weights]
+    weights[0] = [np.nan, 1.0]
+    rep.selectors = (StationaryStrategy(weights), rep.selectors[1])
     with pytest.raises(ValueError, match="state 0: non-finite weight nan"):
         verify_stochastic_representation(m, rep, [1], SimConfig(T=1, N=10, start=[0]))
 
@@ -579,3 +581,16 @@ def test_path_csv_pinned():
     mixed = solve_ergodic_game(pennies, ladder=[2]).selectors
     assert digest(pennies, *mixed, SimConfig(T=30, N=40, seed=2)) == (
         "ab000238caf4418e0bcac3e386f7e747e9db72ff78f2e6a463c2d45ba9b32558")
+
+
+def test_path_csv_writes_each_value_by_its_own_repr():
+    """Values repeat across path-steps and are formatted once each; a cost
+    of -0.0 is still written apart from 0.0."""
+    costs = np.array([[-0.0, 0.0, 0.1], [1e300, 0.1, -0.0]])
+    states = np.array([[0, 7, 7, 12], [3, 3, 0, 1]], dtype=np.int32)
+    u = np.array([[0, 1, 1], [2, 0, 1]], dtype=np.int32)
+    batch = simulate.PathBatch(states=states, u_idx=u, v_idx=u[::-1].copy(), costs=costs)
+    lines = ["path,step,state,u,v,cost"] + [
+        f"{p},{t},{int(states[p, t])},{int(u[p, t])},{int(u[1 - p, t])},{float(costs[p, t])!r}"
+        for p in range(2) for t in range(3)]
+    assert batch.to_csv() == "\n".join(lines) + "\n"

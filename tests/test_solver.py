@@ -7,13 +7,13 @@ import pytest
 from conftest import (one_state_two_action, pennies_layer_model,
                       random_closed_model, random_uncontrolled_chain,
                       scalar_self_loop, uncontrolled_two_state)
-from oracles import (NotUncontrolled, dense_transition, perron_log_radius, state_cost,
-                     uncontrolled_eigen_oracle)
+from oracles import (NotUncontrolled, dense_transition, perron_log_radius, saddle_rows,
+                     state_cost, uncontrolled_eigen_oracle)
 from rsgame import dirichlet
 from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import make_model
-from rsgame.solver import (default_ladder, eigenvalue_upper_bound, extract_selectors,
-                           residual, solve_ergodic_game)
+from rsgame.solver import (SolveReport, default_ladder, eigenvalue_upper_bound,
+                           extract_selectors, residual, solve_ergodic_game)
 
 LOG_1P5 = 0.4054651081081644
 
@@ -105,6 +105,22 @@ def test_selectors_pennies_layer_under_flat_psi():
     pi1, pi2 = extract_selectors(m, np.zeros(2), [0, 1])
     assert pi1.weights[0] == pytest.approx([0.5, 0.5], abs=1e-9)
     assert pi2.weights[0] == pytest.approx([0.5, 0.5], abs=1e-9)
+
+
+def test_ragged_selectors_round_trip():
+    """On ragged action sets (2 x 2 and 1 x 1) the report's selectors read
+    back with the solve's flat weights and sizes, and write back the same;
+    their per-state views are read-only."""
+    m = pennies_layer_model()
+    rep = solve_ergodic_game(m)
+    doc = rep.to_dict()
+    back = SolveReport.from_dict(doc, m.n_states)
+    for solved, read in zip(rep.selectors, back.selectors):
+        assert solved.sizes.tolist() == read.sizes.tolist() == [2, 1]
+        assert np.array_equal(solved.flat, read.flat)
+    assert back.to_dict()["selectors"] == doc["selectors"]
+    with pytest.raises(ValueError, match="read-only"):
+        back.selectors[0].weights[0][0] = 0.0
 
 
 def test_final_sweep_on_a_domain_without_finite_log_psi():
@@ -252,6 +268,7 @@ def test_report_diagnostics_mixed_random_game():
     rep = solve_ergodic_game(model)
     states = [int(s) for s in rep.domain if np.isfinite(rep.log_psi_star[s])]
     _, saddles = dirichlet.apply_operator(model, states, rep.log_psi_star)
+    saddles = saddle_rows(saddles)
     diag = rep.diagnostics
     assert diag["max_order_gap"] > 0
     assert diag["max_order_gap"] == max(s.order_gap for s in saddles)
