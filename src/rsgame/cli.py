@@ -22,7 +22,7 @@ from .model import (GameModel, SchemaError, check_irreducibility, check_lyapunov
 from .simulate import (OpenModel, SimConfig, estimate_ergodic_cost,
                        estimate_with_deviations, simulate_paths, verify_saddle,
                        verify_stochastic_representation)
-from .solver import SolveReport, solve_ergodic_game
+from .solver import DEFAULT_TOL, DEFAULT_TOL_OUTER, SolveReport, solve_ergodic_game
 
 USAGE_ERROR = 2
 FAIL = 1
@@ -88,8 +88,8 @@ def build_parser() -> argparse.ArgumentParser:
     s = sub.add_parser("solve", help="ladder solve of the ergodic game")
     s.add_argument("model")
     s.add_argument("--ladder", type=str, default=None, help="comma-separated domain sizes")
-    s.add_argument("--tol", type=float, default=1e-8)
-    s.add_argument("--tol-outer", type=float, default=1e-6)
+    s.add_argument("--tol", type=float, default=DEFAULT_TOL)
+    s.add_argument("--tol-outer", type=float, default=DEFAULT_TOL_OUTER)
     s.add_argument("--out", type=str, default=None)
     s.add_argument("--trace", type=str, default=None)
     s.add_argument("--threads", type=int, default=1,

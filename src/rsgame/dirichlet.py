@@ -26,9 +26,8 @@ import numpy as np
 
 from ._util import NEG_INF
 from .model import GameModel
-from .saddle import solve_saddles
+from .saddle import DEFAULT_TOL, solve_saddles
 
-DEFAULT_TOL = 1e-8
 DEFAULT_MAX_ITER = 5000
 DAMP_AFTER = 200
 

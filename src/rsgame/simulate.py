@@ -34,10 +34,13 @@ mu_i(u) nu_i(v) P(j|i,u,v) and carries the row's step cost. That is the
 law of drawing both actions independently and then the next state, so a
 step costs O(1) whatever the window or the action sets. The tables hold
 one slot per kernel entry the pair can draw, so they are built in time
-and memory O(nnz). A model whose mass can leave the window is refused
-(OpenModel), so the entries of every row carry its whole mass. Every
-sampler steps all live paths of a block together, and one Philox call
-per step draws the uniforms of the whole block.
+and memory O(nnz). The pair's table (its slots, plus the mean cost
+cbar(i) = mu_i' C_i nu_i of each state) is the simulator's one reader of
+the kernel: every run builds its own, plain or psi-tilted. A model whose
+mass can leave the window is refused (OpenModel), so the entries of every
+row carry its whole mass. Every sampler steps all live paths of a block
+together, and one Philox call per step draws the uniforms of the whole
+block.
 """
 
 from __future__ import annotations
@@ -169,53 +172,11 @@ def _alias_rows(weights, sizes):
 
 
 @dataclass
-class _Entries:
-    """The pair-independent half of the sampler: every stored kernel entry
-    in row order, and per kernel row its (i, u, v) and step cost."""
-
-    row: np.ndarray    # (E,) kernel row of each entry, ascending
-    j: np.ndarray      # (E,) next state
-    p: np.ndarray      # (E,) probability, psi-tilted where asked
-    state: np.ndarray  # (rows,) i, u, v and step cost of each kernel row
-    u: np.ndarray
-    v: np.ndarray
-    cost: np.ndarray
-
-
-def _entries(model: GameModel, log_psi=None) -> _Entries:
-    """Kernel entries and step costs for the sampler, built from the CSR.
-
-    Without log_psi these are the path law's own kernel P and cost c. With
-    a log eigenfunction they are its psi-tilted version: entry j of row
-    (i, u, v) gets P(j|i,u,v) psi(j) / (P psi)(i,u,v) and the row's step
-    cost is c + log (P psi)(i,u,v) - log psi(i), with log (P psi) from
-    GameModel.inner_log_sums. Rows with psi(i) = 0 or (P psi) = 0 keep the
-    untilted entries; a run that can reach them is refused by its caller.
-    """
-    k = model.csr
-    state, u, v = model.row_actions()
-    row, j, p, cost = k.entry_rows(), k.indices, k.prob, model.row_cost.copy()
-    if log_psi is not None:
-        log_mass = model.inner_log_sums(np.arange(model.n_states), log_psi)
-        tilt = np.isfinite(log_psi[state]) & np.isfinite(log_mass)
-        at = np.flatnonzero(tilt[row])
-        p = p.copy()
-        p[at] = np.exp(k.log_prob[at] + log_psi[j[at]] - log_mass[row[at]])
-        cost[tilt] += log_mass[tilt] - log_psi[state[tilt]]
-    return _Entries(row=row, j=j, p=p, state=state, u=u, v=v, cost=cost)
-
-
-def _row_weights(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy):
-    """mu_i(u) nu_i(v) of every kernel row."""
-    mu_at, nu_at = (np.cumsum(pi.sizes) - pi.sizes for pi in (pi1, pi2))
-    return pi1.flat[mu_at[entries.state] + entries.u] * pi2.flat[nu_at[entries.state] + entries.v]
-
-
-@dataclass
 class _Table:
     """One pair's sampling table: state i's slots lie at lo[i]:lo[i] + size[i],
     one per entry of positive weight, with that weight, its alias pair,
-    kernel row, next state and step cost."""
+    kernel row, next state and step cost; and cbar, the pair's untilted
+    mean cost mu_i' C_i nu_i of each state."""
 
     lo: np.ndarray
     size: np.ndarray
@@ -225,18 +186,42 @@ class _Table:
     row: np.ndarray
     j: np.ndarray
     cost: np.ndarray
+    cbar: np.ndarray
 
 
-def _table(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy) -> _Table:
-    """The pair's alias tables, one per state, over its entries of positive
-    weight: time and memory O(nnz)."""
-    w = _row_weights(entries, pi1, pi2)[entries.row] * entries.p
+def _table(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStrategy,
+           log_psi=None) -> _Table:
+    """The pair's alias tables, one per state, over its kernel entries of
+    positive weight mu_i(u) nu_i(v) P(j|i,u,v): time and memory O(nnz).
+
+    Without log_psi the slots carry the path law's own kernel P and cost c.
+    With a log eigenfunction they carry its psi-tilted version: entry j of
+    row (i, u, v) gets P(j|i,u,v) psi(j) / (P psi)(i,u,v) and the row's
+    step cost is c + log (P psi)(i,u,v) - log psi(i), with log (P psi) from
+    GameModel.inner_log_sums. Rows with psi(i) = 0 or (P psi) = 0 keep the
+    untilted entries; a run that can reach them is refused by its caller.
+    cbar is untilted either way.
+    """
+    k = model.csr
+    state, u, v = model.row_actions()
+    mu_at, nu_at = (np.cumsum(pi.sizes) - pi.sizes for pi in (pi1, pi2))
+    row_weight = pi1.flat[mu_at[state] + u] * pi2.flat[nu_at[state] + v]
+    cbar = np.bincount(state, weights=row_weight * model.row_cost, minlength=model.n_states)
+    row, j, p, cost = k.entry_rows(), k.indices, k.prob, model.row_cost
+    if log_psi is not None:
+        log_mass = model.inner_log_sums(np.arange(model.n_states), log_psi)
+        tilt = np.isfinite(log_psi[state]) & np.isfinite(log_mass)
+        at = np.flatnonzero(tilt[row])
+        p, cost = p.copy(), cost.copy()
+        p[at] = np.exp(k.log_prob[at] + log_psi[j[at]] - log_mass[row[at]])
+        cost[tilt] += log_mass[tilt] - log_psi[state[tilt]]
+    w = row_weight[row] * p
     keep = np.flatnonzero(w > 0)
-    row = entries.row[keep]
-    size = np.bincount(entries.state[row], minlength=len(pi1.sizes))
+    row = row[keep]
+    size = np.bincount(state[row], minlength=model.n_states)
     prob, alias = _alias_rows(w[keep], size)
     return _Table(lo=np.cumsum(size) - size, size=size, weight=w[keep], prob=prob, alias=alias,
-                  row=row, j=entries.j[keep], cost=entries.cost[row])
+                  row=row, j=j[keep], cost=cost[row], cbar=cbar)
 
 
 def _step(tab: _Table, s, r):
@@ -286,8 +271,8 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
                    cfg: SimConfig) -> PathBatch:
     """Materialize N full trajectories (memory scales with N*T)."""
     _require(model, pi1, pi2, [cfg.start])
-    entries = _entries(model)
-    tab = _table(entries, pi1, pi2)
+    tab = _table(model, pi1, pi2)
+    _, u, v = model.row_actions()
     N, T = cfg.N, cfg.T
     draws = _Uniforms(cfg.seed)
 
@@ -299,8 +284,8 @@ def simulate_paths(model: GameModel, pi1: StationaryStrategy, pi2: StationaryStr
     costs = np.empty((N, T))
     for t in range(T):
         e = _step(tab, s, draws.row(t, 0, N))
-        u_idx[:, t] = entries.u[tab.row[e]]
-        v_idx[:, t] = entries.v[tab.row[e]]
+        u_idx[:, t] = u[tab.row[e]]
+        v_idx[:, t] = v[tab.row[e]]
         costs[:, t] = tab.cost[e]
         s = tab.j[e]
         states[:, t + 1] = s
@@ -369,7 +354,7 @@ def estimate_ergodic_cost(model: GameModel, pi1: StationaryStrategy,
     no effect: the path blocks run in one thread.
     """
     _require(model, pi1, pi2, [cfg.start])
-    return _growth_estimate(_table(_entries(model), pi1, pi2), cfg)
+    return _growth_estimate(_table(model, pi1, pi2), cfg)
 
 
 def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
@@ -380,13 +365,12 @@ def estimate_with_deviations(model: GameModel, pi1: StationaryStrategy,
     Returns (base, deviation estimates). Deviation k = 1, 2, ... is the
     k-th pair of _deviation_pairs and runs on seed cfg.seed + k; each
     estimate equals the one estimate_ergodic_cost gives for that pair and
-    seed, but the kernel entries are read once for all runs.
+    seed. Every deviation is validated before the first run.
     """
     _require(model, pi1, pi2, [cfg.start])
     pairs = _deviation_pairs(model, pi1, pi2, [player], count, cfg.seed)
-    entries = _entries(model)
-    base = _growth_estimate(_table(entries, pi1, pi2), cfg)
-    rows = [_growth_estimate(_table(entries, a, b), replace(cfg, seed=cfg.seed + run))
+    base = _growth_estimate(_table(model, pi1, pi2), cfg)
+    rows = [_growth_estimate(_table(model, a, b), replace(cfg, seed=cfg.seed + run))
             for run, (_, a, b) in enumerate(pairs, start=1)]
     return base, rows
 
@@ -460,16 +444,7 @@ def _deviation_pairs(model: GameModel, pi1: StationaryStrategy, pi2: StationaryS
     return pairs
 
 
-def _pair_kernel(entries: _Entries, pi1: StationaryStrategy, pi2: StationaryStrategy):
-    """Cost c(i) averaged over the pair's mixed actions, and the pair's
-    table, whose slot weights compose the kernel: P(j|i) is the weight of
-    state i's slots with next state j."""
-    cbar = np.bincount(entries.state, weights=_row_weights(entries, pi1, pi2) * entries.cost,
-                       minlength=len(pi1.sizes))
-    return cbar, _table(entries, pi1, pi2)
-
-
-def _extend_log_psi(report: SolveReport, cbar, tab: _Table):
+def _extend_log_psi(report: SolveReport, tab: _Table):
     """log psi* on the final domain, extended off it by the pair's equation.
 
     psi(i) <- exp(cbar(i) - rho*) (Pbar psi)(i) for every state without a
@@ -478,7 +453,7 @@ def _extend_log_psi(report: SolveReport, cbar, tab: _Table):
     segment log-sum-exp over those states' slots. States that cannot
     reach a positive value stay at -inf.
     """
-    n = len(cbar)
+    n = len(tab.cbar)
     src = np.asarray(report.log_psi_star, dtype=float)
     dom = np.asarray(report.domain, dtype=int)
     log_psi = np.full(n, -np.inf)
@@ -487,7 +462,7 @@ def _extend_log_psi(report: SolveReport, cbar, tab: _Table):
     if free.size:
         at, _ = concat_ranges(tab.lo[free], tab.lo[free] + tab.size[free])
         log_w, j = np.log(tab.weight[at]), tab.j[at]
-        base = cbar[free] - report.rho_star
+        base = tab.cbar[free] - report.rho_star
         for _ in range(n):
             new = base + segment_logsumexp(log_w + log_psi[j], tab.size[free])
             if np.array_equal(new, log_psi[free]):
@@ -519,9 +494,7 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
     start = int(cfg.start)
     _require(model, pi1, pi2, [start])
     pairs = _deviation_pairs(model, pi1, pi2, (1, 2), deviations, cfg.seed)
-    plain = _entries(model)
-    log_psi = _extend_log_psi(report, *_pair_kernel(plain, pi1, pi2))
-    tilted = _entries(model, log_psi)
+    log_psi = _extend_log_psi(report, _table(model, pi1, pi2))
     zero = ~np.isfinite(log_psi)
     warnings = []
 
@@ -529,14 +502,15 @@ def verify_saddle(model: GameModel, report: SolveReport, cfg: SimConfig,
         """The run's estimate, and False when it can reach a zero of psi."""
         covered = True
         if zero.any():
-            tab = _table(plain, a, b)
+            tab = _table(model, a, b)
             hit = np.flatnonzero(zero & reachable(tab.lo, tab.lo + tab.size, tab.j, start))
             if hit.size:
                 covered = False
                 warnings.append(f"{label}: states {hit.tolist()} are reachable from "
                                 f"state {start} but psi* is zero there, so their paths "
                                 "cannot be weighted")
-        return covered, _growth_estimate(_table(tilted, a, b), replace(cfg, seed=cfg.seed + run))
+        return covered, _growth_estimate(_table(model, a, b, log_psi),
+                                         replace(cfg, seed=cfg.seed + run))
 
     covered, base = weighted("selector pair", pi1, pi2, 0)
     equality_ok = covered and abs(base.estimate - rho) <= 3.0 * base.spread + BAND_FLOOR
@@ -634,19 +608,20 @@ def verify_stochastic_representation(model: GameModel, report: SolveReport,
     for b in target:
         if not np.isfinite(log_psi[b]):
             raise ValueError(f"target state {b} lies outside the solved support")
+    for s0 in starts:
+        if mask[s0]:
+            raise ValueError(f"start state {s0} is inside the target set")
     warnings = []
     if model.lyapunov is not None and not set(model.lyapunov.K.tolist()) <= set(target):
         # hitting-time integrability is only guaranteed for supersets of the
         # declared exception set; smaller targets are still checkable
         warnings.append("target set does not contain the declared exception set")
-    tab = _table(_entries(model), pi1, pi2)
+    tab = _table(model, pi1, pi2)
 
     per_start = []
     all_pass = True
     any_inconclusive = False
     for idx, s0 in enumerate(starts):
-        if mask[s0]:
-            raise ValueError(f"start state {s0} is inside the target set")
         terms, capped = _hitting_terms(tab, log_psi, rho, mask, cfg.seed + 104729 * idx, s0,
                                        cfg.N)
         good = terms[~np.isnan(terms)]

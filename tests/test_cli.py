@@ -151,7 +151,7 @@ def test_simulate_refuses_nonfinite_strategy_weights(workdir, capsys):
     assert "state 0: non-finite weight nan" in capsys.readouterr().err
 
 
-def test_simulate_deviations_build_tables_once(workdir, capsys, monkeypatch):
+def test_simulate_deviations_equal_single_pair_estimates(workdir, capsys):
     from rsgame import simulate
     from rsgame.cli import _load_model
     from rsgame.solver import SolveReport
@@ -168,19 +168,10 @@ def test_simulate_deviations_build_tables_once(workdir, capsys, monkeypatch):
                                            simulate.SimConfig(T=T, N=N, seed=seed + k + 1)
                                            ).to_dict()
             for k, dev in enumerate(simulate._deviation_strategies(model, 1, 3, seed))]
-    builds = []
-    entries = simulate._entries
-
-    def counted(model, log_psi=None):
-        builds.append(log_psi)
-        return entries(model, log_psi)
-
-    monkeypatch.setattr(simulate, "_entries", counted)
     assert run(["simulate", "m.json", "--strategies", "r.json", "--T", str(T),
                 "--N", str(N), "--seed", str(seed), "--deviate", "1:3"]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"base": base, "deviations": {"player": 1, "estimates": rows}}
-    assert builds == [None]  # one untilted build serves the pair and every deviation
 
 
 @pytest.fixture(scope="module")

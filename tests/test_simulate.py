@@ -11,7 +11,7 @@ from rsgame.birth_death import BirthDeathParams, build_birth_death
 from rsgame.model import StationaryStrategy, make_model
 from rsgame import simulate
 from rsgame.simulate import (OpenModel, SimConfig, _alias_rows, _deviation_strategies,
-                             _entries, _growth_estimate, _step, _table, _Uniforms,
+                             _extend_log_psi, _growth_estimate, _step, _table, _Uniforms,
                              estimate_ergodic_cost, estimate_with_deviations, simulate_paths,
                              verify_saddle, verify_stochastic_representation)
 from rsgame.solver import solve_ergodic_game
@@ -429,7 +429,7 @@ def test_uniform_rows_moments():
 
 def test_growth_estimate_independent_of_blocking(monkeypatch):
     m = build_birth_death(BirthDeathParams(window=20))
-    tab = _table(_entries(m), *solve_ergodic_game(m, ladder=[10, 20]).selectors)
+    tab = _table(m, *solve_ergodic_game(m, ladder=[10, 20]).selectors)
     cfg = SimConfig(T=30, N=1000, seed=6)
     got = []
     for block in (64, 4096):
@@ -485,7 +485,7 @@ def test_one_step_frequencies_tilted_birth_death_pair(bd60):
     m, rep = bd60
     pi1, pi2 = rep.selectors
     log_psi = np.asarray(rep.log_psi_star, dtype=float)
-    tab = _table(_entries(m, log_psi), pi1, pi2)
+    tab = _table(m, pi1, pi2, log_psi)
     N = 40000
     for i in (0, 3, 7):
         e = _step(tab, np.full(N, i), np.random.default_rng(i).random(N))
@@ -507,6 +507,42 @@ def test_one_step_frequencies_tilted_birth_death_pair(bd60):
 def bd60():
     model = build_birth_death(BirthDeathParams(window=60))
     return model, solve_ergodic_game(model, ladder=[10, 20, 40, 60])
+
+
+def test_extend_log_psi_solves_the_pair_equation_off_the_domain(bd60):
+    """log psi* stays on the final domain; off it the extension is finite
+    and solves log psi(i) = cbar(i) - rho* + log sum_j Pbar(j|i) psi(j),
+    with cbar(i) = mu_i' C_i nu_i and Pbar(j|i) = mu_i' P(j|i,.,.) nu_i
+    built from the dense per-state arrays."""
+    m, rep = bd60
+    pi1, pi2 = rep.selectors
+    tab = _table(m, pi1, pi2)
+    log_psi = _extend_log_psi(rep, tab)
+    dom = np.asarray(rep.domain)
+    off = np.setdiff1d(np.arange(m.n_states), dom)
+    assert (len(dom), len(off)) == (20, 40)
+    assert np.array_equal(log_psi[dom], np.asarray(rep.log_psi_star)[dom])
+    assert np.isfinite(log_psi).all()
+    psi = np.exp(log_psi)
+    for i in range(m.n_states):
+        mu, nu = pi1.weights[i], pi2.weights[i]
+        cbar = mu @ state_cost(m, i) @ nu
+        assert tab.cbar[i] == pytest.approx(cbar, rel=1e-12, abs=0)
+        if i in off:
+            pbar = np.einsum("u,v,uvj->j", mu, nu, dense_transition(m, i))
+            assert log_psi[i] == pytest.approx(cbar - rep.rho_star + np.log(pbar @ psi),
+                                               rel=1e-12, abs=0)
+
+
+def test_representation_refuses_a_start_in_the_target_before_any_run(bd60, monkeypatch):
+    m, rep = bd60
+
+    def never(*args):
+        raise AssertionError("hitting paths ran before the start list was checked")
+
+    monkeypatch.setattr(simulate, "_hitting_terms", never)
+    with pytest.raises(ValueError, match="start state 2 is inside the target set"):
+        verify_stochastic_representation(m, rep, [0, 1, 2], SimConfig(T=1, N=10, start=[5, 2]))
 
 
 def test_negative_seed_runs_as_its_value_mod_2_64(bd60):
